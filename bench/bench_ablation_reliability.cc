@@ -15,8 +15,8 @@
 
 #include <memory>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 #include "swrel/soft_reliable.hh"
 
 using namespace ibsim;
@@ -48,8 +48,10 @@ runRc(double loss_rate, std::uint64_t seed)
     auto& bmr = b.registerMemory(dst, messages * messageBytes,
                                  verbs::AccessFlags::pinned());
 
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(loss_rate));
+    chaos::FaultInjector loss(seed);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, loss_rate));
+    cluster.fabric().setFaultHook(&loss);
 
     // Synchronous RPC-style messaging: one outstanding write at a time,
     // so a lost packet has no follow-up traffic to provoke a NAK -- only
@@ -81,8 +83,10 @@ runSoft(double loss_rate, std::uint64_t seed)
     config.maxRetries = 50;
     swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                        cluster.node(1), config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(loss_rate));
+    chaos::FaultInjector loss(seed);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, loss_rate));
+    cluster.fabric().setFaultHook(&loss);
 
     // Same synchronous pattern over the software channel.
     const Time start = cluster.now();

@@ -162,8 +162,7 @@ runProbe(const std::string& fault, std::uint64_t seed)
  */
 exp::Metrics
 runTopoProbe(const std::string& fault, const std::string& verb,
-             std::size_t nodes, std::uint64_t seed, unsigned jobs = 0,
-             ScheduleMode mode = ScheduleMode::Stealing)
+             std::size_t nodes, std::uint64_t seed, unsigned jobs = 0)
 {
     const auto wallStart = std::chrono::steady_clock::now();
     constexpr std::size_t opsPerLink = 30;
@@ -172,7 +171,6 @@ runTopoProbe(const std::string& fault, const std::string& verb,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), nodes, seed,
                     net::LinkConfig{}, options);
 
@@ -414,10 +412,10 @@ registerChaosProbe(exp::Registry& registry)
 
              // Chaos under parallelism: the same probe on a 64-node
              // mesh driven by the sharded kernel. Every cell runs the
-             // SAME seed three times — jobs = 1 (the inline windowed
-             // reference), jobs = N with the stealing scheduler, and
-             // jobs = N with the static fallback — and seq_match
-             // asserts that everything observable about the simulation
+             // SAME seed twice — jobs = 1 (the inline windowed
+             // reference) and jobs = N on the ready-queue scheduler —
+             // and seq_match asserts that everything observable about
+             // the simulation
              // (virtual duration, drops, flap windows, oracle verdict,
              // completion) is bit-identical; only wall clock may move.
              exp::Sweep sharded;
@@ -442,15 +440,11 @@ registerChaosProbe(exp::Registry& registry)
                      1);
                  exp::Metrics par = runTopoProbe(
                      cell.str("fault"), cell.str("verb"), nodes, seed,
-                     jobs, ScheduleMode::Stealing);
-                 const exp::Metrics fixed = runTopoProbe(
-                     cell.str("fault"), cell.str("verb"), nodes, seed,
-                     jobs, ScheduleMode::Static);
+                     jobs);
                  bool match = true;
                  for (const char* m : {"total_s", "dropped", "flaps",
                                        "violations", "completed"})
-                     match = match && seq.get(m) == par.get(m) &&
-                             seq.get(m) == fixed.get(m);
+                     match = match && seq.get(m) == par.get(m);
                  par.set("seq_match", match);
                  return par;
              });
@@ -467,11 +461,10 @@ registerChaosProbe(exp::Registry& registry)
              ssink.note(
                  "One island per node, chaos pipeline forked per "
                  "island (disjoint RNG streams,\nper-island flap-"
-                 "schedule replicas). seq_match compares jobs=N under "
-                 "BOTH schedulers\n(stealing and static) against the "
-                 "inline jobs=1 reference on the same seed:\nvirtual "
-                 "duration, drops, flap windows, oracle verdict and "
-                 "completion must all be\nbit-identical.");
+                 "schedule replicas). seq_match compares jobs=N "
+                 "against the inline jobs=1\nreference on the same "
+                 "seed: virtual duration, drops, flap windows, oracle\n"
+                 "verdict and completion must all be bit-identical.");
          }});
 }
 

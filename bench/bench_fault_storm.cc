@@ -4,11 +4,10 @@
  * (DESIGN.md section 14).
  *
  * Section 1 storms an ODP responder with invalidation bursts while a
- * client writes through it, comparing the legacy latency-draw model
- * against the MMU-notifier state machine at two storm intensities: how
- * many fault retries / queued faults the notifier windows generate, and
- * what the wall-clock cost of the per-page bookkeeping is (ns_per_item,
- * gated in CI).
+ * client writes through it, at two storm intensities: how many fault
+ * retries / queued faults the MMU-notifier windows generate, and what
+ * the wall-clock cost of the per-page bookkeeping is (ns_per_item, gated
+ * in CI).
  *
  * Section 2 sweeps the prefetch policies (none / fixed-width /
  * sequential-detect) and the huge-page knob on a sequential first-touch
@@ -45,13 +44,11 @@ struct StormResult
 
 /** Write traffic through an ODP responder under an invalidation storm. */
 StormResult
-runFaultStorm(bool machine, std::size_t pages_per_burst,
-              std::size_t bursts, std::size_t ops, std::uint64_t seed)
+runFaultStorm(std::size_t pages_per_burst, std::size_t bursts,
+              std::size_t ops, std::uint64_t seed)
 {
     const auto wallStart = std::chrono::steady_clock::now();
-    auto profile = rnic::DeviceProfile::connectX4();
-    profile.faultTiming.pageStateMachine = machine;
-    Cluster cluster(profile, 2, seed);
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, seed);
     Node& a = cluster.node(0);
     Node& b = cluster.node(1);
     auto& acq = a.createCq();
@@ -180,19 +177,16 @@ registerFaultStorm(exp::Registry& registry)
              const std::size_t bursts = ctx.trials(120, 40);
 
              exp::Sweep storm;
-             storm.axis("model",
-                        std::vector<std::string>{"legacy", "machine"})
-                 .axis("burst_pages", {1.0, 4.0}, 0);
+             storm.axis("burst_pages", {1.0, 4.0}, 0);
 
              auto stormResult = ctx.runner("fault_storm").run(
                  storm, 1,
                  [ops, bursts](const exp::Cell& cell,
                                std::uint64_t seed) {
-                     const bool machine = cell.valueIndex("model") == 1;
                      const auto burst = static_cast<std::size_t>(
                          cell.num("burst_pages"));
-                     const StormResult r = runFaultStorm(
-                         machine, burst, bursts, ops, seed);
+                     const StormResult r =
+                         runFaultStorm(burst, bursts, ops, seed);
                      return exp::Metrics{}
                          .set("ns_per_item",
                               r.wallNs /
@@ -212,8 +206,9 @@ registerFaultStorm(exp::Registry& registry)
 
              auto sink = ctx.sink("fault_storm");
              sink.table(
-                 "Invalidation storm vs ODP model (wall clock ns per "
-                 "simulated event; " + std::to_string(ops) + " WRITEs)",
+                 "Invalidation storm through the ODP page state "
+                 "machine (wall clock ns per simulated event; " +
+                     std::to_string(ops) + " WRITEs)",
                  stormResult,
                  {exp::col("ns_per_item", exp::Stat::Mean, 1, "ns/event"),
                   exp::col("faults_resolved", exp::Stat::Mean, 0,
@@ -225,11 +220,10 @@ registerFaultStorm(exp::Registry& registry)
                   exp::col("violations", exp::Stat::Mean, 0,
                            "violations")});
              sink.note(
-                 "The state machine turns storm interleavings from "
-                 "silent unmap races into\nexplicit notifier windows: "
-                 "retries and queued faults count the collisions\nthe "
-                 "legacy model resolved by luck. ns_per_item bounds the "
-                 "bookkeeping cost.");
+                 "The state machine turns storm interleavings into "
+                 "explicit notifier\nwindows: retries and queued faults "
+                 "count the fault/invalidate collisions.\nns_per_item "
+                 "bounds the bookkeeping cost.");
 
              const std::size_t scanPages = ctx.trials(96, 32);
              exp::Sweep scan;

@@ -78,9 +78,7 @@ struct CapacityResult
 CapacityResult
 runCapacityTrial(std::size_t qps, std::size_t pairs,
                  std::size_t ops_per_wave, bool audit, std::uint64_t seed,
-                 unsigned jobs = 0,
-                 ScheduleMode mode = ScheduleMode::Stealing,
-                 unsigned client_planes = 1)
+                 unsigned jobs = 0, unsigned client_planes = 1)
 {
     const std::size_t qpsPerPair = qps / pairs;
     constexpr std::uint64_t bytesPerQp = 4096;  // one ODP page per QP
@@ -88,7 +86,6 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 0, seed,
                     net::LinkConfig{}, options);
     struct PlaneRegion
@@ -212,27 +209,6 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
     return result;
 }
 
-/**
- * Axis override from the environment: a comma-separated list of numbers
- * (e.g. IBSIM_FLOOD_JOBS=1,4) replaces @p fallback. Lets CI's perf-smoke
- * and users sweep a subset without recompiling.
- */
-std::vector<double>
-axisFromEnv(const char* name, std::vector<double> fallback)
-{
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    std::vector<double> out;
-    char* cursor = nullptr;
-    for (double v = std::strtod(raw, &cursor); cursor != raw;
-         v = std::strtod(raw, &cursor)) {
-        out.push_back(v);
-        raw = *cursor == ',' ? cursor + 1 : cursor;
-    }
-    return out.empty() ? fallback : out;
-}
-
 } // namespace
 
 void
@@ -332,7 +308,7 @@ registerFloodCapacity(exp::Registry& registry)
                          static_cast<unsigned>(cell.num("planes"));
                      const CapacityResult r = runCapacityTrial(
                          qps, parallelPairs, opsPerWave, false, seed,
-                         jobs, ScheduleMode::Stealing, planes);
+                         jobs, planes);
                      const double perPkt =
                          r.packets > 0
                              ? r.wallNs / static_cast<double>(r.packets)

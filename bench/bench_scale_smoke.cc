@@ -10,26 +10,21 @@
  * drives a fixed population of ping-pong message pairs across up to
  * 1024 islands — no RNIC, no fabric, just EventQueues, channel clocks
  * and a minimal BarrierAgent — and reports wall-clock ns per executed
- * event for each scheduler:
- *
- *   sched=static  worker-pinned island blocks (ScheduleMode::Static)
- *   sched=scan    Stealing with the round-two O(islands) claim scan
- *                 (StealPolicy::ScanLegacy)
- *   sched=ready   Stealing with the sharded ready queue (the default)
+ * event: jobs=1 is the inline island scan, jobs>1 the sharded ready
+ * queue.
  *
  * The pair count does not grow with the topology, so at 1024 islands
  * only a small fraction of islands is runnable in any window — the
- * sparse regime the ready queue exists for: the legacy claim scan
- * still walks every island on every worker pass while the ready queue
- * touches only woken ones. Idle islands have no declared edges, so
- * their clocks jump to the round limit in one step — their entire cost
- * is whatever the scheduler spends discovering they are done.
+ * sparse regime the ready queue exists for: it touches only woken
+ * islands instead of walking every island on every worker pass. Idle
+ * islands have no declared edges, so their clocks jump to the round
+ * limit in one step — their entire cost is whatever the scheduler
+ * spends discovering they are done.
  *
- * sched=ready at islands=1024 is the row the CI gate
- * watches: its jobs=4 cell must beat the jobs=1 reference
- * (speedup_vs_seq >= 1.0 in check_bench_regression.py), and its
- * ns_per_item trend is recorded in BENCH_simcore.json next to scan's
- * for the ready-vs-scan comparison.
+ * islands=1024 is the row the CI gate watches: its jobs=4 cell must
+ * beat the jobs=1 reference (speedup_vs_seq >= 1.0 in
+ * check_bench_regression.py), and its ns_per_item trend is recorded in
+ * BENCH_simcore.json.
  */
 
 #include "suite.hh"
@@ -168,23 +163,21 @@ struct PingAgent : ShardedKernel::BarrierAgent
 };
 
 ScaleResult
-runScaleTrial(std::size_t islands, unsigned jobs, ScheduleMode mode,
-              StealPolicy policy, std::uint64_t seed)
+runScaleTrial(std::size_t islands, unsigned jobs, std::uint64_t seed)
 {
     // 32 pairs regardless of topology size: at 64 islands every island
-    // is busy, at 1024 only 6% are — the scan-vs-ready separation
+    // is busy, at 1024 only 6% are — the scheduler's discovery cost
     // grows with the axis while the event count (and thus
     // ns_per_item's denominator) stays constant.
     constexpr std::uint32_t kPairs = 32;
     constexpr std::uint32_t kHops = 384;
     constexpr unsigned kWorkIters = 400;
 
-    ShardedKernel kernel(Time::us(1), jobs, mode);
-    kernel.setStealPolicy(policy);
+    ShardedKernel kernel(Time::us(1), jobs);
     for (std::size_t i = 0; i < islands; ++i)
         kernel.addIsland();
-    // Pairs spread evenly so static's contiguous worker blocks stay
-    // balanced; only pair members get edges — idle islands have no
+    // Pairs spread evenly so the ready queue's contiguous seed blocks
+    // stay balanced; only pair members get edges — idle islands have no
     // in-neighbors (infinite safe horizon, one clock jump per round).
     std::vector<std::size_t> partner(islands, 0);
     std::vector<std::size_t> left(kPairs);
@@ -233,23 +226,6 @@ runScaleTrial(std::size_t islands, unsigned jobs, ScheduleMode mode,
     return result;
 }
 
-/** Same env-override idiom as bench_flood_capacity's axisFromEnv. */
-std::vector<double>
-axisFromEnv(const char* name, std::vector<double> fallback)
-{
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    std::vector<double> out;
-    char* cursor = nullptr;
-    for (double v = std::strtod(raw, &cursor); cursor != raw;
-         v = std::strtod(raw, &cursor)) {
-        out.push_back(v);
-        raw = *cursor == ',' ? cursor + 1 : cursor;
-    }
-    return out.empty() ? fallback : out;
-}
-
 } // namespace
 
 void
@@ -273,8 +249,6 @@ registerScaleSmoke(exp::Registry& registry)
                        axisFromEnv("IBSIM_SCALE_ISLANDS",
                                    {64.0, 256.0, 1024.0}),
                        0)
-                 .axis("sched", std::vector<std::string>{"static", "scan",
-                                                         "ready"})
                  .axis("jobs",
                        axisFromEnv("IBSIM_SCALE_JOBS", {1.0, 4.0}), 0);
 
@@ -285,15 +259,8 @@ registerScaleSmoke(exp::Registry& registry)
                          static_cast<std::size_t>(cell.num("islands"));
                      const auto jobs =
                          static_cast<unsigned>(cell.num("jobs"));
-                     const std::size_t sched = cell.valueIndex("sched");
-                     const ScheduleMode mode =
-                         sched == 0 ? ScheduleMode::Static
-                                    : ScheduleMode::Stealing;
-                     const StealPolicy policy =
-                         sched == 1 ? StealPolicy::ScanLegacy
-                                    : StealPolicy::ReadyQueue;
-                     const ScaleResult r = runScaleTrial(
-                         islands, jobs, mode, policy, seed);
+                     const ScaleResult r =
+                         runScaleTrial(islands, jobs, seed);
                      const double perEvent =
                          r.events > 0
                              ? r.wallNs / static_cast<double>(r.events)
@@ -331,11 +298,10 @@ registerScaleSmoke(exp::Registry& registry)
                  "Raw ShardedKernel, no RNIC datapath: 32 island pairs "
                  "ping-ponging a message,\none lookahead per hop with a "
                  "fixed compute grain per event; islands without "
-                 "a\npair are idle. sched=scan is the round-two "
-                 "O(islands) claim scan kept as a\nreference; "
-                 "sched=ready is the sharded ready queue. At "
-                 "islands=1024 the ready\nrows are the CI scalability "
-                 "gate (jobs=4 must beat jobs=1).");
+                 "a\npair are idle. jobs=1 scans the islands inline, "
+                 "jobs>1 schedules them through\nthe sharded ready "
+                 "queue. At islands=1024 the rows are the CI "
+                 "scalability\ngate (jobs=4 must beat jobs=1).");
          }});
 }
 

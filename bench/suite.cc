@@ -1,7 +1,31 @@
 #include "suite.hh"
 
+#include <cstdlib>
+#include <string>
+
+#include "exp/bench_main.hh"
+
 namespace ibsim {
 namespace bench {
+
+std::vector<double>
+axisFromEnv(const char* name, std::vector<double> fallback)
+{
+    const char* raw = std::getenv(name);
+    if (raw == nullptr || *raw == '\0')
+        return fallback;
+    std::vector<double> out;
+    const std::string list = raw;
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', begin);
+        out.push_back(exp::parseNumber<unsigned>(
+            name, list.substr(begin, comma - begin), 0, 1u << 20));
+        if (comma == std::string::npos)
+            return out;
+        begin = comma + 1;
+    }
+}
 
 void
 registerAllBenches(exp::Registry& registry)

@@ -10,10 +10,21 @@
 #ifndef IBSIM_BENCH_SUITE_HH
 #define IBSIM_BENCH_SUITE_HH
 
+#include <vector>
+
 #include "exp/registry.hh"
 
 namespace ibsim {
 namespace bench {
+
+/**
+ * A count-valued sweep axis the environment may override: @p name holds
+ * a comma-separated list of non-negative integers (e.g.
+ * IBSIM_SCALE_JOBS=1,4). Unset or empty keeps @p fallback; a malformed
+ * entry is an error exit (exp::parseNumber).
+ */
+std::vector<double> axisFromEnv(const char* name,
+                                std::vector<double> fallback);
 
 void registerTable1(exp::Registry& registry);
 void registerFig1(exp::Registry& registry);

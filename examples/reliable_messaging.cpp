@@ -11,8 +11,8 @@
 
 #include <cstdio>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 #include "swrel/soft_reliable.hh"
 
 using namespace ibsim;
@@ -44,8 +44,11 @@ main()
                                      verbs::AccessFlags::pinned());
         auto& bmr = b.registerMemory(dst, 4096,
                                      verbs::AccessFlags::pinned());
-        cluster.fabric().setLossModel(
-            std::make_unique<net::BernoulliLoss>(lossRate));
+        chaos::FaultInjector loss(1);
+        loss.addStage(
+            std::make_unique<chaos::DropStage>(chaos::PacketFilter{},
+                                               lossRate));
+        cluster.fabric().setFaultHook(&loss);
 
         const Time start = cluster.now();
         for (int i = 0; i < messages; ++i) {
@@ -68,8 +71,11 @@ main()
         config.retryTimeout = Time::ms(1);
         swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                            cluster.node(1), config);
-        cluster.fabric().setLossModel(
-            std::make_unique<net::BernoulliLoss>(lossRate));
+        chaos::FaultInjector loss(1);
+        loss.addStage(
+            std::make_unique<chaos::DropStage>(chaos::PacketFilter{},
+                                               lossRate));
+        cluster.fabric().setFaultHook(&loss);
 
         const Time start = cluster.now();
         for (int i = 0; i < messages; ++i) {

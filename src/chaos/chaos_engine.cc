@@ -189,14 +189,11 @@ ChaosEngine::stormTick(Storm* storm)
             static_cast<std::int64_t>(storm->firstPage),
             static_cast<std::int64_t>(storm->lastPage)));
         const std::uint64_t va = page * mem::pageSize;
-        // With the state machine on, the storm also hits pages
-        // mid-transition (Faulting or inside a window), driving the
-        // FaultingInvalidated and window-extension paths; legacy mode
-        // only ever unmapped mapped pages.
-        const bool transient =
-            storm->driver->timing().pageStateMachine &&
-            storm->driver->pageTransient(*storm->table, va);
-        if (storm->table->mappedPage(va) || transient) {
+        // The storm also hits pages mid-transition (Faulting or inside
+        // a window), driving the FaultingInvalidated and
+        // window-extension paths.
+        if (storm->table->mappedPage(va) ||
+            storm->driver->pageTransient(*storm->table, va)) {
             storm->driver->invalidate(*storm->table, va);
             ++stats_.pagesInvalidated;
         }

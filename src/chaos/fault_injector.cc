@@ -183,14 +183,15 @@ DropStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
 }
 
 void
-LossModelStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
-                      Time /*now*/, Rng& rng, InjectorStats& stats)
+MatchOnceDropStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
+                          Time /*now*/, Rng& /*rng*/, InjectorStats& stats)
 {
     auto it = std::remove_if(
         deliveries.begin(), deliveries.end(),
         [&](const net::FaultHook::Delivery& d) {
-            if (!filter_.matches(d.pkt) || !model_->shouldDrop(d.pkt, rng))
+            if (remaining_ == 0 || !pred_(d.pkt))
                 return false;
+            --remaining_;
             ++stats.dropped;
             return true;
         });

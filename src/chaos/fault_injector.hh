@@ -22,8 +22,9 @@
  *                      packets fail the receiver's ICRC check and are
  *                      dropped at ingress unless configured to evade it
  *  - LinkFlapStage     periodic drop windows (a flapping link)
- *  - DropStage         targeted Bernoulli drop
- *  - LossModelStage    any legacy net::LossModel as a pipeline stage
+ *  - DropStage         targeted Bernoulli drop (uniform packet loss)
+ *  - MatchOnceDropStage  drop the first N packets matching a predicate
+ *                      (lose one specific packet, no RNG draw)
  *  - ForgedNakStage    inject a NAK toward the requester in response to
  *                      a request packet (PSN-sequence-error or RNR)
  */
@@ -32,12 +33,12 @@
 #define IBSIM_CHAOS_FAULT_INJECTOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/fault_hook.hh"
-#include "net/loss.hh"
 #include "net/packet.hh"
 #include "simcore/rng.hh"
 #include "simcore/time.hh"
@@ -233,25 +234,29 @@ class DropStage : public FaultStage
 };
 
 /**
- * Adapter folding a legacy net::LossModel into the pipeline. Unlike the
- * fabric's stage-zero shim this draws from the injector's seed stream,
- * making the loss schedule part of the replayable chaos seed.
+ * Drop the first @p count packets matching a predicate, then let
+ * everything through: loses one specific packet deterministically (no
+ * RNG draw, so the rest of the pipeline's schedule is unaffected).
  */
-class LossModelStage : public FaultStage
+class MatchOnceDropStage : public FaultStage
 {
   public:
-    LossModelStage(PacketFilter filter,
-                   std::unique_ptr<net::LossModel> model)
-        : filter_(filter), model_(std::move(model))
+    using Predicate = std::function<bool(const net::Packet&)>;
+
+    explicit MatchOnceDropStage(Predicate pred, std::size_t count = 1)
+        : pred_(std::move(pred)), remaining_(count)
     {}
 
-    const char* name() const override { return "loss-model"; }
+    const char* name() const override { return "match-once-drop"; }
     void apply(std::vector<net::FaultHook::Delivery>& deliveries, Time now,
                Rng& rng, InjectorStats& stats) override;
 
+    /** Matching packets still to be dropped. */
+    std::size_t remaining() const { return remaining_; }
+
   private:
-    PacketFilter filter_;
-    std::unique_ptr<net::LossModel> model_;
+    Predicate pred_;
+    std::size_t remaining_;
 };
 
 /**

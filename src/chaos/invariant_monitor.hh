@@ -104,7 +104,7 @@
  * key (quiesce flushes judge every lingering record). The channel-clock
  * protocol guarantees all records at or below a window's horizon are
  * visible, so the judgement window is a pure function of virtual state:
- * deterministic at any worker count and ScheduleMode. Deferral is sound:
+ * deterministic at any worker count. Deferral is sound:
  * expectedPsn/nextPsn only advance and the judging flush precedes the
  * shadowed packet's delivery, so the judgement matches the arrival-time
  * meaning of both invariants. With one shard (single-queue mode) every

@@ -193,12 +193,10 @@ CombinedStormStage::tick(std::size_t idx)
                 static_cast<std::int64_t>(t.firstPage),
                 static_cast<std::int64_t>(t.lastPage)));
             const std::uint64_t va = page * mem::pageSize;
-            // State-machine mode also storms pages mid-transition,
-            // exercising the doomed-fault and window-extension edges.
-            const bool transient =
-                t.driver->timing().pageStateMachine &&
-                t.driver->pageTransient(*t.table, va);
-            if (t.table->mappedPage(va) || transient) {
+            // Storms also hit pages mid-transition, exercising the
+            // doomed-fault and window-extension edges.
+            if (t.table->mappedPage(va) ||
+                t.driver->pageTransient(*t.table, va)) {
                 t.driver->invalidate(*t.table, va);
                 ++t.stats.pagesInvalidated;
             }

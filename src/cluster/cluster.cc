@@ -10,7 +10,7 @@ Cluster::Cluster(rnic::DeviceProfile profile, std::size_t node_count,
                  std::uint64_t seed, net::LinkConfig link,
                  ClusterOptions options)
     : rng_(seed), defaultProfile_(std::move(profile)), seed_(seed),
-      fabric_(events_, rng_, link)
+      fabric_(events_, link)
 {
     if (options.sharded) {
         // The conservative lookahead: the minimum virtual time any
@@ -19,9 +19,7 @@ Cluster::Cluster(rnic::DeviceProfile profile, std::size_t node_count,
         // per-packet overhead; serialization and chaos delays only push
         // that later, so latency + overhead is a sound lower bound.
         const Time lookahead = link.latency + link.perPacketOverhead;
-        kernel_ = std::make_unique<ShardedKernel>(lookahead, options.jobs,
-                                                  options.scheduleMode);
-        kernel_->setStealPolicy(options.stealPolicy);
+        kernel_ = std::make_unique<ShardedKernel>(lookahead, options.jobs);
         fabric_.enableSharding(*kernel_);
     }
     for (std::size_t i = 0; i < node_count; ++i)
@@ -43,7 +41,7 @@ Cluster::addNode(const rnic::DeviceProfile& profile)
         // is independent of how islands map onto workers.
         const std::size_t island = kernel_->addIsland();
         const exp::SeedStream fork("cluster.island", seed_);
-        fabric_.addIslandLane(fork.trialSeed(0, island));
+        fabric_.addIslandLane();
         fabric_.assignLid(nextLid_, island);
         islandRngs_.emplace_back(fork.trialSeed(1, island));
         nodes_.push_back(std::make_unique<Node>(kernel_->island(island),

@@ -8,6 +8,24 @@
 namespace ibsim {
 namespace exp {
 
+void
+badNumber(const std::string& what, const std::string& text,
+          const std::string& lo, const std::string& hi)
+{
+    std::fprintf(stderr,
+                 "%s: invalid value '%s' (expected a number in [%s, %s])\n",
+                 what.c_str(), text.c_str(), lo.c_str(), hi.c_str());
+    std::exit(2);
+}
+
+std::string
+formatBound(double bound)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", bound);
+    return buf;
+}
+
 bool
 parseCommonFlags(int argc, char** argv, RunContext& ctx,
                  std::vector<std::string>& rest)
@@ -28,13 +46,12 @@ parseCommonFlags(int argc, char** argv, RunContext& ctx,
             const char* v = next();
             if (!v)
                 return false;
-            ctx.jobs = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
+            ctx.jobs = parseNumber<unsigned>(arg, v, 0, 4096);
         } else if (arg == "--seed") {
             const char* v = next();
             if (!v)
                 return false;
-            ctx.userSeed = std::strtoull(v, nullptr, 10);
+            ctx.userSeed = parseNumber<std::uint64_t>(arg, v);
         } else if (arg == "--json") {
             const char* v = next();
             if (!v)

@@ -13,12 +13,19 @@
  *   --seed N       offset every seed stream (default 0)
  *   --json PATH    JSON-lines output (default: IBSIM_JSON env)
  *   --csv PATH     CSV mirror (default: IBSIM_CSV env)
+ *
+ * Numbers from the command line and from IBSIM_* overrides all go
+ * through parseNumber(): malformed input is an error exit, never a
+ * silent default.
  */
 
 #ifndef IBSIM_EXP_BENCH_MAIN_HH
 #define IBSIM_EXP_BENCH_MAIN_HH
 
+#include <charconv>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exp/registry.hh"
@@ -26,9 +33,42 @@
 namespace ibsim {
 namespace exp {
 
+/** Report a rejected number for @p what on stderr and exit(2). */
+[[noreturn]] void badNumber(const std::string& what, const std::string& text,
+                            const std::string& lo, const std::string& hi);
+
+/** Render a parseNumber() bound for the error message. */
+std::string formatBound(double bound);
+
+/**
+ * Parse all of @p text as a T in [@p lo, @p hi]. An empty string,
+ * trailing characters, a sign on an unsigned type, overflow or an
+ * out-of-range value reports "<what>: invalid value ..." and exits with
+ * status 2.
+ */
+template <typename T>
+T
+parseNumber(const std::string& what, const std::string& text,
+            T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max())
+{
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (text.empty() || ec != std::errc() || end != last ||
+        !(value >= lo && value <= hi)) {
+        if constexpr (std::is_integral_v<T>)
+            badNumber(what, text, std::to_string(lo), std::to_string(hi));
+        else
+            badNumber(what, text, formatBound(lo), formatBound(hi));
+    }
+    return value;
+}
+
 /**
  * Parse the common flags out of argv into @p ctx. Unrecognized arguments
- * are left for the caller (returned); returns false on malformed input.
+ * are left for the caller (returned); returns false on a missing value
+ * and exits on a malformed number.
  */
 bool parseCommonFlags(int argc, char** argv, RunContext& ctx,
                       std::vector<std::string>& rest);

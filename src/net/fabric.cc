@@ -23,9 +23,8 @@ thread_local std::size_t tlsEgressIsland = 0;
 
 } // namespace
 
-Fabric::Fabric(EventQueue& events, Rng& rng, LinkConfig config)
-    : events_(events), rng_(rng), config_(config),
-      loss_(std::make_unique<NoLoss>())
+Fabric::Fabric(EventQueue& events, LinkConfig config)
+    : events_(events), config_(config)
 {
 }
 
@@ -50,13 +49,6 @@ Fabric::detach(std::uint16_t lid)
 {
     if (lid < ports_.size())
         ports_[lid].handler = nullptr;
-}
-
-void
-Fabric::setLossModel(std::unique_ptr<LossModel> model)
-{
-    assert(model);
-    loss_ = std::move(model);
 }
 
 void
@@ -169,18 +161,6 @@ Fabric::send(Packet pkt)
         return pkt.wireId;
     }
 
-    // Stage zero of the fault pipeline: the legacy LossModel, consulted
-    // with the fabric RNG before the hook so pre-chaos loss users keep
-    // their exact packet-for-packet (and RNG draw-for-draw) behaviour.
-    if (loss_->shouldDrop(pkt, rng_)) {
-        ++totalDropped_;
-        for (const auto& tap : taps_)
-            tap(pkt, true);
-        IBSIM_TRACE(traceFabric, events_.now(),
-                    pkt.str() + "  ** DROPPED **");
-        return pkt.wireId;
-    }
-
     if (hook_ != nullptr) {
         std::vector<FaultHook::Delivery> out;
         hook_->processPacket(pkt, events_.now(), out);
@@ -283,11 +263,11 @@ Fabric::enableSharding(ShardedKernel& kernel)
 }
 
 std::size_t
-Fabric::addIslandLane(std::uint64_t rng_seed)
+Fabric::addIslandLane()
 {
     assert(sharded());
     const std::size_t index = lanes_.size();
-    lanes_.emplace_back(&kernel_->island(index), rng_seed);
+    lanes_.emplace_back(&kernel_->island(index));
     for (Lane& lane : lanes_)
         lane.out.resize(lanes_.size());
     return index;
@@ -354,15 +334,6 @@ Fabric::sendSharded(Packet pkt)
             tap(pkt, true);
         IBSIM_TRACE(traceFabric, lane.events->now(),
                     pkt.str() + "  ** DROPPED (link down) **");
-        return pkt.wireId;
-    }
-
-    if (loss_->shouldDrop(pkt, lane.rng)) {
-        ++lane.dropped;
-        for (const auto& tap : taps_)
-            tap(pkt, true);
-        IBSIM_TRACE(traceFabric, lane.events->now(),
-                    pkt.str() + "  ** DROPPED **");
         return pkt.wireId;
     }
 

@@ -16,16 +16,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/fault_hook.hh"
-#include "net/loss.hh"
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
 #include "simcore/cross_channel.hh"
 #include "simcore/event_queue.hh"
-#include "simcore/rng.hh"
 #include "simcore/sharded_kernel.hh"
 
 namespace ibsim {
@@ -100,12 +97,12 @@ struct LinkConfig
 };
 
 /**
- * Observer invoked for every packet handed to the fabric (before loss).
+ * Observer invoked for every packet handed to the fabric, dropped or not.
  */
 using CaptureTap = std::function<void(const Packet&, bool dropped)>;
 
 /**
- * The fabric: LID-addressed delivery with latency, serialization and loss.
+ * The fabric: LID-addressed delivery with latency and serialization.
  *
  * Two execution modes share the routing tables:
  *
@@ -130,15 +127,14 @@ using CaptureTap = std::function<void(const Packet&, bool dropped)>;
  *    by that port's island. The fabric forwards each connection's route
  *    to the kernel's edge graph (declareRoute(); UD-capable islands
  *    declare dense edges), which is what lets distant islands run
- *    windows without synchronizing. Loss models and fault hooks shared
- *    across lanes would race at jobs > 1 — use setIslandFaultHook()
- *    (chaos::ChaosEngine::installSharded() does) and stateless loss
- *    models only.
+ *    windows without synchronizing. A fault hook shared across lanes
+ *    would race at jobs > 1 — use setIslandFaultHook()
+ *    (chaos::ChaosEngine::installSharded() does).
  */
 class Fabric : public ShardedKernel::BarrierAgent
 {
   public:
-    Fabric(EventQueue& events, Rng& rng, LinkConfig config = {});
+    explicit Fabric(EventQueue& events, LinkConfig config = {});
 
     /** Register @p handler under @p lid. LIDs must be unique. */
     void attach(std::uint16_t lid, PortHandler& handler);
@@ -148,27 +144,17 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /**
      * Send a packet. Ownership of the contents transfers; the fabric stamps
-     * wireId/sentAt. Returns the wire id (0 if the packet was dropped by a
-     * loss model or addressed to an unknown LID — it still got a wire id
-     * for capture purposes; 0 is never used).
+     * wireId/sentAt. Returns the wire id (a dropped packet, or one
+     * addressed to an unknown LID, still gets a wire id for capture
+     * purposes; 0 is never used).
      */
     std::uint64_t send(Packet pkt);
 
     /**
-     * Install a loss model (replaces the previous one).
-     *
-     * Compatibility shim: the loss model is stage zero of the fault
-     * pipeline — it is consulted before the FaultHook, with the fabric's
-     * RNG, exactly as it was before the chaos engine existed, so
-     * MatchOnceLoss / BernoulliLoss users keep their packet-for-packet
-     * behaviour. New fault classes belong in a chaos::FaultInjector stage
-     * (chaos::LossModelStage adapts a LossModel into one).
-     */
-    void setLossModel(std::unique_ptr<LossModel> model);
-
-    /**
      * Install the fault-injection hook (non-owning; nullptr uninstalls).
-     * Consulted after the legacy loss stage for every surviving packet.
+     * Consulted for every packet that passes the port/link gate; packet
+     * loss of any kind is a chaos::FaultInjector stage (DropStage,
+     * MatchOnceDropStage, ...).
      */
     void setFaultHook(FaultHook* hook) { hook_ = hook; }
 
@@ -261,11 +247,10 @@ class Fabric : public ShardedKernel::BarrierAgent
     ShardedKernel* shardedKernel() { return kernel_; }
 
     /**
-     * Create the lane mirroring the kernel island of the same index
-     * (@p rng_seed forks the lane-private RNG). Returns the lane index,
-     * which must equal the kernel's island index.
+     * Create the lane mirroring the kernel island of the same index.
+     * Returns the lane index, which must equal the kernel's island index.
      */
-    std::size_t addIslandLane(std::uint64_t rng_seed);
+    std::size_t addIslandLane();
 
     /** Assign @p lid to @p island (setup time, before traffic). */
     void assignLid(std::uint16_t lid, std::size_t island);
@@ -377,12 +362,9 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     struct Lane
     {
-        Lane(EventQueue* ev, std::uint64_t rng_seed)
-            : events(ev), rng(rng_seed)
-        {}
+        explicit Lane(EventQueue* ev) : events(ev) {}
 
         EventQueue* events;
-        Rng rng;
         PacketPool pool;
         FaultHook* hook = nullptr;
         std::uint64_t nextWireId = 1;
@@ -426,10 +408,8 @@ class Fabric : public ShardedKernel::BarrierAgent
                       const Packet& pkt, Time* detour) const;
 
     EventQueue& events_;
-    Rng& rng_;
     LinkConfig config_;
     std::vector<PortRecord> ports_;
-    std::unique_ptr<LossModel> loss_;
     FaultHook* hook_ = nullptr;
     /**
      * In-flight packets parked between send() and delivery. Delivery

@@ -2,9 +2,9 @@
  * @file
  * The fabric's fault-injection hook point.
  *
- * The fabric consults at most one FaultHook per packet, after the legacy
- * LossModel stage and before delivery scheduling. The hook maps one packet
- * to zero or more deliveries: dropping (empty result), delaying (extra
+ * The fabric consults at most one FaultHook per packet, after the
+ * port/link egress gate and before delivery scheduling. The hook maps one
+ * packet to zero or more deliveries: dropping (empty result), delaying (extra
  * delay per delivery), duplicating or corrupting (extra/mutated copies),
  * and injecting entirely new packets such as forged NAKs (deliveries whose
  * addressing differs from the input). The canonical implementation is

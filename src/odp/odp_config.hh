@@ -37,38 +37,30 @@ enum class PrefetchPolicy : std::uint8_t
 
 /**
  * Driver / RNIC timing for page fault handling.
+ *
+ * Every ODP page moves through the per-page state machine
+ * (NotPresent/Faulting/Present/Invalidating/FaultingInvalidated,
+ * DESIGN.md section 14) with MMU-notifier two-phase invalidation:
+ * invalidate_start flushes the RNIC translation immediately and opens a
+ * quiesce window, invalidate_end releases the host frame after
+ * invalidateLatency, and faults/prefetches that collide with a window
+ * serialize behind it instead of racing.
  */
 struct FaultTiming
 {
-    /**
-     * Per-page state machine + MMU-notifier two-phase invalidation
-     * (DESIGN.md section 14). On (the default), every ODP page moves
-     * through NotPresent/Faulting/Present/Invalidating/
-     * FaultingInvalidated under legal-edge enforcement:
-     * invalidate_start flushes the RNIC translation immediately and
-     * opens a quiesce window, invalidate_end releases the host frame,
-     * and faults/prefetches that collide with a window serialize behind
-     * it instead of racing. Off restores the pre-state-machine latency
-     * draw: invalidations blindly unmap after invalidateLatency and
-     * prefetch ignores in-flight faults — the historical race class,
-     * kept for golden-trace compatibility and flag-flip regression
-     * tests.
-     */
-    bool pageStateMachine = true;
-
     /**
      * Huge-page mapping: one fault installs the whole aligned
      * hugePageSpan block (2 MiB at the default 512 x 4 KiB), skipping
      * pages another fault or notifier window owns. Invalidation then
      * splits the block: reclaiming any page unmaps every page of its
-     * aligned block (THP-style). Requires pageStateMachine.
+     * aligned block (THP-style).
      */
     bool hugePages = false;
 
     /** Pages per huge mapping (512 x 4 KiB = 2 MiB). */
     std::uint64_t hugePageSpan = 512;
 
-    /** Driver-side speculative prefetch (requires pageStateMachine). */
+    /** Driver-side speculative prefetch. */
     PrefetchPolicy prefetchPolicy = PrefetchPolicy::None;
 
     /** Pages fetched ahead per policy trigger. */

@@ -184,8 +184,7 @@ OdpDriver::expandHugeMapping(TranslationTable& table,
                              std::uint64_t page_idx)
 {
     std::vector<std::uint64_t> extra;
-    if (!timing_.pageStateMachine || !timing_.hugePages ||
-        timing_.hugePageSpan <= 1)
+    if (!timing_.hugePages || timing_.hugePageSpan <= 1)
         return extra;
     const std::uint64_t span = timing_.hugePageSpan;
     const std::uint64_t base = page_idx - (page_idx % span);
@@ -215,22 +214,6 @@ void
 OdpDriver::invalidate(TranslationTable& table, std::uint64_t vaddr)
 {
     ++stats_.invalidations;
-    if (!timing_.pageStateMachine) {
-        // Legacy latency-draw model: blind unmap after invalidateLatency,
-        // with no knowledge of in-flight faults — the historical race
-        // class, kept for golden-trace compatibility.
-        events_.scheduleAfter(timing_.invalidateLatency,
-                              [this, &table, vaddr] {
-                                  memory_.releasePage(vaddr);
-                                  table.invalidatePage(vaddr);
-                                  IBSIM_TRACE(traceOdp, events_.now(),
-                                              "page invalidated page=" +
-                                                  std::to_string(
-                                                      mem::pageOf(vaddr)));
-                              });
-        return;
-    }
-
     const std::uint64_t page_idx = mem::pageOf(vaddr);
     if (timing_.hugePages && timing_.hugePageSpan > 1) {
         // Reclaim splits the huge mapping: every page of the aligned
@@ -386,33 +369,6 @@ OdpDriver::prefetch(TranslationTable& table, std::uint64_t vaddr,
     const std::uint64_t first = mem::pageOf(vaddr);
     const std::uint64_t last = mem::pageOf(vaddr + len - 1);
 
-    if (!timing_.pageStateMachine) {
-        // Legacy model: the sweep re-checks mappedPage but not the fault
-        // table, so a prefetch firing before a concurrent fault's
-        // resolution double-populates the page (the historical
-        // faultsResolved/prefetchedPages drift).
-        std::uint64_t fresh = 0;
-        for (std::uint64_t p = first; p <= last; ++p) {
-            if (!table.mappedPage(p * mem::pageSize))
-                ++fresh;
-        }
-        const Time cost = timing_.prefetchLatencyPerPage *
-                          static_cast<double>(fresh == 0 ? 1 : fresh);
-        events_.scheduleAfter(cost, [this, &table, first, last] {
-            for (std::uint64_t p = first; p <= last; ++p) {
-                const std::uint64_t va = p * mem::pageSize;
-                if (!table.mappedPage(va)) {
-                    memory_.populatePage(va);
-                    table.mapPage(va);
-                    ++stats_.prefetchedPages;
-                    if (resolutionObserver_)
-                        resolutionObserver_(table, p, 0);
-                }
-            }
-        });
-        return;
-    }
-
     // Cost covers only the pages the advise will actually resolve: pages
     // a fault or a notifier window owns belong to those paths.
     std::uint64_t fresh = 0;
@@ -455,8 +411,7 @@ void
 OdpDriver::maybeAutoPrefetch(TranslationTable& table,
                              std::uint64_t page_idx)
 {
-    if (!timing_.pageStateMachine ||
-        timing_.prefetchPolicy == PrefetchPolicy::None ||
+    if (timing_.prefetchPolicy == PrefetchPolicy::None ||
         timing_.prefetchWidth == 0)
         return;
     if (timing_.prefetchPolicy == PrefetchPolicy::SequentialDetect) {

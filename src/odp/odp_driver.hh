@@ -107,13 +107,11 @@ class OdpDriver
                        std::uint64_t vaddr) const;
 
     /**
-     * Invalidate the page holding @p vaddr. With the state machine on,
-     * invalidate_start flushes the RNIC translation now and opens a
-     * quiesce window; invalidate_end releases the host frame after
-     * invalidateLatency and restarts any fault that collided with the
-     * window. With hugePages set the whole aligned block is invalidated
-     * (reclaim splits the huge mapping). Legacy mode (pageStateMachine
-     * off) blindly unmaps after invalidateLatency.
+     * Invalidate the page holding @p vaddr. invalidate_start flushes the
+     * RNIC translation now and opens a quiesce window; invalidate_end
+     * releases the host frame after invalidateLatency and restarts any
+     * fault that collided with the window. With hugePages set the whole
+     * aligned block is invalidated (reclaim splits the huge mapping).
      */
     void invalidate(TranslationTable& table, std::uint64_t vaddr);
 

@@ -185,17 +185,14 @@ RcRequester::onLocalFaultsResolved(std::uint32_t psn)
     for (auto& w : qp_.outstanding) {
         if (w.psn != psn)
             continue;
-        if (rnic_.profile().faultTiming.pageStateMachine) {
-            // Honor the notifier quiesce window: an invalidate_start
-            // that flushed source pages while the batch fanned in means
-            // the translations are gone — re-fault instead of reading
-            // through stale entries.
-            verbs::MemoryRegion* mr = rnic_.findMr(w.lkey);
-            if (mr &&
-                mr->table().firstUnmapped(w.laddr, w.length) != 0) {
-                raiseLocalFaults(w);
-                return;
-            }
+        // Honor the notifier quiesce window: an invalidate_start that
+        // flushed source pages while the batch fanned in means the
+        // translations are gone — re-fault instead of reading through
+        // stale entries.
+        verbs::MemoryRegion* mr = rnic_.findMr(w.lkey);
+        if (mr && mr->table().firstUnmapped(w.laddr, w.length) != 0) {
+            raiseLocalFaults(w);
+            return;
         }
         w.blockedOnLocalFault = false;
         if (qp_.state == QpState::Rts && !qp_.paused() &&

@@ -13,10 +13,9 @@ namespace {
 // The component-tag registry is process-global, and concurrent trials
 // (exp::TrialRunner workers) call enabled() on every trace site.  The
 // registered Component handles cache their enabled state in an atomic
-// flag (one relaxed load on the hot path); the string-keyed set backs the
-// legacy API and seeds the flag of late-constructed handles.  Both are
-// guarded by a mutex on the rare enable/disable/construct paths.
-std::atomic<bool> anyEnabled{false};
+// flag (one relaxed load on the hot path); the set of enabled tags seeds
+// the flag of late-constructed handles.  Both are guarded by a mutex on
+// the rare enable/disable/construct paths.
 std::atomic<std::uint64_t> emitted{0};
 
 std::mutex&
@@ -66,7 +65,6 @@ enable(const std::string& component)
         if (component == "*" || component == c->tag_)
             c->flag_.store(true, std::memory_order_relaxed);
     }
-    anyEnabled.store(true, std::memory_order_release);
 }
 
 void
@@ -76,39 +74,6 @@ disableAll()
     enabledSet().clear();
     for (Component* c : components())
         c->flag_.store(false, std::memory_order_relaxed);
-    anyEnabled.store(false, std::memory_order_release);
-}
-
-bool
-enabled(const std::string& component)
-{
-    if (!anyEnabled.load(std::memory_order_acquire))
-        return false;
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return enabledLocked(component);
-}
-
-namespace {
-
-void
-emitLine(Time when, const char* component, const std::string& message)
-{
-    emitted.fetch_add(1, std::memory_order_relaxed);
-    // One fprintf per line keeps lines from interleaving across threads.
-    char buf[512];
-    std::snprintf(buf, sizeof(buf), "[%12s] %-8s %s\n",
-                  when.str().c_str(), component, message.c_str());
-    std::fputs(buf, stderr);
-}
-
-} // namespace
-
-void
-trace(Time when, const std::string& component, const std::string& message)
-{
-    if (!enabled(component))
-        return;
-    emitLine(when, component.c_str(), message);
 }
 
 void
@@ -116,7 +81,12 @@ trace(Time when, const Component& component, const std::string& message)
 {
     if (!component.enabled())
         return;
-    emitLine(when, component.tag(), message);
+    emitted.fetch_add(1, std::memory_order_relaxed);
+    // One fprintf per line keeps lines from interleaving across threads.
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), "[%12s] %-8s %s\n",
+                  when.str().c_str(), component.tag(), message.c_str());
+    std::fputs(buf, stderr);
 }
 
 std::uint64_t

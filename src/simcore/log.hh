@@ -16,8 +16,8 @@
  *     ...
  *     IBSIM_TRACE(traceFabric, events_.now(), pkt.str() + " dropped");
  *
- * The legacy string-keyed trace()/enabled() API remains for cold paths and
- * tests; enable()/disableAll() drive both.
+ * Components are the only trace API; enable()/disableAll() toggle them by
+ * tag.
  */
 
 #ifndef IBSIM_SIMCORE_LOG_HH
@@ -68,14 +68,10 @@ void enable(const std::string& component);
 /** Disable all tracing. */
 void disableAll();
 
-/** Whether the component is currently traced. */
-bool enabled(const std::string& component);
-
-/** Emit one line: "[time] component: message" to stderr. */
-void trace(Time when, const std::string& component,
-           const std::string& message);
-
-/** Component-handle emission (no registry lookup; rechecks enabled()). */
+/**
+ * Emit one line "[time] component message" to stderr when @p component is
+ * traced (rechecks enabled(); no registry lookup).
+ */
 void trace(Time when, const Component& component,
            const std::string& message);
 

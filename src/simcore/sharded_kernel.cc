@@ -19,9 +19,8 @@ elapsedNs(std::chrono::steady_clock::time_point from,
 
 } // namespace
 
-ShardedKernel::ShardedKernel(Time lookahead, unsigned jobs,
-                             ScheduleMode mode)
-    : lookahead_(lookahead), jobs_(std::max(1u, jobs)), mode_(mode)
+ShardedKernel::ShardedKernel(Time lookahead, unsigned jobs)
+    : lookahead_(lookahead), jobs_(std::max(1u, jobs))
 {
     assert(lookahead_ > Time() && "lookahead must be positive");
 }
@@ -281,7 +280,7 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 return advanced ? Step::Advanced : Step::Blocked;
             }
             is.done.store(target.toNs(), std::memory_order_release);
-            if (useReady_)
+            if (jobs_ > 1)
                 wakeOutNeighbors(worker, i, target.toNs());
             advanced = true;
             if (target == round_limit) {
@@ -311,7 +310,7 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 return advanced ? Step::Advanced : Step::Blocked;
             }
             is.done.store(target.toNs(), std::memory_order_release);
-            if (useReady_)
+            if (jobs_ > 1)
                 wakeOutNeighbors(worker, i, target.toNs());
             advanced = true;
             continue;
@@ -328,11 +327,11 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
         q.run(runLimit);
         q.syncClock(runLimit);
         is.done.store(runLimit.toNs(), std::memory_order_release);
-        if (useReady_)
+        if (jobs_ > 1)
             wakeOutNeighbors(worker, i, runLimit.toNs());
-        ++is.windows;
-        if (jobs_ == 1)
+        else
             ++seqWindowsRound_;
+        ++is.windows;
         if (!is.trig.empty() &&
             trigArmed_.load(std::memory_order_relaxed))
             noteTriggers(is);
@@ -363,94 +362,37 @@ ShardedKernel::noteTriggers(Island& is)
 }
 
 void
-ShardedKernel::workerRound(unsigned worker)
-{
-    if (useReady_)
-        workerRoundReady(worker);
-    else
-        workerRoundScan(worker);
-}
-
-void
-ShardedKernel::workerRoundScan(unsigned worker)
+ShardedKernel::workerRoundInline()
 {
     using clock = std::chrono::steady_clock;
     const auto roundStart = clock::now();
     std::uint64_t busy = 0;
     const std::size_t n = islands_.size();
-    const bool stealing = mode_ == ScheduleMode::Stealing && jobs_ > 1;
-
-    // Static mode: a fixed contiguous block (keeps neighboring islands —
-    // e.g. the flood bench's client/server pairs — on one worker).
-    // Stealing mode: scan every island, starting at this worker's block
-    // so workers spread out before they collide on claims.
-    std::size_t lo = static_cast<std::size_t>(worker) * n / jobs_;
-    std::size_t hi = stealing
-                         ? lo + n
-                         : static_cast<std::size_t>(worker + 1) * n / jobs_;
 
     for (;;) {
-        if (roundAbort_.load(std::memory_order_acquire))
-            break;
-        bool progress = false;
         const std::uint64_t windowsBefore = seqWindowsRound_;
-        for (std::size_t s = lo; s < hi; ++s) {
-            const std::size_t i = stealing ? s % n : s;
-            Island& is = islands_[i];
-            if (is.roundDone.load(std::memory_order_relaxed))
+        for (std::size_t i = 0; i < n; ++i) {
+            if (islands_[i].roundDone.load(std::memory_order_relaxed))
                 continue;
-            if (stealing) {
-                std::uint8_t expect = 0;
-                if (!is.claim.compare_exchange_strong(
-                        expect, 1, std::memory_order_acquire,
-                        std::memory_order_relaxed))
-                    continue;
-                if (is.roundDone.load(std::memory_order_relaxed)) {
-                    is.claim.store(0, std::memory_order_release);
-                    continue;
-                }
-                const auto t0 = clock::now();
-                const Step step = stepIsland(worker, i, roundLimit_);
-                if (step != Step::Blocked) {
-                    busy += elapsedNs(t0, clock::now());
-                    progress = true;
-                    if (is.lastWorker != kNoWorker &&
-                        is.lastWorker != worker)
-                        steals_.fetch_add(1, std::memory_order_relaxed);
-                    is.lastWorker = worker;
-                }
-                is.claim.store(0, std::memory_order_release);
-            } else {
-                const auto t0 = clock::now();
-                const Step step = stepIsland(worker, i, roundLimit_);
-                if (step != Step::Blocked) {
-                    busy += elapsedNs(t0, clock::now());
-                    progress = true;
-                }
-            }
+            const auto t0 = clock::now();
+            if (stepIsland(0, i, roundLimit_) != Step::Blocked)
+                busy += elapsedNs(t0, clock::now());
         }
         if (doneCount_.load(std::memory_order_acquire) >= n)
             break;
-        if (jobs_ == 1) {
-            // Sequential drain probe: a pass that advanced clocks but
-            // executed no window is the pure-leapfrog drain tail — cut
-            // it the moment nothing at or below the round limit
-            // remains (no races to worry about inline).
-            if (seqWindowsRound_ == windowsBefore &&
-                allQuietBelow(roundLimit_)) {
-                drainAborts_.fetch_add(1, std::memory_order_relaxed);
-                roundAbort_.store(true, std::memory_order_relaxed);
-                break;
-            }
-        } else if (stealing && !progress) {
-            if (tryTokenPass())
-                break;
+        // Drain probe: a pass that advanced clocks but executed no window
+        // is the pure-leapfrog drain tail — cut it the moment nothing at
+        // or below the round limit remains (no races to worry about
+        // inline).
+        if (seqWindowsRound_ == windowsBefore &&
+            allQuietBelow(roundLimit_)) {
+            drainAborts_.fetch_add(1, std::memory_order_relaxed);
+            roundAbort_.store(true, std::memory_order_relaxed);
+            break;
         }
-        if (!progress)
-            std::this_thread::yield();
     }
 
-    Worker& me = workers_[worker];
+    Worker& me = workers_[0];
     me.busyNs += busy;
     me.totalNs += elapsedNs(roundStart, clock::now());
 }
@@ -626,8 +568,6 @@ ShardedKernel::tryTokenPass()
 {
     if (roundAbort_.load(std::memory_order_acquire))
         return true;
-    if (!useToken_)
-        return false;
     if (tokenBusy_.exchange(true, std::memory_order_acquire))
         return false;  // another worker is carrying the token
     const std::size_t n = islands_.size();
@@ -695,7 +635,7 @@ ShardedKernel::workerLoop(unsigned worker)
         ++seen;
         if (exit_.load(std::memory_order_relaxed))
             return;
-        workerRound(worker);
+        workerRoundReady(worker);
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
     }
 }
@@ -713,33 +653,31 @@ ShardedKernel::dispatchRound(Time init_done, Time round_limit)
         is.roundDone.store(false, std::memory_order_relaxed);
         is.dirty.store(false, std::memory_order_relaxed);
     }
-    if (useReady_) {
-        // Seed each worker's shard with its static block — the same
-        // spread Static mode pins, so the first pops have affinity and
-        // workers fan out before the first steal.
-        const std::size_t n = islands_.size();
-        for (unsigned w = 0; w < jobs_; ++w)
-            ready_[w].q.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            islands_[i].sched.store(kSchedReady,
-                                    std::memory_order_relaxed);
-            const unsigned owner = static_cast<unsigned>(
-                i * static_cast<std::size_t>(jobs_) / n);
-            ready_[owner].q.push_back(static_cast<std::uint32_t>(i));
-        }
-        for (unsigned w = 0; w < jobs_; ++w) {
-            ready_[w].maxDepth = std::max<std::uint64_t>(
-                ready_[w].maxDepth, ready_[w].q.size());
-        }
-    }
     doneCount_.store(0, std::memory_order_relaxed);
     if (jobs_ <= 1) {
-        workerRound(0);
+        workerRoundInline();
         return;
+    }
+    // Seed each worker's shard with a contiguous island block, so the
+    // first pops have affinity (neighboring islands — e.g. the flood
+    // bench's client/server pairs — start on one worker) and workers
+    // fan out before the first steal.
+    const std::size_t n = islands_.size();
+    for (unsigned w = 0; w < jobs_; ++w)
+        ready_[w].q.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        islands_[i].sched.store(kSchedReady, std::memory_order_relaxed);
+        const unsigned owner = static_cast<unsigned>(
+            i * static_cast<std::size_t>(jobs_) / n);
+        ready_[owner].q.push_back(static_cast<std::uint32_t>(i));
+    }
+    for (unsigned w = 0; w < jobs_; ++w) {
+        ready_[w].maxDepth = std::max<std::uint64_t>(
+            ready_[w].maxDepth, ready_[w].q.size());
     }
     outstanding_.store(jobs_ - 1, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
-    workerRound(0);  // the coordinator is worker 0
+    workerRoundReady(0);  // the coordinator is worker 0
     int spins = 0;
     while (outstanding_.load(std::memory_order_acquire) != 0) {
         if (++spins > 256) {
@@ -790,9 +728,6 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
                        bool* pred_hit)
 {
     startWorkers();
-    useReady_ = mode_ == ScheduleMode::Stealing && jobs_ > 1 &&
-                stealPolicy_ == StealPolicy::ReadyQueue;
-    useToken_ = mode_ == ScheduleMode::Stealing && jobs_ > 1;
     const bool trig = trigArmed_.load(std::memory_order_relaxed);
     // Adaptive rounds apply only to predicate-free runs: for
     // runUntil()/runUntilTriggered() the round boundary *is* the stop

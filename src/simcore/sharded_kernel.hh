@@ -8,7 +8,7 @@
  * through per-(src, dst) channels that BarrierAgents (the Fabric, the
  * InvariantMonitor) drain in canonical (timestamp, wire-id) order, which
  * makes the execution deterministic for a fixed seed regardless of the
- * worker count or schedule mode.
+ * worker count.
  *
  * Synchronization is pairwise, not global. Every island publishes a
  * channel clock — the virtual time it has fully executed and flushed
@@ -28,17 +28,15 @@
  * Inside a round islands run fully asynchronously under the channel-clock
  * constraint; between rounds the kernel quiesces once to check
  * runUntil() predicates, detect drain, and jump over idle gaps to the
- * globally earliest pending work. Two schedule modes pick who executes
- * which island: ScheduleMode::Static pins contiguous island blocks to
- * workers (the PR-6 style fallback), ScheduleMode::Stealing lets any
- * idle worker claim any runnable island at window granularity via an
- * atomic per-island claim (a steal is a claim by a different worker than
- * the previous one). Claims only decide *who* executes; *what* each
- * island executes per window is schedule-independent, so trace hashes,
- * stats and oracle verdicts are bit-identical at any jobs count in
- * either mode. jobs = 1 runs the identical round/window algorithm inline
- * with no threads — the "sequential" reference the differential tests
- * compare against.
+ * globally earliest pending work. With jobs > 1 any idle worker may
+ * claim any runnable island at window granularity via an atomic
+ * per-island claim (a steal is a claim by a different worker than the
+ * previous one). Claims only decide *who* executes; *what* each island
+ * executes per window is schedule-independent, so trace hashes, stats
+ * and oracle verdicts are bit-identical at any jobs count. jobs = 1 runs
+ * the identical round/window algorithm inline with no threads, scanning
+ * the islands in index order — the "sequential" reference the
+ * differential tests compare against.
  *
  * Round three (DESIGN.md §12.c) makes round boundaries the exception
  * instead of the rule. Per-island *trigger counters* — monotone,
@@ -53,10 +51,10 @@
  * round once two consecutive clean circuits prove nothing at or below
  * the round limit remains — a drained mesh stops after a handful of
  * token visits instead of creeping clock windows to the round limit.
- * The stealing scheduler's per-pass O(islands) claim scan is replaced
- * by a sharded *ready queue* (islands enqueue when an in-neighbor clock
- * publish crosses their recorded wake threshold; workers pop LIFO from
- * their own shard and steal FIFO from others), and `windowsPerRound`
+ * Workers find runnable islands through a sharded *ready queue* (islands
+ * enqueue when an in-neighbor clock publish crosses their recorded wake
+ * threshold; workers pop LIFO from their own shard and steal FIFO from
+ * others), and `windowsPerRound`
  * *adapts* — predicate-free runs double the round length up to a cap,
  * purely from simulation-visible state, so long drains quiesce
  * logarithmically rather than linearly often.
@@ -86,24 +84,6 @@
 #include "simcore/time.hh"
 
 namespace ibsim {
-
-/** Who executes which island (never *what* an island executes). */
-enum class ScheduleMode : std::uint8_t
-{
-    /** Fixed contiguous island blocks per worker (PR-6 style fallback). */
-    Static,
-    /** Idle workers claim any runnable island at window granularity. */
-    Stealing,
-};
-
-/** How Stealing mode finds runnable islands (never *what* they run). */
-enum class StealPolicy : std::uint8_t
-{
-    /** Sharded ready queue: wake-driven, O(1) pops (the default). */
-    ReadyQueue,
-    /** The round-two per-pass O(islands) claim scan (bench reference). */
-    ScanLegacy,
-};
 
 /**
  * Parallel conservative-lookahead driver over N island EventQueues.
@@ -155,10 +135,8 @@ class ShardedKernel
      * @param lookahead minimum cross-island influence latency (> 0)
      * @param jobs worker count; clamped to the island count at startup,
      *        1 = run the same round/window algorithm inline, no threads
-     * @param mode who executes which island (content is mode-invariant)
      */
-    ShardedKernel(Time lookahead, unsigned jobs,
-                  ScheduleMode mode = ScheduleMode::Stealing);
+    ShardedKernel(Time lookahead, unsigned jobs);
     ~ShardedKernel();
 
     ShardedKernel(const ShardedKernel&) = delete;
@@ -172,8 +150,6 @@ class ShardedKernel
 
     /** Effective worker count (clamped once running). */
     unsigned jobs() const { return jobs_; }
-
-    ScheduleMode scheduleMode() const { return mode_; }
 
     Time lookahead() const { return lookahead_; }
 
@@ -232,10 +208,6 @@ class ShardedKernel
 
     /** Adaptive round-length cap for predicate-free runs. */
     static constexpr unsigned kMaxAdaptiveWindows = 256;
-
-    /** Stealing-mode island lookup policy (content is policy-invariant). */
-    void setStealPolicy(StealPolicy policy) { stealPolicy_ = policy; }
-    StealPolicy stealPolicy() const { return stealPolicy_; }
 
     /** @{ Per-island trigger counters — the runUntil fast path.
      *
@@ -369,7 +341,7 @@ class ShardedKernel
         std::uint64_t lastSeen = 0;
     };
 
-    /** One worker's shard of the ready queue (Stealing + ReadyQueue). */
+    /** One worker's shard of the ready queue (jobs > 1). */
     struct alignas(64) ReadyShard
     {
         std::mutex m;
@@ -395,13 +367,10 @@ class ShardedKernel
     /** Execute one round up to @p round_limit across all workers. */
     void dispatchRound(Time init_done, Time round_limit);
 
-    /** One worker's participation in the current round. */
-    void workerRound(unsigned worker);
+    /** The jobs = 1 round: scan the islands in order, no threads. */
+    void workerRoundInline();
 
-    /** The round-two scan loop (Static, jobs = 1, and ScanLegacy). */
-    void workerRoundScan(unsigned worker);
-
-    /** The ready-queue loop (Stealing + ReadyQueue, jobs > 1). */
+    /** One worker's ready-queue round (jobs > 1). */
     void workerRoundReady(unsigned worker);
 
     /** Advance island @p i as far as the channel clocks allow. */
@@ -417,7 +386,7 @@ class ShardedKernel
     bool popReady(unsigned worker, std::uint32_t& island);
 
     /** After a clock publish at @p clock_ns: enqueue out-neighbors whose
-     * wake threshold the new clock satisfies (ready-queue mode). */
+     * wake threshold the new clock satisfies (jobs > 1). */
     void wakeOutNeighbors(unsigned worker, std::size_t i,
                           std::int64_t clock_ns);
 
@@ -468,16 +437,12 @@ class ShardedKernel
 
     Time lookahead_;
     unsigned jobs_;
-    ScheduleMode mode_;
-    StealPolicy stealPolicy_ = StealPolicy::ReadyQueue;
     unsigned windowsPerRound_ = 16;
     bool windowsPinned_ = false;  ///< setWindowsPerRound disables adaptation
     std::deque<Island> islands_;
     std::vector<BarrierAgent*> agents_;
     Time now_;
     bool started_ = false;
-    bool useReady_ = false;   ///< this run schedules via the ready queue
-    bool useToken_ = false;   ///< this run may abort tails via the token
 
     /** @{ Edge graph. Dense until the first declareEdge()/declareDense(). */
     std::vector<std::vector<std::uint8_t>> edges_;  ///< [src][dst]
@@ -504,7 +469,7 @@ class ShardedKernel
     std::atomic<bool> trigFired_{false};
     /** @} */
 
-    /** @{ Drain token (Stealing, jobs > 1). One holder at a time via
+    /** @{ Drain token (jobs > 1). One holder at a time via
      * tokenBusy_; pos/clean are handed between holders under it. */
     std::atomic<bool> tokenBusy_{false};
     std::uint32_t tokenPos_ = 0;
@@ -513,7 +478,7 @@ class ShardedKernel
     std::uint64_t seqWindowsRound_ = 0;  ///< jobs = 1 drain-probe gate
     /** @} */
 
-    /** Ready-queue shards (one per worker; Stealing + ReadyQueue). */
+    /** Ready-queue shards (one per worker; jobs > 1). */
     std::deque<ReadyShard> ready_;
 
     /**

@@ -8,8 +8,8 @@
 
 #include <cstring>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 
 using namespace ibsim;
 
@@ -130,10 +130,12 @@ TEST_F(AtomicFixture, DuplicateAtomicsReplayNotReExecute)
     // Drop the first atomic *response*: the requester times out and
     // retransmits; the responder must answer from the replay cache, not
     // add twice.
-    cluster.fabric().setLossModel(std::make_unique<net::MatchOnceLoss>(
+    chaos::FaultInjector loss(1);
+    loss.addStage(std::make_unique<chaos::MatchOnceDropStage>(
         [](const net::Packet& p) {
             return p.op == net::Opcode::AtomicResponse;
         }));
+    cluster.fabric().setFaultHook(&loss);
 
     write64(server, counter, 10);
     cqp.postFetchAdd(land, cmr->lkey(), counter, smr->rkey(), 1, 1);

@@ -111,8 +111,7 @@ TEST(DetectorSynthetic, DammingNeedsRetransmissionAfterGap)
 {
     // Build a capture-like sequence by hand through a fabric tap.
     EventQueue events;
-    Rng rng(1);
-    net::Fabric fabric(events, rng);
+    net::Fabric fabric(events);
     PacketCapture cap(fabric);
 
     auto send_at = [&](Time when, net::Opcode op, bool rexmit,
@@ -150,8 +149,7 @@ TEST(DetectorSynthetic, DammingNeedsRetransmissionAfterGap)
 TEST(DetectorSynthetic, FloodNeedsRepeatedRetransmissions)
 {
     EventQueue events;
-    Rng rng(1);
-    net::Fabric fabric(events, rng);
+    net::Fabric fabric(events);
     PacketCapture cap(fabric);
 
     for (int i = 0; i < 30; ++i) {

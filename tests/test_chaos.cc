@@ -24,7 +24,6 @@
 #include "chaos/port_events.hh"
 #include "cluster/cluster.hh"
 #include "cluster/topology.hh"
-#include "net/loss.hh"
 #include "swrel/soft_reliable.hh"
 
 using namespace ibsim;
@@ -425,42 +424,6 @@ TEST(ChaosStages, PacketFilterTargeting)
 }
 
 // ---------------------------------------------------------------------
-// Legacy LossModel compatibility: the loss model is stage zero of the
-// pipeline and keeps working with a FaultHook installed.
-// ---------------------------------------------------------------------
-
-TEST(ChaosCompat, LossModelRunsBeforeTheHook)
-{
-    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 17);
-    chaos::FaultInjector injector(1);
-    cluster.fabric().setFaultHook(&injector);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
-
-    Node& a = cluster.node(0);
-    Node& b = cluster.node(1);
-    auto& acq = a.createCq();
-    auto& bcq = b.createCq();
-    verbs::QpConfig uc;
-    uc.transport = verbs::Transport::Uc;
-    auto [aqp, bqp] = cluster.connectRc(a, acq, b, bcq, uc);
-    (void)bqp;
-    const auto src = a.alloc(4096);
-    const auto dst = b.alloc(4096);
-    a.touch(src, 4096);
-    auto& amr = a.registerMemory(src, 4096, verbs::AccessFlags::pinned());
-    auto& bmr = b.registerMemory(dst, 4096, verbs::AccessFlags::pinned());
-
-    aqp.postWrite(src, amr.lkey(), dst, bmr.rkey(), 64, 1);
-    cluster.drain(Time::ms(10));
-
-    // Stage zero dropped the packet before the hook ever saw it.
-    EXPECT_EQ(cluster.fabric().totalDropped(),
-              cluster.fabric().totalSent());
-    EXPECT_EQ(injector.stats().packetsSeen, 0u);
-}
-
-// ---------------------------------------------------------------------
 // Satellite: swrel failure visibility under total loss, cross-checked
 // by the oracle's swrel accounting.
 // ---------------------------------------------------------------------
@@ -474,8 +437,10 @@ TEST(ChaosSwrel, RetryExhaustionIsVisibleAndConsistent)
     config.maxRetries = 2;
     swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                        cluster.node(1), config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
+    chaos::FaultInjector blackhole(1);
+    blackhole.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    cluster.fabric().setFaultHook(&blackhole);
 
     std::vector<std::uint64_t> failures;
     channel.setFailureCallback(
@@ -1058,14 +1023,12 @@ struct MeshSoakResult
  * must be identical across worker counts.
  */
 MeshSoakResult
-runMeshSoak(std::uint64_t seed, unsigned jobs = 0,
-            ScheduleMode mode = ScheduleMode::Stealing)
+runMeshSoak(std::uint64_t seed, unsigned jobs = 0)
 {
     MeshSoakResult out;
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 4, seed,
                     net::LinkConfig{}, options);
 
@@ -1217,22 +1180,14 @@ TEST(ChaosTopology, MeshSoakShardedIsJobInvariant)
     // Atomic semantics are schedule-independent: exactly-once FetchAdds.
     EXPECT_EQ(seq.counter, 500u + 8 * 2);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (unsigned jobs : {2u, 4u, 8u}) {
-            const char* name =
-                mode == ScheduleMode::Static ? "static" : "stealing";
-            const MeshSoakResult par = runMeshSoak(2026, jobs, mode);
-            EXPECT_TRUE(par.drained) << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs << " "
-                                          << name;
-            EXPECT_EQ(par.violations, seq.violations)
-                << "jobs=" << jobs << " " << name << "\n" << par.report;
-            EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs << " "
-                                            << name;
-            EXPECT_EQ(par.counter, seq.counter)
-                << "jobs=" << jobs << " " << name;
-        }
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        const MeshSoakResult par = runMeshSoak(2026, jobs);
+        EXPECT_TRUE(par.drained) << "jobs=" << jobs;
+        EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs;
+        EXPECT_EQ(par.violations, seq.violations)
+            << "jobs=" << jobs << "\n" << par.report;
+        EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs;
+        EXPECT_EQ(par.counter, seq.counter) << "jobs=" << jobs;
     }
 
     // A different seed is a genuinely different campaign.
@@ -1595,8 +1550,9 @@ TEST(ChaosPortEvents, DriverRunsSchedulesInSingleQueueMode)
 
 namespace {
 
-/** Recorded fixed-seed hash of runCombinedStormSoak(4046, 1). */
-constexpr std::uint64_t kCombinedStormGolden = 0x4a94576be450add0ull;
+/** Recorded fixed-seed hash of runCombinedStormSoak(4046, 1) (the soak
+ * runs the per-page ODP state machine, like every other path). */
+constexpr std::uint64_t kCombinedStormGolden = 0x124f0385b66334f2ull;
 
 struct StormSoakResult
 {
@@ -1605,29 +1561,22 @@ struct StormSoakResult
     std::uint64_t flaps = 0;
     Cluster::PortEventSummary ports;
     chaos::CombinedStormStats storm;
+    std::uint64_t notifierWindows = 0;  ///< summed over storm targets
     std::uint64_t completions = 0;
     bool drained = false;
     std::string report;
 };
 
 StormSoakResult
-runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
-                     ScheduleMode mode = ScheduleMode::Stealing,
-                     bool legacy_odp = true)
+runCombinedStormSoak(std::uint64_t seed, unsigned jobs)
 {
     constexpr std::size_t nodeCount = 64;
     StormSoakResult out;
     ClusterOptions options;
     options.sharded = true;
     options.jobs = jobs;
-    options.scheduleMode = mode;
-    auto profile = recoveryProfile();
-    // The recorded golden predates the per-page state machine; the storm
-    // schedule depends on invalidation behavior, so the soak pins the
-    // legacy latency-draw model unless the caller asks for the state
-    // machine (the OdpPageTable differential below).
-    profile.faultTiming.pageStateMachine = !legacy_odp;
-    Cluster cluster(profile, nodeCount, seed, net::LinkConfig{}, options);
+    Cluster cluster(recoveryProfile(), nodeCount, seed, net::LinkConfig{},
+                    options);
 
     chaos::ChaosEngine engine(cluster.events(), [&] {
         chaos::ChaosConfig cfg;
@@ -1736,6 +1685,9 @@ runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
                     : 0;
     out.ports = cluster.portEventSummary();
     out.storm = storm.stats();
+    for (std::size_t k = 0; k < pairs; k += 8)
+        out.notifierWindows +=
+            cluster.node(2 * k + 1).driver().stats().notifierWindows;
     for (std::size_t k = 0; k < pairs; ++k)
         out.completions += reqCq[k]->totalCompletions();
     out.report = monitor.report();
@@ -1777,72 +1729,46 @@ TEST(ChaosPortEvents, CombinedStormSoakIsJobInvariant)
     // The jobs 1/2/4/8 differential the ISSUE names: installSharded
     // forks the port-event chains per island, so a fixed seed must give
     // bit-identical port events — and therefore traces, verdicts and
-    // recovery stats — at any worker count, in both schedule modes.
+    // recovery stats — at any worker count.
     const StormSoakResult seq = runCombinedStormSoak(4046, 1);
     EXPECT_TRUE(seq.drained);
     EXPECT_EQ(seq.violations, 0u) << seq.report;
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (unsigned jobs : {2u, 4u, 8u}) {
-            const char* name =
-                mode == ScheduleMode::Static ? "static" : "stealing";
-            const StormSoakResult par =
-                runCombinedStormSoak(4046, jobs, mode);
-            EXPECT_TRUE(par.drained) << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.hash, seq.hash)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.violations, seq.violations)
-                << "jobs=" << jobs << " " << name << "\n" << par.report;
-            EXPECT_EQ(par.flaps, seq.flaps)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.ports.portDownEvents,
-                      seq.ports.portDownEvents)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.ports.qpsRecovered, seq.ports.qpsRecovered)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.storm.pagesInvalidated,
-                      seq.storm.pagesInvalidated)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.completions, seq.completions)
-                << "jobs=" << jobs << " " << name;
-        }
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        const StormSoakResult par = runCombinedStormSoak(4046, jobs);
+        EXPECT_TRUE(par.drained) << "jobs=" << jobs;
+        EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs;
+        EXPECT_EQ(par.violations, seq.violations)
+            << "jobs=" << jobs << "\n" << par.report;
+        EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs;
+        EXPECT_EQ(par.ports.portDownEvents, seq.ports.portDownEvents)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.ports.qpsRecovered, seq.ports.qpsRecovered)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.storm.pagesInvalidated, seq.storm.pagesInvalidated)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.completions, seq.completions) << "jobs=" << jobs;
     }
 }
 
 TEST(OdpPageTable, StormSoakStateMachineCleanAndJobInvariant)
 {
-    // The invalidation-storm-during-flood differential with the per-page
-    // state machine ON: storms drive the real MMU-notifier path —
-    // invalidate_start flushes translations immediately, windows doom
-    // in-flight faults (FaultingInvalidated), and bursts inside open
-    // windows extend them. The oracle must stay clean and the trace must
-    // be bit-identical between jobs=1 and jobs=4.
-    const StormSoakResult seq =
-        runCombinedStormSoak(4046, 1, ScheduleMode::Stealing, false);
+    // The invalidation-storm-during-flood differential: storms drive the
+    // real MMU-notifier path — invalidate_start flushes translations
+    // immediately, windows doom in-flight faults (FaultingInvalidated),
+    // and bursts inside open windows extend them. The oracle must stay
+    // clean and the notifier windows must be bit-identical between
+    // jobs=1 and jobs=4.
+    const StormSoakResult seq = runCombinedStormSoak(4046, 1);
     EXPECT_TRUE(seq.drained);
     EXPECT_EQ(seq.violations, 0u) << seq.report;
     EXPECT_GT(seq.storm.pagesInvalidated, 0u);
+    EXPECT_GT(seq.notifierWindows, 0u);
 
-    const StormSoakResult par =
-        runCombinedStormSoak(4046, 4, ScheduleMode::Stealing, false);
+    const StormSoakResult par = runCombinedStormSoak(4046, 4);
     EXPECT_TRUE(par.drained);
     EXPECT_EQ(par.violations, 0u) << par.report;
     EXPECT_EQ(par.hash, seq.hash);
-    EXPECT_EQ(par.storm.pagesInvalidated, seq.storm.pagesInvalidated);
+    EXPECT_EQ(par.notifierWindows, seq.notifierWindows);
     EXPECT_EQ(par.completions, seq.completions);
-}
-
-TEST(OdpPageTable, StormSoakLegacyGoldenStandsNextToStateMachine)
-{
-    // Flag-flip differential: the legacy latency-draw soak still replays
-    // to its recorded golden, and the state machine produces a different
-    // trace on the same seed — the notifier path genuinely reorders the
-    // invalidation schedule rather than renaming it.
-    const StormSoakResult legacy = runCombinedStormSoak(4046, 1);
-    EXPECT_EQ(legacy.hash, kCombinedStormGolden);
-    const StormSoakResult machine =
-        runCombinedStormSoak(4046, 1, ScheduleMode::Stealing, false);
-    EXPECT_NE(machine.hash, legacy.hash);
-    EXPECT_EQ(machine.violations, 0u) << machine.report;
 }

@@ -111,8 +111,7 @@ packetTo(std::uint16_t dst_lid, std::uint32_t dst_qpn = 100)
 TEST(FabricFlatTable, AttachDetachReattach)
 {
     EventQueue events;
-    Rng rng(1);
-    net::Fabric fabric(events, rng);
+    net::Fabric fabric(events);
     CountingPort port;
 
     fabric.attach(7, port);
@@ -140,8 +139,7 @@ TEST(FabricFlatTable, AttachDetachReattach)
 TEST(FabricFlatTable, UnknownLidCountsAsDrop)
 {
     EventQueue events;
-    Rng rng(1);
-    net::Fabric fabric(events, rng);
+    net::Fabric fabric(events);
     CountingPort port;
     fabric.attach(2, port);
 
@@ -278,8 +276,7 @@ TEST(LazyTrace, DisabledHotPathFormatsNothing)
 TEST(LazyTrace, FabricDropPathIsLazy)
 {
     EventQueue events;
-    Rng rng(1);
-    net::Fabric fabric(events, rng);
+    net::Fabric fabric(events);
 
     // Unknown-LID drop with tracing off: the old code formatted
     // pkt.str() unconditionally here; now it must not.

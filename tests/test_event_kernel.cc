@@ -228,10 +228,9 @@ using IslandTrace = std::vector<std::pair<std::int64_t, int>>;
  * must be too.
  */
 std::vector<IslandTrace>
-runTwoIslandWorkload(unsigned jobs,
-                     ScheduleMode mode = ScheduleMode::Stealing)
+runTwoIslandWorkload(unsigned jobs)
 {
-    ShardedKernel kernel(Time::us(1), jobs, mode);
+    ShardedKernel kernel(Time::us(1), jobs);
     const std::size_t i0 = kernel.addIsland();
     const std::size_t i1 = kernel.addIsland();
     std::vector<IslandTrace> traces(2);
@@ -280,14 +279,9 @@ TEST(ShardedKernel, WindowedRunMatchesTimestampOrderPerIsland)
 TEST(ShardedKernel, TracesAreBitIdenticalAcrossWorkerCounts)
 {
     const auto reference = runTwoIslandWorkload(1);
-    // jobs is clamped to the island count, so 8 exercises the clamp;
-    // both schedule modes must produce the same content.
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        EXPECT_EQ(runTwoIslandWorkload(1, mode), reference);
-        EXPECT_EQ(runTwoIslandWorkload(2, mode), reference);
-        EXPECT_EQ(runTwoIslandWorkload(8, mode), reference);
-    }
+    // jobs is clamped to the island count, so 8 exercises the clamp.
+    EXPECT_EQ(runTwoIslandWorkload(2), reference);
+    EXPECT_EQ(runTwoIslandWorkload(8), reference);
 }
 
 TEST(ShardedKernel, SingleIslandTopologyDegeneratesToSequential)
@@ -621,10 +615,7 @@ struct FloodOutcome
  * the virtual stop time.
  */
 FloodOutcome
-runMiniFlood(unsigned jobs, std::uint64_t seed,
-             ScheduleMode mode = ScheduleMode::Stealing,
-             bool trigger = false,
-             StealPolicy policy = StealPolicy::ReadyQueue)
+runMiniFlood(unsigned jobs, std::uint64_t seed, bool trigger = false)
 {
     constexpr std::size_t pairs = 4;
     constexpr std::size_t qpsPerPair = 16;
@@ -634,8 +625,6 @@ runMiniFlood(unsigned jobs, std::uint64_t seed,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
-    options.stealPolicy = policy;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 2 * pairs, seed,
                     net::LinkConfig{}, options);
     chaos::InvariantMonitor monitor(cluster.fabric());
@@ -717,18 +706,13 @@ TEST(ShardedKernel, FloodIsBitIdenticalAcrossWorkerCounts)
     EXPECT_EQ(seq.completions, 4u * 16u * 4u);
     EXPECT_GT(seq.sent, 0u);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (const unsigned jobs : {2u, 4u, 8u}) {
-            const FloodOutcome par = runMiniFlood(jobs, 404, mode);
-            EXPECT_TRUE(par == seq)
-                << "jobs=" << jobs << " mode="
-                << (mode == ScheduleMode::Static ? "static" : "stealing")
-                << ": hash " << std::hex << par.traceHash << " vs "
-                << seq.traceHash << std::dec << ", sent " << par.sent
-                << " vs " << seq.sent << ", completions "
-                << par.completions << " vs " << seq.completions;
-        }
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+        const FloodOutcome par = runMiniFlood(jobs, 404);
+        EXPECT_TRUE(par == seq)
+            << "jobs=" << jobs << ": hash " << std::hex << par.traceHash
+            << " vs " << seq.traceHash << std::dec << ", sent " << par.sent
+            << " vs " << seq.sent << ", completions " << par.completions
+            << " vs " << seq.completions;
     }
 
     // A different seed is a genuinely different run.
@@ -743,8 +727,7 @@ namespace {
  * jobs == 0 runs the identical node/LID topology on the single queue.
  */
 FloodOutcome
-runPlaneSplitFlood(unsigned jobs, std::uint64_t seed,
-                   ScheduleMode mode = ScheduleMode::Stealing)
+runPlaneSplitFlood(unsigned jobs, std::uint64_t seed)
 {
     constexpr unsigned planeCount = 4;
     constexpr std::size_t qpsPerPlane = 8;
@@ -754,7 +737,6 @@ runPlaneSplitFlood(unsigned jobs, std::uint64_t seed,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 0, seed,
                     net::LinkConfig{}, options);
     const auto planes = cluster.addNodePlanes(
@@ -846,14 +828,9 @@ TEST(ShardedKernel, PlaneSplitFloodIsBitIdenticalAcrossSchedules)
     EXPECT_EQ(seq.violations, 0u);
     EXPECT_EQ(seq.completions, 4u * 8u * 4u);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (const unsigned jobs : {2u, 4u}) {
-            const FloodOutcome par = runPlaneSplitFlood(jobs, 909, mode);
-            EXPECT_TRUE(par == seq)
-                << "jobs=" << jobs << " mode="
-                << (mode == ScheduleMode::Static ? "static" : "stealing");
-        }
+    for (const unsigned jobs : {2u, 4u}) {
+        const FloodOutcome par = runPlaneSplitFlood(jobs, 909);
+        EXPECT_TRUE(par == seq) << "jobs=" << jobs;
     }
 
     // Identical node/LID topology on the single-queue kernel: the
@@ -883,7 +860,7 @@ TEST(ShardedKernel, FloodAgreesWithSingleQueueKernelOnVerdicts)
 // =====================================================================
 // Round three: trigger-based waits must be indistinguishable from
 // polling (stop time, trace hash, oracle verdicts) at every jobs
-// count, schedule mode and steal policy; the drain paths must cut the
+// count; the drain paths must cut the
 // null-message leapfrog tail without touching any of that.
 // =====================================================================
 
@@ -893,32 +870,16 @@ TEST(ShardedKernel, TriggerWaitMatchesPollingExactly)
     EXPECT_TRUE(ref.completed);
     EXPECT_EQ(ref.violations, 0u);
 
-    struct Combo
-    {
-        ScheduleMode mode;
-        StealPolicy policy;
-        const char* name;
-    };
-    const Combo combos[] = {
-        {ScheduleMode::Static, StealPolicy::ReadyQueue, "static"},
-        {ScheduleMode::Stealing, StealPolicy::ReadyQueue, "ready"},
-        {ScheduleMode::Stealing, StealPolicy::ScanLegacy, "scan"},
-    };
-    for (const Combo& c : combos) {
-        for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-            const FloodOutcome poll =
-                runMiniFlood(jobs, 511, c.mode, false, c.policy);
-            const FloodOutcome trig =
-                runMiniFlood(jobs, 511, c.mode, true, c.policy);
-            EXPECT_TRUE(poll == ref)
-                << "poll jobs=" << jobs << " sched=" << c.name;
-            EXPECT_TRUE(trig == ref)
-                << "trigger jobs=" << jobs << " sched=" << c.name
-                << ": hash " << std::hex << trig.traceHash << " vs "
-                << ref.traceHash << std::dec << ", stop " << trig.stopNs
-                << " vs " << ref.stopNs << ", completions "
-                << trig.completions << " vs " << ref.completions;
-        }
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+        const FloodOutcome poll = runMiniFlood(jobs, 511, false);
+        const FloodOutcome trig = runMiniFlood(jobs, 511, true);
+        EXPECT_TRUE(poll == ref) << "poll jobs=" << jobs;
+        EXPECT_TRUE(trig == ref)
+            << "trigger jobs=" << jobs << ": hash " << std::hex
+            << trig.traceHash << " vs " << ref.traceHash << std::dec
+            << ", stop " << trig.stopNs << " vs " << ref.stopNs
+            << ", completions " << trig.completions << " vs "
+            << ref.completions;
     }
 }
 
@@ -927,8 +888,7 @@ TEST(ShardedKernel, TriggerWaitFallbackMatchesSingleQueuePolling)
     // jobs == 0: runUntilCompletions degrades to the historical
     // per-event polling loop — bit-identical, goldens untouched.
     const FloodOutcome poll = runMiniFlood(0, 511);
-    const FloodOutcome trig =
-        runMiniFlood(0, 511, ScheduleMode::Stealing, true);
+    const FloodOutcome trig = runMiniFlood(0, 511, true);
     EXPECT_TRUE(trig.completed);
     EXPECT_TRUE(trig == poll);
 }
@@ -952,14 +912,12 @@ struct CounterTriggerRun
 };
 
 CounterTriggerRun
-runCounterTrigger(unsigned jobs, ScheduleMode mode, StealPolicy policy,
-                  std::uint64_t target, bool poll)
+runCounterTrigger(unsigned jobs, std::uint64_t target, bool poll)
 {
     constexpr std::size_t n = 8;
     constexpr std::uint64_t ticks = 40;
 
-    ShardedKernel kernel(Time::us(1), jobs, mode);
-    kernel.setStealPolicy(policy);
+    ShardedKernel kernel(Time::us(1), jobs);
     for (std::size_t i = 0; i < n; ++i)
         kernel.addIsland();
     for (std::size_t i = 0; i < n; ++i) {
@@ -1012,40 +970,24 @@ TEST(ShardedKernel, TriggerCrossingsFromManyIslandsStopLikePolling)
     // probe a mid-round crossing, a round-boundary crossing and an
     // unreachable target (limit exit).
     for (const std::uint64_t target : {37ull, 8ull * 16ull, 8ull * 39ull}) {
-        const CounterTriggerRun ref = runCounterTrigger(
-            1, ScheduleMode::Stealing, StealPolicy::ReadyQueue, target,
-            true);
+        const CounterTriggerRun ref = runCounterTrigger(1, target, true);
         EXPECT_TRUE(ref.hit) << "target=" << target;
-        struct Combo
-        {
-            ScheduleMode mode;
-            StealPolicy policy;
-        };
-        const Combo combos[] = {
-            {ScheduleMode::Static, StealPolicy::ReadyQueue},
-            {ScheduleMode::Stealing, StealPolicy::ReadyQueue},
-            {ScheduleMode::Stealing, StealPolicy::ScanLegacy},
-        };
-        for (const Combo& c : combos) {
-            for (const unsigned jobs : {1u, 2u, 4u}) {
-                const CounterTriggerRun trig = runCounterTrigger(
-                    jobs, c.mode, c.policy, target, false);
-                EXPECT_EQ(trig.stopNs, ref.stopNs)
-                    << "jobs=" << jobs << " target=" << target;
-                EXPECT_EQ(trig.executed, ref.executed)
-                    << "jobs=" << jobs << " target=" << target;
-                EXPECT_TRUE(trig.hit);
-                EXPECT_EQ(trig.triggerExits, 1u);
-            }
+        for (const unsigned jobs : {1u, 2u, 4u}) {
+            const CounterTriggerRun trig =
+                runCounterTrigger(jobs, target, false);
+            EXPECT_EQ(trig.stopNs, ref.stopNs)
+                << "jobs=" << jobs << " target=" << target;
+            EXPECT_EQ(trig.executed, ref.executed)
+                << "jobs=" << jobs << " target=" << target;
+            EXPECT_TRUE(trig.hit);
+            EXPECT_EQ(trig.triggerExits, 1u);
         }
     }
 
     // Unreachable target: both paths run to the limit and report
     // false, with every event executed.
-    const CounterTriggerRun poll = runCounterTrigger(
-        1, ScheduleMode::Stealing, StealPolicy::ReadyQueue, 10000, true);
-    const CounterTriggerRun trig = runCounterTrigger(
-        2, ScheduleMode::Stealing, StealPolicy::ReadyQueue, 10000, false);
+    const CounterTriggerRun poll = runCounterTrigger(1, 10000, true);
+    const CounterTriggerRun trig = runCounterTrigger(2, 10000, false);
     EXPECT_FALSE(poll.hit);
     EXPECT_FALSE(trig.hit);
     EXPECT_EQ(trig.executed, 8u * 40u);
@@ -1119,28 +1061,24 @@ TEST(ShardedKernel, SequentialDrainProbeAbortsLeapfrogTail)
 TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
 {
     // The same quiet-tail shape under the multi-worker Safra-style
-    // token (Stealing, both steal policies): the abort is a wall-clock
-    // optimization, so drainAborts is not asserted — only that every
-    // event ran and nothing below the limit was skipped.
-    for (const StealPolicy policy :
-         {StealPolicy::ReadyQueue, StealPolicy::ScanLegacy}) {
-        ShardedKernel kernel(Time::us(1), 4, ScheduleMode::Stealing);
-        kernel.setStealPolicy(policy);
-        constexpr std::size_t n = 64;
-        for (std::size_t i = 0; i < n; ++i)
-            kernel.addIsland();
-        for (std::size_t i = 0; i < n; ++i) {
-            kernel.declareEdge(i, (i + 1) % n);
-            kernel.declareEdge((i + 1) % n, i);
-        }
-        std::atomic<std::uint64_t> ran{0};
-        for (std::size_t i = 0; i < n; ++i)
-            kernel.island(i).schedule(
-                Time::ns(static_cast<std::int64_t>(i) * 10),
-                [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-        EXPECT_TRUE(kernel.run());
-        EXPECT_EQ(ran.load(), n);
-        EXPECT_EQ(kernel.executed(), n);
-        EXPECT_EQ(kernel.pending(), 0u);
+    // token: the abort is a wall-clock optimization, so drainAborts is
+    // not asserted — only that every event ran and nothing below the
+    // limit was skipped.
+    ShardedKernel kernel(Time::us(1), 4);
+    constexpr std::size_t n = 64;
+    for (std::size_t i = 0; i < n; ++i)
+        kernel.addIsland();
+    for (std::size_t i = 0; i < n; ++i) {
+        kernel.declareEdge(i, (i + 1) % n);
+        kernel.declareEdge((i + 1) % n, i);
     }
+    std::atomic<std::uint64_t> ran{0};
+    for (std::size_t i = 0; i < n; ++i)
+        kernel.island(i).schedule(
+            Time::ns(static_cast<std::int64_t>(i) * 10),
+            [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_TRUE(kernel.run());
+    EXPECT_EQ(ran.load(), n);
+    EXPECT_EQ(kernel.executed(), n);
+    EXPECT_EQ(kernel.pending(), 0u);
 }

@@ -3,10 +3,13 @@
  * Tests of the ibsim::exp experiment harness: seed-stream disjointness,
  * the Sweep grid builder, the TrialRunner's bit-identical parallel
  * determinism (accumulators and JSON output), the registry glob matcher,
- * log:: thread safety, and the MicroBenchmark run-once contract.
+ * log:: thread safety, the MicroBenchmark run-once contract, and checked
+ * number parsing of CLI flags and IBSIM_* axis overrides.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <atomic>
 #include <cstdio>
@@ -17,6 +20,7 @@
 
 #include "cluster/cluster.hh"
 #include "simcore/rng.hh"
+#include "exp/bench_main.hh"
 #include "exp/registry.hh"
 #include "exp/result_sink.hh"
 #include "exp/seed_stream.hh"
@@ -287,6 +291,13 @@ TEST(Registry, MatchSelectsByCommaSeparatedGlobs)
 
 // ------------------------------------------------------------------ log
 
+namespace {
+log::Component smokeTags[] = {log::Component("smoke0"),
+                              log::Component("smoke1"),
+                              log::Component("smoke2"),
+                              log::Component("smoke3")};
+} // namespace
+
 TEST(LogThreadSafety, ConcurrentEnableTraceDisableSmoke)
 {
     // No assertions beyond "does not crash / race": hammer the global
@@ -299,7 +310,7 @@ TEST(LogThreadSafety, ConcurrentEnableTraceDisableSmoke)
             const std::string tag = "smoke" + std::to_string(t);
             for (int i = 0; i < 500; ++i) {
                 log::enable(tag);
-                if (log::enabled(tag))
+                if (smokeTags[t].enabled())
                     log::disableAll();
             }
             stop = true;
@@ -308,7 +319,7 @@ TEST(LogThreadSafety, ConcurrentEnableTraceDisableSmoke)
     for (auto& th : threads)
         th.join();
     log::disableAll();
-    EXPECT_FALSE(log::enabled("smoke0"));
+    EXPECT_FALSE(smokeTags[0].enabled());
 }
 
 // ----------------------------------------------------------- microbench
@@ -322,4 +333,111 @@ TEST(MicroBenchmark, RunIsCallableExactlyOnce)
     pitfall::MicroBenchmark bench(config, rnic::DeviceProfile::knl(), 1);
     EXPECT_NO_THROW(bench.run());
     EXPECT_THROW(bench.run(), std::logic_error);
+}
+
+// ------------------------------------------------------- checked parsing
+
+TEST(CheckedParse, AcceptsWholeInRangeNumbers)
+{
+    EXPECT_EQ(exp::parseNumber<std::size_t>("--ops", "128", 1, 1024), 128u);
+    EXPECT_DOUBLE_EQ(exp::parseNumber<double>("--rate", "0.25", 0.0, 1.0),
+                     0.25);
+    EXPECT_EQ(exp::parseNumber<std::uint64_t>("--seed",
+                                              "18446744073709551615"),
+              ~0ull);
+}
+
+TEST(CheckedParseDeathTest, RejectsJunkSignsAndRange)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto code = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(exp::parseNumber<std::size_t>("--ops", "12abc"), code,
+                "--ops: invalid value '12abc'");
+    EXPECT_EXIT(exp::parseNumber<std::size_t>("--ops", ""), code,
+                "--ops: invalid value ''");
+    EXPECT_EXIT(exp::parseNumber<std::size_t>("--ops", "-1"), code,
+                "--ops: invalid value '-1'");
+    EXPECT_EXIT(exp::parseNumber<unsigned>("--cack", "32", 0, 31), code,
+                "expected a number in \\[0, 31\\]");
+    EXPECT_EXIT(exp::parseNumber<double>("--rate", "nan", 0.0, 1.0), code,
+                "--rate: invalid value 'nan'");
+    EXPECT_EXIT(
+        exp::parseNumber<std::uint64_t>("--seed", "18446744073709551616"),
+        code, "--seed: invalid value");
+}
+
+namespace {
+
+/** Run @p command through the shell: exit status and merged output. */
+std::pair<int, std::string>
+runCommand(const std::string& command)
+{
+    std::string output;
+    FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+    if (pipe == nullptr)
+        return {-1, output};
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+        output += buf;
+    const int status = pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+/** The run of @p command must fail with @p message on its output. */
+void
+expectRejected(const std::string& command, const std::string& message)
+{
+    const auto [code, output] = runCommand(command);
+    EXPECT_NE(code, 0) << command << "\n" << output;
+    EXPECT_NE(output.find(message), std::string::npos)
+        << command << "\n" << output;
+}
+
+} // namespace
+
+TEST(CliInput, ExploreRejectsNonNumericOps)
+{
+    // Used to run 0 ops silently.
+    expectRejected(IBSIM_CLI_PATH " explore --ops abc",
+                   "--ops: invalid value 'abc'");
+}
+
+TEST(CliInput, ExploreRejectsNegativeOps)
+{
+    // Used to die with an uncaught std::length_error.
+    expectRejected(IBSIM_CLI_PATH " explore --ops -1",
+                   "--ops: invalid value '-1'");
+}
+
+TEST(CliInput, SuiteRejectsNonNumericJobs)
+{
+    // Used to be accepted as --jobs 0.
+    expectRejected(IBSIM_CLI_PATH " --jobs banana --list",
+                   "--jobs: invalid value 'banana'");
+}
+
+TEST(CliInput, ExploreFlagsNeedTheSubcommand)
+{
+    expectRejected(IBSIM_CLI_PATH " --ops 2", "unknown option: --ops");
+}
+
+TEST(CliInput, ExploreAcceptsValidFlags)
+{
+    const auto [code, output] =
+        runCommand(IBSIM_CLI_PATH " explore --ops 1 --interval-us 50 "
+                   "--chaos-drop 0.5 --chaos-seed 7");
+    EXPECT_EQ(code, 0) << output;
+    EXPECT_NE(output.find("ops=1"), std::string::npos) << output;
+}
+
+TEST(CliInput, ScaleAxisRejectsMalformedEnv)
+{
+    // Used to fall back to the default axis ("banana") or truncate
+    // ("1x" ran jobs=1).
+    expectRejected("IBSIM_JSON=/dev/null IBSIM_SCALE_JOBS=banana "
+                   IBSIM_SCALE_SMOKE_PATH " --quick",
+                   "IBSIM_SCALE_JOBS: invalid value 'banana'");
+    expectRejected("IBSIM_JSON=/dev/null IBSIM_SCALE_JOBS=1x "
+                   IBSIM_SCALE_SMOKE_PATH " --quick",
+                   "IBSIM_SCALE_JOBS: invalid value '1x'");
 }

@@ -10,8 +10,8 @@
 
 #include <map>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 #include "simcore/rng.hh"
 
 using namespace ibsim;
@@ -64,9 +64,11 @@ TEST_P(FuzzSweep, RandomWorkloadKeepsInvariants)
     server.memory().write(sbuf, sdata);
     client.memory().write(cbuf, std::vector<std::uint8_t>(area, 0xCC));
 
+    chaos::FaultInjector loss(params.seed);
     if (params.lossRate > 0) {
-        cluster.fabric().setLossModel(
-            std::make_unique<net::BernoulliLoss>(params.lossRate));
+        loss.addStage(std::make_unique<chaos::DropStage>(
+            chaos::PacketFilter{}, params.lossRate));
+        cluster.fabric().setFaultHook(&loss);
     }
 
     Rng rng(params.seed * 977 + 13);

@@ -8,8 +8,8 @@
 
 #include "capture/analysis.hh"
 #include "capture/capture.hh"
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 
 using namespace ibsim;
 
@@ -123,10 +123,12 @@ TEST_F(LargeFixture, MidMessageLossRecovers)
 {
     // Lose the middle segment of a 5-MTU READ response: the requester's
     // in-order stream stalls and go-back-N re-fetches the whole READ.
-    cluster.fabric().setLossModel(std::make_unique<net::MatchOnceLoss>(
+    chaos::FaultInjector loss(1);
+    loss.addStage(std::make_unique<chaos::MatchOnceDropStage>(
         [](const net::Packet& p) {
             return p.op == net::Opcode::ReadResponse && p.segIndex == 2;
         }));
+    cluster.fabric().setFaultHook(&loss);
 
     const auto data = pattern(20000);
     server.memory().write(src, data);

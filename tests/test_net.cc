@@ -1,13 +1,13 @@
 /**
  * @file
- * Unit tests of the fabric layer: packets, loss models, delivery timing,
+ * Unit tests of the fabric layer: packets, loss stages, delivery timing,
  * capture taps and counters.
  */
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_injector.hh"
 #include "net/fabric.hh"
-#include "net/loss.hh"
 #include "net/packet.hh"
 
 using namespace ibsim;
@@ -32,6 +32,15 @@ makePacket(std::uint16_t dst, Opcode op = Opcode::Send,
     p.length = length;
     p.payload.assign(length, 0xEE);
     return p;
+}
+
+/** Whether one pass of @p injector drops @p pkt. */
+bool
+drops(chaos::FaultInjector& injector, const Packet& pkt)
+{
+    std::vector<FaultHook::Delivery> out;
+    injector.processPacket(pkt, Time(), out);
+    return out.empty();
 }
 
 } // namespace
@@ -67,48 +76,52 @@ TEST(PacketTest, StringContainsOpcodeAndFlags)
 
 TEST(LossTest, NoLossNeverDrops)
 {
-    Rng rng(1);
-    NoLoss model;
+    chaos::FaultInjector injector(1);
+    injector.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 0.0));
     Packet p = makePacket(1);
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(model.shouldDrop(p, rng));
+        EXPECT_FALSE(drops(injector, p));
 }
 
 TEST(LossTest, BernoulliDropsAtConfiguredRate)
 {
-    Rng rng(1);
-    BernoulliLoss model(0.3);
+    chaos::FaultInjector injector(1);
+    injector.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 0.3));
     Packet p = makePacket(1);
-    int drops = 0;
+    int dropped = 0;
     for (int i = 0; i < 10000; ++i)
-        drops += model.shouldDrop(p, rng) ? 1 : 0;
-    EXPECT_NEAR(drops / 10000.0, 0.3, 0.03);
+        dropped += drops(injector, p) ? 1 : 0;
+    EXPECT_NEAR(dropped / 10000.0, 0.3, 0.03);
 }
 
 TEST(LossTest, MatchOnceDropsExactlyN)
 {
-    Rng rng(1);
-    MatchOnceLoss model(
+    chaos::FaultInjector injector(1);
+    auto owned = std::make_unique<chaos::MatchOnceDropStage>(
         [](const Packet& p) { return p.op == Opcode::ReadResponse; },
         /*count=*/2);
+    const chaos::MatchOnceDropStage& stage = *owned;
+    injector.addStage(std::move(owned));
     Packet resp = makePacket(1, Opcode::ReadResponse);
     Packet send = makePacket(1, Opcode::Send);
-    EXPECT_FALSE(model.shouldDrop(send, rng));
-    EXPECT_TRUE(model.shouldDrop(resp, rng));
-    EXPECT_TRUE(model.shouldDrop(resp, rng));
-    EXPECT_FALSE(model.shouldDrop(resp, rng));
-    EXPECT_EQ(model.remaining(), 0u);
+    EXPECT_FALSE(drops(injector, send));
+    EXPECT_TRUE(drops(injector, resp));
+    EXPECT_TRUE(drops(injector, resp));
+    EXPECT_FALSE(drops(injector, resp));
+    EXPECT_EQ(stage.remaining(), 0u);
+    EXPECT_EQ(injector.stats().dropped, 2u);
 }
 
 TEST(FabricTest, DeliversAfterLatencyAndSerialization)
 {
     EventQueue events;
-    Rng rng(1);
     LinkConfig link;
     link.latency = Time::us(1);
     link.bandwidthBytesPerSec = 1e9;  // 1 GB/s for round numbers
     link.perPacketOverhead = Time();
-    Fabric fabric(events, rng, link);
+    Fabric fabric(events, link);
 
     Sink sink;
     fabric.attach(5, sink);
@@ -123,12 +136,11 @@ TEST(FabricTest, DeliversAfterLatencyAndSerialization)
 TEST(FabricTest, BackToBackPacketsQueueOnTheLink)
 {
     EventQueue events;
-    Rng rng(1);
     LinkConfig link;
     link.latency = Time();
     link.bandwidthBytesPerSec = 1e9;
     link.perPacketOverhead = Time();
-    Fabric fabric(events, rng, link);
+    Fabric fabric(events, link);
     Sink sink;
     fabric.attach(5, sink);
 
@@ -143,8 +155,7 @@ TEST(FabricTest, BackToBackPacketsQueueOnTheLink)
 TEST(FabricTest, UnknownLidVanishesSilently)
 {
     EventQueue events;
-    Rng rng(1);
-    Fabric fabric(events, rng);
+    Fabric fabric(events);
     Sink sink;
     fabric.attach(1, sink);
 
@@ -159,8 +170,7 @@ TEST(FabricTest, UnknownLidVanishesSilently)
 TEST(FabricTest, DetachStopsDelivery)
 {
     EventQueue events;
-    Rng rng(1);
-    Fabric fabric(events, rng);
+    Fabric fabric(events);
     Sink sink;
     fabric.attach(3, sink);
     fabric.detach(3);
@@ -170,34 +180,45 @@ TEST(FabricTest, DetachStopsDelivery)
     EXPECT_EQ(fabric.totalDropped(), 1u);
 }
 
-TEST(FabricTest, LossModelDropsButTapStillSees)
+TEST(FabricTest, MatchOnceDropLosesOnlyTheTargetAndTapSeesIt)
 {
     EventQueue events;
-    Rng rng(1);
-    Fabric fabric(events, rng);
+    Fabric fabric(events);
     Sink sink;
     fabric.attach(2, sink);
-    fabric.setLossModel(std::make_unique<BernoulliLoss>(1.0));
+    chaos::FaultInjector injector(1);
+    injector.addStage(std::make_unique<chaos::MatchOnceDropStage>(
+        [](const Packet& p) { return p.psn == 1; }));
+    fabric.setFaultHook(&injector);
 
-    int tapped = 0;
-    int tapped_dropped = 0;
-    fabric.addTap([&](const Packet&, bool dropped) {
-        ++tapped;
-        tapped_dropped += dropped ? 1 : 0;
+    std::vector<std::pair<std::uint32_t, bool>> tapped;
+    fabric.addTap([&](const Packet& p, bool dropped) {
+        tapped.emplace_back(p.psn, dropped);
     });
 
-    fabric.send(makePacket(2));
+    // PSN 1 goes out twice: only its first transmission is lost.
+    for (const std::uint32_t psn : {0u, 1u, 2u, 1u}) {
+        Packet p = makePacket(2);
+        p.psn = psn;
+        fabric.send(p);
+    }
     events.run();
-    EXPECT_TRUE(sink.received.empty());
-    EXPECT_EQ(tapped, 1);
-    EXPECT_EQ(tapped_dropped, 1);
+
+    const std::vector<std::pair<std::uint32_t, bool>> expected = {
+        {0, false}, {1, true}, {2, false}, {1, false}};
+    EXPECT_EQ(tapped, expected);
+    ASSERT_EQ(sink.received.size(), 3u);
+    EXPECT_EQ(sink.received[0].psn, 0u);
+    EXPECT_EQ(sink.received[1].psn, 2u);
+    EXPECT_EQ(sink.received[2].psn, 1u);
+    EXPECT_EQ(fabric.totalDropped(), 1u);
+    EXPECT_EQ(injector.stats().dropped, 1u);
 }
 
 TEST(FabricTest, WireIdsAreMonotonic)
 {
     EventQueue events;
-    Rng rng(1);
-    Fabric fabric(events, rng);
+    Fabric fabric(events);
     Sink sink;
     fabric.attach(2, sink);
     const auto id1 = fabric.send(makePacket(2));

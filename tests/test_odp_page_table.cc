@@ -4,9 +4,9 @@
  * (DESIGN.md section 14): every legal transition including
  * FaultingInvalidated, the MMU-notifier two-phase invalidation windows,
  * huge-page mapping, prefetch policies, the mechanistic flood-quirk
- * trigger, and the flag-flip regressions for the three historical races
- * (stale invalidate clobber, prefetch double-population, slow-queue
- * dead keys).
+ * trigger, and the regressions for the three historical races (stale
+ * invalidate clobber, prefetch double-population, and the slow-queue dead
+ * keys as a flag-flip).
  */
 
 #include <gtest/gtest.h>
@@ -205,85 +205,61 @@ TEST_F(PageMachineFixture, SecondInvalidationExtendsOpenWindow)
     EXPECT_EQ(driver.stats().notifierWindows, 1u);
 }
 
-// Satellite regression: invalidate() used to schedule a blind unmap with
-// no knowledge of in-flight faults, so an invalidation scheduled before
-// a fault resolved fired after the resolution and silently clobbered the
-// freshly mapped page. Fixed-seed interleaving, flag-flip differential.
+// Regression: invalidate() used to schedule a blind unmap with no
+// knowledge of in-flight faults, so an invalidation scheduled before a
+// fault resolved fired after the resolution (at ~520us) and silently
+// clobbered the freshly mapped page. Fixed-seed interleaving.
 TEST_F(PageMachineFixture, StaleInvalidateClobberFixedByStateMachine)
 {
-    for (const bool machine : {false, true}) {
-        EventQueue ev;
-        Rng r{42};
-        AddressSpace mem;
-        TranslationTable t{/*odp=*/true};
-        FaultTiming cfg = timing;
-        cfg.pageStateMachine = machine;
-        OdpDriver driver(ev, r, mem, cfg);
+    EventQueue ev;
+    Rng r{42};
+    AddressSpace mem;
+    TranslationTable t{/*odp=*/true};
+    OdpDriver driver(ev, r, mem, timing);
 
-        const std::uint64_t va = 7 * pageSize;
-        int callbacks = 0;
-        driver.raiseFault(t, va, [&] { ++callbacks; }); // resolves ~500us
-        ev.schedule(Time::us(490), [&] {
-            driver.invalidate(t, va); // lands at 520us (legacy unmap)
-        });
-        ev.run();
+    const std::uint64_t va = 7 * pageSize;
+    int callbacks = 0;
+    driver.raiseFault(t, va, [&] { ++callbacks; }); // resolves ~500us
+    ev.schedule(Time::us(490), [&] { driver.invalidate(t, va); });
+    ev.run();
 
-        EXPECT_EQ(callbacks, 1) << "machine=" << machine;
-        if (!machine) {
-            // Legacy: the resolution at ~500us mapped the page, then the
-            // stale unmap at 520us clobbered it.
-            EXPECT_FALSE(t.mappedPage(va));
-            EXPECT_FALSE(mem.present(va));
-            EXPECT_EQ(driver.stats().faultRetries, 0u);
-        } else {
-            // State machine: invalidate_start dooms the fault, the retry
-            // resolves after the window, and the mapping survives.
-            EXPECT_TRUE(t.mappedPage(va));
-            EXPECT_TRUE(mem.present(va));
-            EXPECT_EQ(driver.stats().faultRetries, 1u);
-            EXPECT_EQ(driver.pageState(t, va), PageState::Present);
-        }
-    }
+    // invalidate_start dooms the fault, the retry resolves after the
+    // window, and the mapping survives.
+    EXPECT_EQ(callbacks, 1);
+    EXPECT_TRUE(t.mappedPage(va));
+    EXPECT_TRUE(mem.present(va));
+    EXPECT_EQ(driver.stats().faultRetries, 1u);
+    EXPECT_EQ(driver.pageState(t, va), PageState::Present);
 }
 
-// Satellite regression: the prefetch sweep re-checked mappedPage but not
-// the fault table, so a prefetch firing before a concurrent fault's
-// resolution populated the page and then resolve() populated it again —
-// both counters claimed the page and the observer fired twice.
+// Regression: the prefetch sweep re-checked mappedPage but not the fault
+// table, so a prefetch firing before a concurrent fault's resolution
+// populated the page and then resolve() populated it again — both
+// counters claimed the page and the observer fired twice.
 TEST_F(PageMachineFixture, PrefetchFaultDoublePopulationFixed)
 {
-    for (const bool machine : {false, true}) {
-        EventQueue ev;
-        Rng r{42};
-        AddressSpace mem;
-        TranslationTable t{/*odp=*/true};
-        FaultTiming cfg = timing;
-        cfg.pageStateMachine = machine;
-        OdpDriver driver(ev, r, mem, cfg);
+    EventQueue ev;
+    Rng r{42};
+    AddressSpace mem;
+    TranslationTable t{/*odp=*/true};
+    OdpDriver driver(ev, r, mem, timing);
 
-        int observed = 0;
-        driver.setResolutionObserver(
-            [&](TranslationTable&, std::uint64_t, std::uint32_t) {
-                ++observed;
-            });
+    int observed = 0;
+    driver.setResolutionObserver(
+        [&](TranslationTable&, std::uint64_t, std::uint32_t) {
+            ++observed;
+        });
 
-        const std::uint64_t va = 7 * pageSize;
-        driver.raiseFault(t, va);       // resolves ~500us
-        driver.prefetch(t, va, 1);      // sweep fires at 15us, mid-fault
-        ev.run();
+    const std::uint64_t va = 7 * pageSize;
+    driver.raiseFault(t, va);       // resolves ~500us
+    driver.prefetch(t, va, 1);      // sweep fires at 15us, mid-fault
+    ev.run();
 
-        EXPECT_TRUE(t.mappedPage(va));
-        EXPECT_EQ(driver.stats().faultsResolved, 1u);
-        if (!machine) {
-            // One page, two claimed resolutions: the historical drift.
-            EXPECT_EQ(driver.stats().prefetchedPages, 1u);
-            EXPECT_EQ(observed, 2);
-        } else {
-            EXPECT_EQ(driver.stats().prefetchedPages, 0u);
-            EXPECT_EQ(driver.stats().prefetchSkippedBusy, 1u);
-            EXPECT_EQ(observed, 1);
-        }
-    }
+    EXPECT_TRUE(t.mappedPage(va));
+    EXPECT_EQ(driver.stats().faultsResolved, 1u);
+    EXPECT_EQ(driver.stats().prefetchedPages, 0u);
+    EXPECT_EQ(driver.stats().prefetchSkippedBusy, 1u);
+    EXPECT_EQ(observed, 1);
 }
 
 TEST_F(PageMachineFixture, PrefetchSkipsOpenWindows)

@@ -9,7 +9,7 @@
 
 #include <tuple>
 
-#include "net/loss.hh"
+#include "chaos/fault_injector.hh"
 #include "pitfall/microbench.hh"
 
 using namespace ibsim;
@@ -55,8 +55,10 @@ TEST_P(LossSweep, AllOpsCompleteWithIntactData)
     config.waitLimit = Time::sec(200);
 
     MicroBenchmark bench(config, rnic::DeviceProfile::knl(), 77);
-    bench.cluster().fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(loss_rate));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, loss_rate));
+    bench.cluster().fabric().setFaultHook(&loss);
 
     auto result = bench.run();
     ASSERT_TRUE(result.completedAll);

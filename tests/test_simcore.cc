@@ -424,14 +424,29 @@ TEST(HistogramTest, BucketsAndClamping)
     EXPECT_FALSE(h.str().empty());
 }
 
+namespace {
+log::Component logXyzzy("xyzzy");
+log::Component logAnything("anything");
+} // namespace
+
 TEST(LogTest, EnableDisable)
 {
-    EXPECT_FALSE(log::enabled("xyzzy"));
+    EXPECT_FALSE(logXyzzy.enabled());
     log::enable("xyzzy");
-    EXPECT_TRUE(log::enabled("xyzzy"));
+    EXPECT_TRUE(logXyzzy.enabled());
+    EXPECT_FALSE(logAnything.enabled());
     log::disableAll();
-    EXPECT_FALSE(log::enabled("xyzzy"));
+    EXPECT_FALSE(logXyzzy.enabled());
     log::enable("*");
-    EXPECT_TRUE(log::enabled("anything"));
+    EXPECT_TRUE(logAnything.enabled());
     log::disableAll();
+}
+
+TEST(LogTest, LateHandleSeesEarlierEnable)
+{
+    log::enable("late");
+    static log::Component logLate("late");
+    EXPECT_TRUE(logLate.enabled());
+    log::disableAll();
+    EXPECT_FALSE(logLate.enabled());
 }

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 #include "swrel/soft_reliable.hh"
 
 using namespace ibsim;
@@ -61,8 +61,10 @@ TEST_F(UcFixture, WriteDeliversWithoutAcks)
 
 TEST_F(UcFixture, LossIsSilent)
 {
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    cluster.fabric().setFaultHook(&loss);
     aqp.postWrite(src, amr->lkey(), dst, bmr->rkey(), 64, 1);
     EXPECT_EQ(acq.totalCompletions(), 1u);  // sender none the wiser
     cluster.drain(Time::sec(1));
@@ -87,10 +89,12 @@ TEST_F(UcFixture, GapsAreAcceptedWithoutNaks)
 {
     // Lose the first of two writes: the second must still apply (UC has
     // no sequence recovery).
-    cluster.fabric().setLossModel(std::make_unique<net::MatchOnceLoss>(
+    chaos::FaultInjector loss(1);
+    loss.addStage(std::make_unique<chaos::MatchOnceDropStage>(
         [](const net::Packet& p) {
             return p.op == net::Opcode::WriteRequest;
         }));
+    cluster.fabric().setFaultHook(&loss);
     a.memory().write(src, std::vector<std::uint8_t>(64, 0x22));
     aqp.postWrite(src, amr->lkey(), dst, bmr->rkey(), 64, 1);
     aqp.postWrite(src, amr->lkey(), dst + 64, bmr->rkey(), 64, 2);
@@ -124,8 +128,10 @@ TEST(SoftReliable, RecoversFromLossAtSoftwareTimescale)
     config.retryTimeout = Time::ms(1);
     swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                        cluster.node(1), config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(0.2));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 0.2));
+    cluster.fabric().setFaultHook(&loss);
 
     for (std::uint8_t i = 0; i < 50; ++i)
         channel.send(std::vector<std::uint8_t>(10, i));
@@ -149,8 +155,10 @@ TEST(SoftReliable, DuplicatesAreFiltered)
     swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                        cluster.node(1), config);
     // Lose only ACKs: the data arrives, the sender retransmits anyway.
-    cluster.fabric().setLossModel(std::make_unique<net::MatchOnceLoss>(
+    chaos::FaultInjector loss(1);
+    loss.addStage(std::make_unique<chaos::MatchOnceDropStage>(
         [](const net::Packet& p) { return p.length == 9; }, 3));
+    cluster.fabric().setFaultHook(&loss);
 
     channel.send({1, 2, 3});
     ASSERT_TRUE(cluster.runUntil([&] { return channel.allAcked(); },
@@ -170,8 +178,10 @@ TEST(SoftReliable, GivesUpAfterMaxRetries)
     config.maxRetries = 3;
     swrel::SoftReliableChannel channel(cluster, cluster.node(0),
                                        cluster.node(1), config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    cluster.fabric().setFaultHook(&loss);
 
     const std::uint64_t seq = channel.send({9});
     cluster.drain(Time::sec(1));

@@ -8,8 +8,8 @@
 
 #include <cstring>
 
+#include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
-#include "net/loss.hh"
 #include "rpc/rpc.hh"
 
 using namespace ibsim;
@@ -100,8 +100,10 @@ TEST_F(UdFixture, OneQpTalksToManyPeers)
 
 TEST_F(UdFixture, LossIsSilentAndNonFatal)
 {
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    cluster.fabric().setFaultHook(&loss);
     auto& acq = a.createCq();
     auto aqp = a.createQp(acq, ud());
     aqp.connect(0, 0);
@@ -172,10 +174,15 @@ TEST(RpcTest, CoarseTimeoutRecoversFromLoss)
                           });
     rpc::RpcClientConfig config;
     config.retryTimeout = Time::ms(2);
+    // Each attempt survives 30% loss both ways with p ~ 0.5: a budget of
+    // 20 retries makes exhausting it negligible for any loss seed.
+    config.maxRetries = 20;
     rpc::RpcClient client(cluster, cluster.node(0), server.address(),
                           config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(0.3));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 0.3));
+    cluster.fabric().setFaultHook(&loss);
 
     const Time start = cluster.now();
     std::vector<std::uint64_t> ids;
@@ -209,8 +216,10 @@ TEST(RpcTest, GivesUpAfterRetries)
     config.maxRetries = 3;
     rpc::RpcClient client(cluster, cluster.node(0), server.address(),
                           config);
-    cluster.fabric().setLossModel(
-        std::make_unique<net::BernoulliLoss>(1.0));
+    chaos::FaultInjector loss(1);
+    loss.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    cluster.fabric().setFaultHook(&loss);
 
     const auto id = client.call({9});
     cluster.drain(Time::ms(50));

@@ -17,12 +17,11 @@
  *   odp_bench_cli explore --ops 128 --qps 128 --size 32 --interval-us 8 \
  *                 --mode client --cack 18 --detect
  *
- * (Explore mode is also entered implicitly when any of its flags is
- * given, so pre-harness command lines keep working.)
+ * Every numeric flag is range-checked (exp::parseNumber): a malformed
+ * value is an error exit, never a silent default.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -101,24 +100,31 @@ parseExplore(const std::vector<std::string>& args, ExploreOptions& opts)
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string& arg = args[i];
-        auto next = [&]() -> const char* {
+        auto next = [&]() -> const std::string& {
             if (i + 1 >= args.size()) {
                 std::fprintf(stderr, "missing value for %s\n",
                              arg.c_str());
                 std::exit(2);
             }
-            return args[++i].c_str();
+            return args[++i];
+        };
+        auto count = [&](std::size_t hi) {
+            return exp::parseNumber<std::size_t>(arg, next(), 1, hi);
+        };
+        auto real = [&](double hi) {
+            return exp::parseNumber<double>(arg, next(), 0.0, hi);
+        };
+        auto seed = [&] {
+            return exp::parseNumber<std::uint64_t>(arg, next());
         };
         if (arg == "--ops") {
-            opts.config.numOps = std::strtoull(next(), nullptr, 10);
+            opts.config.numOps = count(1u << 20);
         } else if (arg == "--qps") {
-            opts.config.numQps = std::strtoull(next(), nullptr, 10);
+            opts.config.numQps = count(1u << 16);
         } else if (arg == "--size") {
-            opts.config.size =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr,
-                                                        10));
+            opts.config.size = static_cast<std::uint32_t>(count(1u << 30));
         } else if (arg == "--interval-us") {
-            opts.config.interval = Time::us(std::strtod(next(), nullptr));
+            opts.config.interval = Time::us(real(1e9));
         } else if (arg == "--mode") {
             const std::string mode = next();
             if (mode == "none")
@@ -145,45 +151,44 @@ parseExplore(const std::vector<std::string>& args, ExploreOptions& opts)
                 return false;
         } else if (arg == "--cack") {
             opts.config.qpConfig.cack = static_cast<std::uint8_t>(
-                std::strtoul(next(), nullptr, 10));
+                exp::parseNumber<unsigned>(arg, next(), 0, 31));
         } else if (arg == "--rnr-ms") {
-            opts.config.qpConfig.minRnrNakDelay =
-                Time::ms(std::strtod(next(), nullptr));
+            opts.config.qpConfig.minRnrNakDelay = Time::ms(real(1e6));
         } else if (arg == "--trials") {
-            opts.trials = std::strtoull(next(), nullptr, 10);
+            opts.trials = count(1u << 20);
         } else if (arg == "--seed") {
-            opts.seed = std::strtoull(next(), nullptr, 10);
+            opts.seed = seed();
         } else if (arg == "--trace") {
             opts.trace = true;
         } else if (arg == "--detect") {
             opts.detect = true;
         } else if (arg == "--chaos-seed") {
-            opts.chaos.seed = std::strtoull(next(), nullptr, 10);
+            opts.chaos.seed = seed();
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-drop") {
-            opts.chaos.dropRate = std::strtod(next(), nullptr);
+            opts.chaos.dropRate = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-dup") {
-            opts.chaos.dupRate = std::strtod(next(), nullptr);
+            opts.chaos.dupRate = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-reorder") {
-            opts.chaos.reorderRate = std::strtod(next(), nullptr);
+            opts.chaos.reorderRate = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-corrupt") {
-            opts.chaos.corruptRate = std::strtod(next(), nullptr);
+            opts.chaos.corruptRate = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-evade") {
-            opts.chaos.corruptEvadeCrc = std::strtod(next(), nullptr);
+            opts.chaos.corruptEvadeCrc = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-delay-us") {
             opts.chaos.delayRate = 1.0;
-            opts.chaos.delayMax = Time::us(std::strtod(next(), nullptr));
+            opts.chaos.delayMax = Time::us(real(1e9));
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-nak") {
-            opts.chaos.forgedNakRate = std::strtod(next(), nullptr);
+            opts.chaos.forgedNakRate = real(1.0);
             opts.chaosEnabled = true;
         } else if (arg == "--chaos-flap-us") {
-            opts.chaos.flapDown = Time::us(std::strtod(next(), nullptr));
+            opts.chaos.flapDown = Time::us(real(1e9));
             opts.chaosEnabled = true;
         } else {
             std::fprintf(stderr, "unknown explore option: %s\n",
@@ -311,31 +316,14 @@ runExplore(const std::vector<std::string>& args, const char* argv0)
     return 0;
 }
 
-bool
-isExploreFlag(const std::string& arg)
-{
-    static const char* flags[] = {"--ops",   "--qps",   "--size",
-                                  "--interval-us", "--mode", "--device",
-                                  "--cack",  "--rnr-ms", "--trials",
-                                  "--trace", "--detect"};
-    for (const char* f : flags)
-        if (arg == f)
-            return true;
-    return arg.rfind("--chaos-", 0) == 0;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    // Explore mode: explicit "explore" subcommand, or any legacy flag
-    // anywhere on the line (pre-harness command lines keep working).
     if (argc > 1 && std::strcmp(argv[1], "explore") == 0)
         return runExplore({argv + 2, argv + argc}, argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (isExploreFlag(argv[i]))
-            return runExplore({argv + 1, argv + argc}, argv[0]);
         if (std::strcmp(argv[i], "--help") == 0 ||
             std::strcmp(argv[i], "-h") == 0) {
             usage(argv[0]);
