@@ -191,10 +191,7 @@ runTopoProbe(const std::string& fault, const std::string& verb,
         topo.setDefaultPlan({Time::us(500), Time::us(100)});
         engine.attachTopology(topo);
     }
-    if (cluster.sharded())
-        engine.installSharded(cluster.fabric());
-    else
-        engine.install(cluster.fabric());
+    engine.install(cluster.fabric());
     chaos::InvariantMonitor monitor(cluster.fabric());
 
     // One flow per ring link i -> (i+1) % nodes.
@@ -305,9 +302,7 @@ runTopoProbe(const std::string& fault, const std::string& verb,
         .set("completed", completed)
         .set("violations",
              static_cast<double>(monitor.violationCount()))
-        .set("flaps", static_cast<double>(cluster.sharded()
-                                              ? engine.shardedFlaps()
-                                              : topo.totalFlaps()))
+        .set("flaps", static_cast<double>(engine.flaps()))
         .set("dropped",
              static_cast<double>(cluster.fabric().totalDropped()));
 }

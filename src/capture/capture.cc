@@ -9,7 +9,7 @@ PacketCapture::PacketCapture(net::Fabric& fabric)
         if (!recording_)
             return;
         CaptureEntry entry;
-        entry.when = fabric.events().now();
+        entry.when = fabric.islandEvents(fabric.egressIsland()).now();
         entry.packet = pkt;
         // Drop the payload bytes: captures of flood runs hold hundreds of
         // thousands of packets and the analysis only needs headers.

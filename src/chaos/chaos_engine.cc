@@ -1,6 +1,7 @@
 #include "chaos/chaos_engine.hh"
 
 #include <memory>
+#include <stdexcept>
 
 #include "chaos/port_events.hh"
 #include "cluster/topology.hh"
@@ -77,7 +78,35 @@ ChaosEngine::attachPortEvents(Topology& topology)
 void
 ChaosEngine::install(net::Fabric& fabric)
 {
-    fabric.setFaultHook(&injector_);
+    laneInjectors_.clear();
+    topoReplicas_.clear();
+    if (fabric.islandCount() == 1) {
+        fabric.setIslandFaultHook(0, &injector_);
+    } else {
+        // One pipeline fork per lane: the same stage list, a disjoint
+        // RNG stream each. Topology replicas replay the identical flap
+        // windows (schedules are pure functions of (seed, link, time));
+        // they exist because linkUp() advances per-link cursors, which
+        // must not be shared across workers.
+        const exp::SeedStream fork("chaos.engine.island", config_.seed);
+        for (std::size_t i = 0; i < fabric.islandCount(); ++i) {
+            auto injector =
+                std::make_unique<FaultInjector>(fork.trialSeed(0, i));
+            buildStages(*injector, config_);
+            if (topology_ != nullptr) {
+                topoReplicas_.push_back(
+                    std::make_unique<Topology>(*topology_));
+                injector->addStage(
+                    std::make_unique<TopologyStage>(*topoReplicas_.back()));
+            }
+            fabric.setIslandFaultHook(i, injector.get());
+            laneInjectors_.push_back(std::move(injector));
+        }
+    }
+
+    // Port-event mode: the driver runs one schedule replica per endpoint
+    // chain on that endpoint's island queue — the same trick as the
+    // TopologyStage replicas above, applied to events.
     if (eventTopology_ != nullptr && portEvents_ == nullptr) {
         portEvents_ =
             std::make_unique<PortEventDriver>(fabric, *eventTopology_);
@@ -85,66 +114,32 @@ ChaosEngine::install(net::Fabric& fabric)
     }
 }
 
-void
-ChaosEngine::installSharded(net::Fabric& fabric)
+EngineStats
+ChaosEngine::stats() const
 {
-    // One pipeline fork per island: same stage list as install(), a
-    // disjoint RNG stream each. Topology replicas replay the identical
-    // flap windows (schedules are pure functions of (seed, link, time));
-    // they exist because linkUp() advances per-link cursors, which must
-    // not be shared across workers.
-    const exp::SeedStream fork("chaos.engine.island", config_.seed);
-    islandInjectors_.clear();
-    topoReplicas_.clear();
-    for (std::size_t i = 0; i < fabric.islandCount(); ++i) {
-        auto injector = std::make_unique<FaultInjector>(fork.trialSeed(0, i));
-        buildStages(*injector, config_);
-        if (topology_ != nullptr) {
-            topoReplicas_.push_back(std::make_unique<Topology>(*topology_));
-            injector->addStage(
-                std::make_unique<TopologyStage>(*topoReplicas_.back()));
-        }
-        fabric.setIslandFaultHook(i, injector.get());
-        islandInjectors_.push_back(std::move(injector));
-    }
-
-    // Port-event mode: the driver itself forks one schedule replica per
-    // endpoint chain onto that endpoint's island queue — the same trick
-    // as the TopologyStage replicas above, applied to events.
-    if (eventTopology_ != nullptr && portEvents_ == nullptr) {
-        portEvents_ =
-            std::make_unique<PortEventDriver>(fabric, *eventTopology_);
-        portEvents_->startSharded();
-    }
-}
-
-FaultInjector&
-ChaosEngine::islandInjector(std::size_t island)
-{
-    return *islandInjectors_.at(island);
-}
-
-InjectorStats
-ChaosEngine::shardedStats() const
-{
-    InjectorStats total;
-    for (const auto& injector : islandInjectors_) {
-        const InjectorStats& s = injector->stats();
-        total.packetsSeen += s.packetsSeen;
-        total.delayed += s.delayed;
-        total.reordered += s.reordered;
-        total.duplicated += s.duplicated;
-        total.corrupted += s.corrupted;
-        total.dropped += s.dropped;
-        total.flapDropped += s.flapDropped;
-        total.naksForged += s.naksForged;
-    }
+    EngineStats total = stats_;
+    auto add = [&total](const InjectorStats& s) {
+        total.wire.packetsSeen += s.packetsSeen;
+        total.wire.delayed += s.delayed;
+        total.wire.reordered += s.reordered;
+        total.wire.duplicated += s.duplicated;
+        total.wire.corrupted += s.corrupted;
+        total.wire.dropped += s.dropped;
+        total.wire.flapDropped += s.flapDropped;
+        total.wire.naksForged += s.naksForged;
+    };
+    if (laneInjectors_.empty())
+        add(injector_.stats());
+    for (const auto& injector : laneInjectors_)
+        add(injector->stats());
     return total;
 }
 
 std::uint64_t
-ChaosEngine::shardedFlaps() const
+ChaosEngine::flaps() const
 {
+    if (topoReplicas_.empty())
+        return topology_ != nullptr ? topology_->totalFlaps() : 0;
     std::uint64_t total = 0;
     for (const auto& topo : topoReplicas_)
         total += topo->totalFlaps();
@@ -172,13 +167,19 @@ ChaosEngine::startInvalidationStorm(odp::OdpDriver& driver,
                                     std::size_t pages_per_burst,
                                     std::size_t bursts)
 {
+    if (&driver.events() != &events_) {
+        throw std::logic_error(
+            "ChaosEngine: invalidation storm target runs on another "
+            "island's queue");
+    }
     if (len == 0 || pages_per_burst == 0 || bursts == 0 || !table.odp())
         return;
     storms_.push_back({&driver, &table, mem::pageOf(addr),
                        mem::pageOf(addr + len - 1), interval,
                        pages_per_burst, bursts});
     Storm* storm = &storms_.back();
-    events_.scheduleAfter(interval, [this, storm] { stormTick(storm); });
+    driver.events().scheduleAfter(interval,
+                                  [this, storm] { stormTick(storm); });
 }
 
 void
@@ -200,8 +201,8 @@ ChaosEngine::stormTick(Storm* storm)
     }
     ++stats_.stormBursts;
     if (--storm->burstsLeft > 0) {
-        events_.scheduleAfter(storm->interval,
-                              [this, storm] { stormTick(storm); });
+        storm->driver->events().scheduleAfter(
+            storm->interval, [this, storm] { stormTick(storm); });
     }
 }
 

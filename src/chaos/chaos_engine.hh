@@ -72,12 +72,14 @@ struct ChaosConfig
     Time flapDown;  ///< 0 disables the flap stage
 };
 
-/** Counters for the RNIC/ODP-side faults. */
+/** Counters for the RNIC/ODP-side faults and the wire pipelines. */
 struct EngineStats
 {
     std::uint64_t odpSpikes = 0;
     std::uint64_t stormBursts = 0;
     std::uint64_t pagesInvalidated = 0;
+    /** InjectorStats of injector(), or summed over the per-lane forks. */
+    InjectorStats wire;
 };
 
 /**
@@ -94,16 +96,11 @@ class ChaosEngine
     ChaosEngine(const ChaosEngine&) = delete;
     ChaosEngine& operator=(const ChaosEngine&) = delete;
 
-    /** Install the wire pipeline on @p fabric (and, after
-     * attachPortEvents(), start the port-event driver). */
-    void install(net::Fabric& fabric);
-
-    /** Remove the wire pipeline from @p fabric. */
-    void uninstall(net::Fabric& fabric) { fabric.setFaultHook(nullptr); }
-
     /**
-     * Island-mode install: build one FaultInjector per island of an
-     * island-mode fabric — same stage pipeline as install(), but each
+     * Install the wire pipeline on @p fabric (and, after
+     * attachPortEvents(), start the port-event driver). A one-lane
+     * fabric gets injector() itself. A fabric with several lanes gets
+     * one FaultInjector per lane — the same stage pipeline, but each
      * fork draws from its own SeedStream-derived RNG (disjoint per
      * island, so the campaign is deterministic at any worker count) and,
      * when attachTopology() was called first, consults its own replica
@@ -112,19 +109,13 @@ class ChaosEngine
      * replicas exist because schedule cursors mutate on query). Call
      * after attachTopology() and after every node exists.
      */
-    void installSharded(net::Fabric& fabric);
+    void install(net::Fabric& fabric);
 
+    /** Remove the wire pipeline from @p fabric. */
+    void uninstall(net::Fabric& fabric) { fabric.setFaultHook(nullptr); }
+
+    /** The one-lane pipeline. */
     FaultInjector& injector() { return injector_; }
-
-    /** Per-island pipeline @p island (after installSharded()). */
-    FaultInjector& islandInjector(std::size_t island);
-
-    /** Summed InjectorStats over the per-island pipelines. */
-    InjectorStats shardedStats() const;
-
-    /** Summed completed down-windows over the per-island topology
-     * replicas (island-mode counterpart of Topology::totalFlaps()). */
-    std::uint64_t shardedFlaps() const;
 
     const ChaosConfig& config() const { return config_; }
 
@@ -139,20 +130,20 @@ class ChaosEngine
 
     /**
      * Port-event mode — the opt-in successor of attachTopology(). No
-     * TopologyStage is added; instead install()/installSharded() start a
+     * TopologyStage is added; instead install() starts a
      * PortEventDriver (chaos/port_events.hh) that converts @p topology's
      * flap schedules into fabric link-state toggles (packets drop at the
      * sending port) plus async port events toward the RNICs, which is
-     * what the QP error/recovery machinery keys off. Under
-     * installSharded() the driver forks one schedule replica per
-     * endpoint island, exactly like the TopologyStage replicas, so the
-     * event sequence is bit-identical at any jobs count. Mutually
+     * what the QP error/recovery machinery keys off. The driver runs one
+     * schedule replica per endpoint on that endpoint's island, exactly
+     * like the TopologyStage replicas, so the event sequence is
+     * bit-identical at any jobs count. Mutually
      * exclusive with attachTopology(); the legacy silent-drop mode stays
      * the default.
      */
     void attachPortEvents(Topology& topology);
 
-    /** The port-event driver (null until install()/installSharded()). */
+    /** The port-event driver (null until install()). */
     PortEventDriver* portEvents() { return portEvents_.get(); }
 
     /**
@@ -168,7 +159,10 @@ class ChaosEngine
      * Translation invalidation storm: every @p interval, invalidate up to
      * @p pages_per_burst randomly chosen mapped pages of
      * [@p addr, @p addr + @p len) in @p table, for @p bursts bursts
-     * (bounded so the event queue can drain).
+     * (bounded so the event queue can drain). The bursts run on
+     * @p driver's queue, which must be the engine's own: the engine's
+     * RNG and stats would otherwise race with other islands at jobs > 1
+     * (throws std::logic_error).
      */
     void startInvalidationStorm(odp::OdpDriver& driver,
                                 odp::TranslationTable& table,
@@ -185,7 +179,12 @@ class ChaosEngine
      */
     void applyCqPressure(verbs::CompletionQueue& cq, std::size_t capacity);
 
-    const EngineStats& stats() const { return stats_; }
+    /** ODP-side counters plus the wire totals over every lane. */
+    EngineStats stats() const;
+
+    /** Completed down-windows of the attached topology, summed over the
+     * per-lane replicas when several lanes are installed. */
+    std::uint64_t flaps() const;
 
   private:
     struct Storm
@@ -210,14 +209,14 @@ class ChaosEngine
     Rng rng_;  ///< engine-side decisions (spikes, storms)
     FaultInjector injector_;
     std::deque<Storm> storms_;  ///< deque: stable addresses for callbacks
-    EngineStats stats_;
+    EngineStats stats_;  ///< ODP side (wire totals are summed on read)
 
-    /** @{ Island mode: per-island pipeline forks and topology replicas
-     * (unique_ptrs: Topology is incomplete here, and addresses must stay
-     * stable — TopologyStage holds a reference). */
+    /** @{ Per-lane pipeline forks and topology replicas, empty with one
+     * lane (unique_ptrs: Topology is incomplete here, and addresses must
+     * stay stable — TopologyStage holds a reference). */
     Topology* topology_ = nullptr;
     std::vector<std::unique_ptr<Topology>> topoReplicas_;
-    std::vector<std::unique_ptr<FaultInjector>> islandInjectors_;
+    std::vector<std::unique_ptr<FaultInjector>> laneInjectors_;
     /** @} */
 
     /** Port-event mode (attachPortEvents()). */

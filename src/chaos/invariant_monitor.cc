@@ -39,11 +39,10 @@ Violation::str() const
 InvariantMonitor::InvariantMonitor(net::Fabric& fabric) : fabric_(fabric)
 {
     shards_.resize(fabric_.islandCount());
-    if (fabric_.sharded()) {
-        for (Shard& shard : shards_)
-            shard.out.resize(shards_.size());
-        fabric_.shardedKernel()->addBarrierAgent(this);
-    }
+    for (Shard& shard : shards_)
+        shard.out.resize(shards_.size());
+    if (fabric_.kernel() != nullptr)
+        fabric_.kernel()->addBarrierAgent(this);
     fabric_.addTap([this](const net::Packet& pkt, bool dropped) {
         onEgress(pkt, dropped);
     });
@@ -51,8 +50,8 @@ InvariantMonitor::InvariantMonitor(net::Fabric& fabric) : fabric_(fabric)
 
 InvariantMonitor::~InvariantMonitor()
 {
-    if (fabric_.sharded())
-        fabric_.shardedKernel()->removeBarrierAgent(this);
+    if (fabric_.kernel() != nullptr)
+        fabric_.kernel()->removeBarrierAgent(this);
 }
 
 void
@@ -102,7 +101,7 @@ InvariantMonitor::watchAll(Cluster& cluster)
 InvariantMonitor::Shard&
 InvariantMonitor::shardOf(std::uint16_t lid)
 {
-    return shards_[fabric_.sharded() ? fabric_.islandOf(lid) : 0];
+    return shards_[fabric_.islandOf(lid)];
 }
 
 InvariantMonitor::Shard&
@@ -315,11 +314,10 @@ InvariantMonitor::onRequestEgress(Shard& shard, const net::Packet& pkt,
     // instead — still before the request's delivery, so the same
     // only-advances argument applies.
     if (pkt.op == net::Opcode::AtomicRequest && !dropped && !pkt.dammed) {
-        const std::size_t dstIsland =
-            fabric_.sharded() ? fabric_.islandOf(pkt.dstLid) : 0;
-        if (fabric_.sharded() && dstIsland != fabric_.egressIsland()) {
+        const std::size_t dstIsland = fabric_.islandOf(pkt.dstLid);
+        if (dstIsland != fabric_.egressIsland()) {
             shard.out[dstIsland].push(
-                (now + fabric_.shardedKernel()->lookahead()).toNs(),
+                (now + fabric_.kernel()->lookahead()).toNs(),
                 {now, pkt.wireId, 0, pkt.op, pkt.dstLid, pkt.dstQpn,
                  pkt.psn, pkt.epoch});
         } else {
@@ -438,11 +436,10 @@ InvariantMonitor::onResponseEgress(Shard& shard, const net::Packet& pkt,
     // barrier: nextPsn only advances and the barrier precedes the
     // response's arrival, so the barrier-time check is exactly the
     // invariant's arrival-time meaning.
-    const std::size_t dstIsland =
-        fabric_.sharded() ? fabric_.islandOf(pkt.dstLid) : 0;
-    if (fabric_.sharded() && dstIsland != fabric_.egressIsland()) {
+    const std::size_t dstIsland = fabric_.islandOf(pkt.dstLid);
+    if (dstIsland != fabric_.egressIsland()) {
         shard.out[dstIsland].push(
-            (now + fabric_.shardedKernel()->lookahead()).toNs(),
+            (now + fabric_.kernel()->lookahead()).toNs(),
             {now, pkt.wireId, 1, pkt.op, pkt.dstLid, pkt.dstQpn, pkt.psn,
              pkt.epoch});
         return;
@@ -630,14 +627,13 @@ InvariantMonitor::flushInbound(std::size_t island, Time now, Time horizon)
     // after the workers joined — everything is visible, so judge all
     // records with at <= now instead of stranding the sub-lookahead
     // tail of a limit-cut run.
-    const Time lookahead = fabric_.shardedKernel()->lookahead();
+    const Time lookahead = fabric_.kernel()->lookahead();
     const std::int64_t threshold = now == horizon
                                        ? (now + lookahead).toNs()
                                        : horizon.toNs();
     // Cross records travel the same declared routes as the packets they
     // shadow, so only in-neighbor shards can hold work for this island.
-    for (std::uint32_t src_index :
-         fabric_.shardedKernel()->inNeighbors(island)) {
+    for (std::uint32_t src_index : fabric_.kernel()->inNeighbors(island)) {
         shards_[src_index].out[island].drainUpTo(
             threshold,
             [lookahead](const CrossRecord& r) {
@@ -669,7 +665,7 @@ void
 InvariantMonitor::checkSwrel(const swrel::SoftReliableChannel& channel)
 {
     Shard& shard = shards_.front();
-    const Time at = fabric_.events().now();
+    const Time at = fabric_.islandEvents(0).now();
     if (channel.delivered().size() != channel.deliveredSeqCount()) {
         emit(shard, "swrel-exactly-once", at, 0, 0,
              std::to_string(channel.delivered().size()) +

@@ -91,10 +91,10 @@
  * node, whatever its transport — the one-call attach for >2-node meshes
  * flapping under a chaos::Topology schedule (cluster/topology.hh).
  *
- * Island mode (fabric.sharded()): the monitor shards itself one-to-one
- * with the fabric's islands. Each shard owns the flows of its island's
- * LIDs, its own violation list and its own FNV hash stream, written only
- * by the worker executing that island — no locks on the hot path. The
+ * Sharding: the monitor keeps one shard per fabric lane (island). Each
+ * shard owns the flows of its island's LIDs, its own violation list and
+ * its own FNV hash stream, written only by the worker executing that
+ * island — no locks on the hot path. The
  * two checks that read a *remote* flow's live QP state (A1 must-answer
  * reads the responder's expectedPsn, W4 ack-coherence reads the
  * requester's nextPsn) are deferred through cross-island CrossChannels
@@ -107,9 +107,8 @@
  * deterministic at any worker count. Deferral is sound:
  * expectedPsn/nextPsn only advance and the judging flush precedes the
  * shadowed packet's delivery, so the judgement matches the arrival-time
- * meaning of both invariants. With one shard (single-queue mode) every
- * path below collapses to the historical code, keeping the traceHash
- * goldens.
+ * meaning of both invariants. With one lane (single-queue mode) no
+ * check is ever deferred and traceHash() is the one shard's stream.
  */
 
 #ifndef IBSIM_CHAOS_INVARIANT_MONITOR_HH
@@ -220,10 +219,10 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     /**
      * FNV-1a hash over every packet observed at egress (fields + drop
      * flag, in tap order). Two runs with the same seeds must agree.
-     * Island mode folds the per-island hash streams in island order, so
+     * Several lanes fold the per-island hash streams in island order, so
      * the value is independent of the worker count (but is not the
      * single-queue mode's hash — island mode is its own deterministic
-     * mode).
+     * schedule).
      */
     std::uint64_t traceHash() const;
 
@@ -329,8 +328,7 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     /**
      * Per-island monitor state: the flows of this island's LIDs, the
      * island's violation list and hash stream, and its outbound deferred
-     * checks. Single-queue mode has exactly one shard, making every
-     * path byte-identical to the pre-sharding monitor.
+     * checks (never used with one lane).
      */
     struct Shard
     {
@@ -356,7 +354,7 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
                     const rnic::RecvWqe& wqe);
     void onCompletion(std::uint16_t lid, const verbs::WorkCompletion& wc);
 
-    /** The shard owning @p lid's flows (shard 0 when unsharded). */
+    /** The shard owning @p lid's flows. */
     Shard& shardOf(std::uint16_t lid);
 
     /** The shard of the island currently executing (egress/delivery). */
@@ -387,8 +385,8 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     static constexpr std::size_t storedCap = 64;
 
     net::Fabric& fabric_;
-    /** One per island; exactly one in single-queue mode. A deque keeps
-     * shard addresses stable (not that they move — sized once). */
+    /** One per fabric lane. A deque keeps shard addresses stable (not
+     * that they move — sized once). */
     std::deque<Shard> shards_;
     std::set<const rnic::Rnic*> tappedRnics_;
     std::set<const verbs::CompletionQueue*> tappedCqs_;

@@ -13,18 +13,6 @@ PortEventDriver::PortEventDriver(net::Fabric& fabric, Topology& topology)
 void
 PortEventDriver::start()
 {
-    startChains(false);
-}
-
-void
-PortEventDriver::startSharded()
-{
-    startChains(true);
-}
-
-void
-PortEventDriver::startChains(bool sharded)
-{
     if (started_)
         return;
     started_ = true;
@@ -36,14 +24,10 @@ PortEventDriver::startChains(bool sharded)
                 continue;
             for (const std::uint16_t self : {a, b}) {
                 const std::uint16_t peer = self == a ? b : a;
-                const std::size_t island =
-                    sharded ? fabric_.islandOf(self) : 0;
+                const std::size_t island = fabric_.islandOf(self);
                 chains_.push_back(Chain{self, peer, island,
                                         topology_.makeSchedule(a, b),
-                                        sharded
-                                            ? &fabric_.islandEvents(island)
-                                            : &fabric_.events(),
-                                        0});
+                                        &fabric_.islandEvents(island), 0});
                 // Annotate the port (gates nothing; observability only).
                 if (fabric_.portState(self) == net::PortState::Up)
                     fabric_.setPortState(self, net::PortState::Flapping);
@@ -156,9 +140,7 @@ CombinedStormStage::start()
             if (x != t.lid && topology_.linkEnabled(t.lid, x))
                 t.links.push_back(topology_.makeSchedule(t.lid, x));
         }
-        t.events = fabric_.sharded()
-                       ? &fabric_.islandEvents(fabric_.islandOf(t.lid))
-                       : &fabric_.events();
+        t.events = &fabric_.islandEvents(fabric_.islandOf(t.lid));
         t.endAt = t.events->now() + config_.duration;
         t.events->scheduleAfter(config_.tickInterval,
                                 [this, idx] { tick(idx); });

@@ -13,9 +13,9 @@
  * endpoints, which rnic::Rnic translates into verbs::AsyncEvents and —
  * profile-gated — into QP recovery.
  *
- * Under the sharded kernel every endpoint's event chain runs on its own
- * island's queue and toggles only that island's link-state replica, the
- * same fork-the-schedule trick ChaosEngine::installSharded() plays with
+ * Every endpoint's event chain runs on its own island's queue and
+ * toggles only that island's link-state replica, the same
+ * fork-the-schedule trick ChaosEngine::install() plays with
  * TopologyStage replicas: LinkSchedule is a pure function of (plan,
  * seed, time), so per-island copies replay bit-identical windows at any
  * worker count.
@@ -48,10 +48,9 @@ namespace chaos {
 /**
  * Drives a Topology's flap schedules as scheduled port events. Two event
  * chains exist per flapping link — one per endpoint — each owning a
- * LinkSchedule replica; under the sharded kernel each chain lives on its
- * endpoint's island queue and touches only island-owned state (its own
- * lane's link replica, its own RNIC), so the event sequence is
- * bit-identical at any job count. Non-owning: fabric and topology must
+ * LinkSchedule replica; each chain lives on its endpoint's island queue
+ * and touches only island-owned state (its own lane's link replica, its
+ * own RNIC), so the event sequence is bit-identical at any job count. Non-owning: fabric and topology must
  * outlive the driver.
  */
 class PortEventDriver
@@ -59,15 +58,12 @@ class PortEventDriver
   public:
     PortEventDriver(net::Fabric& fabric, Topology& topology);
 
-    /** Single-queue mode: run every chain on the fabric's one queue. */
-    void start();
-
     /**
-     * Island mode: run each endpoint's chains on that endpoint's island
-     * queue (fabric.islandEvents(islandOf(lid))). Call after every LID
-     * is assigned and before the kernel runs.
+     * Run each endpoint's chains on that endpoint's island queue
+     * (fabric.islandEvents(islandOf(lid))). Call after every LID is
+     * assigned and before the kernel runs.
      */
-    void startSharded();
+    void start();
 
     /** Completed down windows across links (each link counted once). */
     std::uint64_t linkFlaps() const;
@@ -87,7 +83,6 @@ class PortEventDriver
         std::uint64_t raised = 0;
     };
 
-    void startChains(bool sharded);
     void fire(std::size_t idx);
 
     /**
@@ -150,7 +145,7 @@ class CombinedStormStage
                    odp::TranslationTable& table, std::uint64_t addr,
                    std::uint64_t len, verbs::CompletionQueue& cq);
 
-    /** Schedule every target's ticker (single-queue or island mode). */
+    /** Schedule every target's ticker on its node's island queue. */
     void start();
 
     /** Summed per-target stats (read after the run). */

@@ -1,29 +1,44 @@
 #include "cluster/cluster.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "exp/seed_stream.hh"
 
 namespace ibsim {
 
+namespace {
+
+/** @p kernel after adding island 0 (a fabric needs one lane). */
+ShardedKernel&
+withFirstIsland(ShardedKernel& kernel)
+{
+    kernel.addIsland();
+    return kernel;
+}
+
+} // namespace
+
 Cluster::Cluster(rnic::DeviceProfile profile, std::size_t node_count,
                  std::uint64_t seed, net::LinkConfig link,
                  ClusterOptions options)
     : rng_(seed), defaultProfile_(std::move(profile)), seed_(seed),
-      fabric_(events_, link)
+      sharded_(options.sharded),
+      // The lookahead is the minimum virtual time any cross-island
+      // influence needs: a packet leaving island A is delivered on
+      // island B no earlier than egress + latency + per-packet overhead;
+      // serialization and chaos delays only push that later.
+      kernel_(link.latency + link.perPacketOverhead, options.jobs),
+      fabric_(withFirstIsland(kernel_), link)
 {
-    if (options.sharded) {
-        // The conservative lookahead: the minimum virtual time any
-        // cross-island influence needs. A packet leaving island A is
-        // delivered on island B no earlier than egress + latency +
-        // per-packet overhead; serialization and chaos delays only push
-        // that later, so latency + overhead is a sound lower bound.
-        const Time lookahead = link.latency + link.perPacketOverhead;
-        kernel_ = std::make_unique<ShardedKernel>(lookahead, options.jobs);
-        fabric_.enableSharding(*kernel_);
-    }
     for (std::size_t i = 0; i < node_count; ++i)
         addNode();
+}
+
+EventQueue&
+Cluster::events()
+{
+    return kernel_.island(0);
 }
 
 Node&
@@ -35,23 +50,22 @@ Cluster::addNode()
 Node&
 Cluster::addNode(const rnic::DeviceProfile& profile)
 {
-    if (kernel_) {
-        // One island per node: the node's RNIC and fabric port run on a
-        // private queue with a SeedStream-forked RNG, so the execution
-        // is independent of how islands map onto workers.
-        const std::size_t island = kernel_->addIsland();
-        const exp::SeedStream fork("cluster.island", seed_);
-        fabric_.addIslandLane();
+    // Island mode: one island per node (node 0 takes island 0), each
+    // with a SeedStream-forked RNG, so the execution is independent of
+    // how islands map onto workers. Single-queue mode: every node on
+    // island 0, sharing rng_.
+    std::size_t island = 0;
+    Rng* rng = &rng_;
+    if (sharded_) {
+        if (!nodes_.empty())
+            island = fabric_.addIslandLane();
         fabric_.assignLid(nextLid_, island);
+        const exp::SeedStream fork("cluster.island", seed_);
         islandRngs_.emplace_back(fork.trialSeed(1, island));
-        nodes_.push_back(std::make_unique<Node>(kernel_->island(island),
-                                                islandRngs_.back(),
-                                                fabric_, nextLid_++,
-                                                profile));
-        return *nodes_.back();
+        rng = &islandRngs_.back();
     }
-    nodes_.push_back(std::make_unique<Node>(events_, rng_, fabric_,
-                                            nextLid_++, profile));
+    nodes_.push_back(std::make_unique<Node>(kernel_.island(island), *rng,
+                                            fabric_, nextLid_++, profile));
     return *nodes_.back();
 }
 
@@ -59,13 +73,15 @@ std::vector<Node*>
 Cluster::addNodePlanes(const rnic::DeviceProfile& profile, unsigned planes)
 {
     std::vector<Node*> out;
-    // All planes share one logical island (the first plane's index) so
+    // All planes share one logical island (the first plane's island) so
     // stats attribute their work to the machine they model.
-    const std::size_t logical = kernel_ ? kernel_->islandCount() : 0;
+    std::size_t logical = 0;
     for (unsigned p = 0; p < std::max(1u, planes); ++p) {
         Node& node = addNode(profile);
-        if (kernel_)
-            kernel_->setLogicalIsland(kernel_->islandCount() - 1, logical);
+        const std::size_t island = fabric_.islandOf(node.lid());
+        if (out.empty())
+            logical = island;
+        kernel_.setLogicalIsland(island, logical);
         out.push_back(&node);
     }
     return out;
@@ -183,26 +199,28 @@ Cluster::totalCompletions() const
     return total;
 }
 
+std::uint64_t
+Cluster::completionsOn(std::size_t island) const
+{
+    // Island mode: node i is island i (planes included). Otherwise every
+    // node is on island 0.
+    return sharded_ ? nodes_[island]->totalCompletions() : totalCompletions();
+}
+
 bool
 Cluster::runUntilCompletions(std::uint64_t target, Time limit)
 {
-    if (!kernel_) {
-        // The historical single-queue path: poll after each event. Its
-        // traceHash goldens pin this byte-for-byte.
-        return events_.runUntil(
-            [&] { return totalCompletions() >= target; }, limit);
+    // Top up the per-island trigger set (one per island holding a
+    // node). Counters read through the nodes, so nodes and CQs created
+    // after registration still count.
+    const std::size_t islands =
+        std::min(kernel_.islandCount(), nodes_.size());
+    while (islandsWithTriggers_ < islands) {
+        const std::size_t island = islandsWithTriggers_++;
+        kernel_.addTrigger(island,
+                           [this, island] { return completionsOn(island); });
     }
-    // Top up the per-node trigger set (node i lives on island i; planes
-    // are their own islands, so each plane's CQs count on its island).
-    // Counters read through the Node, so CQs created after registration
-    // are still counted.
-    while (nodesWithTriggers_ < nodes_.size()) {
-        Node* node = nodes_[nodesWithTriggers_].get();
-        kernel_->addTrigger(nodesWithTriggers_,
-                            [node] { return node->totalCompletions(); });
-        ++nodesWithTriggers_;
-    }
-    return kernel_->runUntilTriggered(target, limit);
+    return kernel_.runUntilTriggered(target, limit);
 }
 
 std::pair<verbs::QueuePair, verbs::QueuePair>

@@ -2,7 +2,7 @@
  * @file
  * A simulated InfiniBand cluster — the library's top-level entry point.
  *
- * A Cluster bundles the event queue, RNG, fabric and a set of nodes that
+ * A Cluster bundles the event kernel, RNG, fabric and a set of nodes that
  * all share one device profile (heterogeneous clusters can add nodes with
  * explicit profiles). Experiment harnesses drive virtual time through
  * advance()/runUntil(), which play the roles of usleep() and the blocking
@@ -30,28 +30,31 @@
 namespace ibsim {
 
 /**
- * Execution-mode knobs for a Cluster.
+ * How a Cluster partitions its nodes over the one ShardedKernel.
  *
- * Default: the historical single-queue simulation (one EventQueue, one
- * RNG) — byte-identical to what existed before island mode, pinned by
- * the repo's traceHash goldens.
+ * Default (single-queue): one island holds every node and all nodes
+ * share one RNG; the kernel runs that island's EventQueue directly, so
+ * predicates are polled after every event. Pinned by the repo's
+ * traceHash goldens.
  *
  * sharded = true partitions the cluster into one island per node: each
- * node's RNIC and fabric port live on a private EventQueue driven by a
- * ShardedKernel with conservative lookahead = link latency + per-packet
- * overhead (the minimum time any packet needs to cross islands). Every
- * island gets its own SeedStream-forked RNG, wire-id space and packet
- * pool, so a run is deterministic for a fixed seed at ANY worker count:
- * jobs = 1 (inline, no threads) through jobs = N produce bit-identical
- * trace hashes, per-QP stats and oracle verdicts. Island mode is its own
- * deterministic mode — not a bit-replay of the single-queue schedule.
+ * node's RNIC and fabric port live on a private EventQueue and the
+ * kernel runs them with conservative lookahead = link latency +
+ * per-packet overhead (the minimum time any packet needs to cross
+ * islands). Every island gets its own SeedStream-forked RNG, wire-id
+ * space and packet pool, so a run is deterministic for a fixed seed at
+ * ANY worker count: jobs = 1 (inline, no threads) through jobs = N
+ * produce bit-identical trace hashes, per-QP stats and oracle verdicts.
+ * Island mode is its own deterministic schedule — not a bit-replay of
+ * the single-queue one.
  */
 struct ClusterOptions
 {
     /** One island per node on a ShardedKernel. */
     bool sharded = false;
 
-    /** Worker threads for the sharded kernel (clamped to node count). */
+    /** Worker threads in island mode (clamped to the island count; one
+     * island always runs inline). */
     unsigned jobs = 1;
 };
 
@@ -68,7 +71,7 @@ class Cluster
      * @param node_count number of nodes (LIDs 1..n)
      * @param seed RNG seed; every stochastic element derives from it
      * @param link fabric link parameters
-     * @param options execution mode (single-queue vs island sharding)
+     * @param options partition (one island vs one island per node)
      */
     explicit Cluster(rnic::DeviceProfile profile,
                      std::size_t node_count = 2, std::uint64_t seed = 1,
@@ -91,8 +94,9 @@ class Cluster
      * independently. All planes map to one *logical* island, so
      * KernelStats::executedPerIsland attributes their work to the
      * machine, not the plane. Identical node/LID layout in single-queue
-     * mode (plain sibling nodes) — the differential tests compare the
-     * same topology in both modes. Returns the planes in order.
+     * mode (plain sibling nodes on the one island) — the differential
+     * tests compare the same topology in both modes. Returns the planes
+     * in order.
      */
     std::vector<Node*> addNodePlanes(const rnic::DeviceProfile& profile,
                                      unsigned planes);
@@ -100,49 +104,35 @@ class Cluster
     Node& node(std::size_t index) { return *nodes_.at(index); }
     std::size_t nodeCount() const { return nodes_.size(); }
 
-    EventQueue& events() { return events_; }
+    /** Island 0's queue (the only queue in single-queue mode). */
+    EventQueue& events();
     Rng& rng() { return rng_; }
     net::Fabric& fabric() { return fabric_; }
 
-    /** The parallel kernel, or nullptr in single-queue mode. */
-    ShardedKernel* shardedKernel() { return kernel_.get(); }
+    /** The event kernel (never null). */
+    ShardedKernel* shardedKernel() { return &kernel_; }
 
-    bool sharded() const { return kernel_ != nullptr; }
+    /** Whether the cluster runs one island per node (island mode). */
+    bool sharded() const { return sharded_; }
 
-    Time
-    now() const
-    {
-        return kernel_ ? kernel_->now() : events_.now();
-    }
+    Time now() const { return kernel_.now(); }
 
     /** Advance virtual time by @p delta (the micro-benchmark's usleep). */
-    void
-    advance(Time delta)
-    {
-        if (kernel_)
-            kernel_->advance(delta);
-        else
-            events_.advance(delta);
-    }
+    void advance(Time delta) { kernel_.advance(delta); }
 
     /**
      * Run until @p pred holds or @p limit. Single-queue mode polls after
-     * each event; island mode polls at every window barrier.
+     * each event; island mode polls at every round boundary.
      * @return true if the predicate was satisfied.
      */
     bool
     runUntil(const std::function<bool()>& pred, Time limit = Time::max())
     {
-        return kernel_ ? kernel_->runUntil(pred, limit)
-                       : events_.runUntil(pred, limit);
+        return kernel_.runUntil(pred, limit);
     }
 
     /** Run until the event queue(s) drain (or @p limit). */
-    bool
-    drain(Time limit = Time::max())
-    {
-        return kernel_ ? kernel_->run(limit) : events_.run(limit);
-    }
+    bool drain(Time limit = Time::max()) { return kernel_.run(limit); }
 
     /** Completions delivered across every node's CQs, summed. */
     std::uint64_t totalCompletions() const;
@@ -151,26 +141,22 @@ class Cluster
      * Run until the cluster-wide completion count reaches @p target —
      * the trigger-based fast path for the most common runUntil shape.
      *
-     * In island mode this registers one monotone per-node trigger
-     * counter with the kernel (cluster code owns the kernel's trigger
-     * set) and exits via runUntilTriggered(): satisfaction is detected
+     * Registers one monotone per-island trigger counter with the kernel
+     * (cluster code owns the kernel's trigger set) and exits via
+     * runUntilTriggered(). In island mode satisfaction is detected
      * inside the worker pass right after the crossing window retires,
-     * instead of re-polling every CQ at each quiesce. Stop time, trace
-     * hash and oracle verdicts are bit-identical to the polling
-     * equivalent `runUntil([&]{ return totalCompletions() >= target; })`
-     * at any jobs count and schedule mode. Single-queue mode uses
-     * exactly that polling equivalent (its goldens are untouched).
+     * instead of re-polling every CQ at each quiesce; in single-queue
+     * mode the counters are polled after every event. Either way stop
+     * time, trace hash and oracle verdicts are bit-identical to the
+     * polling equivalent
+     * `runUntil([&]{ return totalCompletions() >= target; })`.
      * @return true if the target was reached.
      */
     bool runUntilCompletions(std::uint64_t target,
                              Time limit = Time::max());
 
-    /** Events executed so far (summed over islands when sharded). */
-    std::uint64_t
-    eventsExecuted() const
-    {
-        return kernel_ ? kernel_->executed() : events_.executed();
-    }
+    /** Events executed so far (summed over islands). */
+    std::uint64_t eventsExecuted() const { return kernel_.executed(); }
 
     /**
      * A full diagnostic dump: fabric counters, per-node driver/board
@@ -208,24 +194,27 @@ class Cluster
               verbs::CompletionQueue& cq_b, verbs::QpConfig config = {});
 
   private:
-    EventQueue events_;
     Rng rng_;
     rnic::DeviceProfile defaultProfile_;
     std::uint64_t seed_;
+    bool sharded_;
     /**
-     * Island mode. kernel_ is created before fabric_ sees any traffic
-     * and destroyed after the nodes (member order below): nodes schedule
-     * into island queues, so the queues must outlive them. islandRngs_
-     * is a deque — Node holds Rng& and deque growth never moves elements.
+     * kernel_ is built before fabric_ and destroyed after the nodes
+     * (member order below): nodes schedule into island queues, so the
+     * queues must outlive them. islandRngs_ is a deque — Node holds Rng&
+     * and deque growth never moves elements.
      */
-    std::unique_ptr<ShardedKernel> kernel_;
+    ShardedKernel kernel_;
     std::deque<Rng> islandRngs_;
     net::Fabric fabric_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::uint16_t nextLid_ = 1;
-    /** Nodes whose completion trigger is registered with the kernel
-     * (runUntilCompletions tops this up lazily; node i == island i). */
-    std::size_t nodesWithTriggers_ = 0;
+    /** Islands whose completion trigger is registered with the kernel
+     * (runUntilCompletions tops this up lazily). */
+    std::size_t islandsWithTriggers_ = 0;
+
+    /** Completions delivered on @p island's nodes. */
+    std::uint64_t completionsOn(std::size_t island) const;
 };
 
 } // namespace ibsim

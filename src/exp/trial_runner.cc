@@ -9,6 +9,8 @@
 #include <thread>
 #include <unordered_set>
 
+#include "exp/bench_main.hh"
+
 namespace ibsim {
 namespace exp {
 
@@ -122,11 +124,9 @@ TrialRunner::resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char* env = std::getenv("IBSIM_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
+    const char* env = std::getenv("IBSIM_JOBS");
+    if (env != nullptr && *env != '\0')
+        return parseNumber<unsigned>("IBSIM_JOBS", env, 1, 4096);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -150,7 +150,8 @@ class TrialRunner
 
     /**
      * Resolve a requested job count: 0 falls back to the IBSIM_JOBS
-     * environment variable, then to std::thread::hardware_concurrency().
+     * environment variable (1..4096; anything else exits 2 through
+     * parseNumber()), then to std::thread::hardware_concurrency().
      */
     static unsigned resolveJobs(unsigned requested);
 

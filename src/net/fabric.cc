@@ -23,9 +23,21 @@ thread_local std::size_t tlsEgressIsland = 0;
 
 } // namespace
 
-Fabric::Fabric(EventQueue& events, LinkConfig config)
-    : events_(events), config_(config)
+Fabric::Fabric(EventQueue& events, LinkConfig config) : config_(config)
 {
+    lanes_.emplace_back(&events);
+    lanes_.front().out = std::vector<CrossChannel<Parcel>>(1);
+}
+
+Fabric::Fabric(ShardedKernel& kernel, LinkConfig config)
+    : config_(config), kernel_(&kernel)
+{
+    assert(kernel.islandCount() >= 1 && "a fabric needs one lane");
+    for (std::size_t i = 0; i < kernel.islandCount(); ++i)
+        lanes_.emplace_back(&kernel.island(i));
+    for (Lane& lane : lanes_)
+        lane.out = std::vector<CrossChannel<Parcel>>(lanes_.size());
+    kernel.addBarrierAgent(this);
 }
 
 Fabric::PortRecord&
@@ -52,6 +64,13 @@ Fabric::detach(std::uint16_t lid)
 }
 
 void
+Fabric::setFaultHook(FaultHook* hook)
+{
+    for (Lane& lane : lanes_)
+        lane.hook = hook;
+}
+
+void
 Fabric::addTap(CaptureTap tap)
 {
     taps_.push_back(std::move(tap));
@@ -71,42 +90,26 @@ Fabric::raisePortEvent(std::uint16_t lid, const PortEvent& ev)
 }
 
 void
-Fabric::setLinkDown(std::vector<std::uint32_t>& set, std::uint32_t key,
-                    bool down)
-{
-    auto it = std::find(set.begin(), set.end(), key);
-    if (down && it == set.end()) {
-        set.push_back(key);
-    } else if (!down && it != set.end()) {
-        *it = set.back();
-        set.pop_back();
-    }
-}
-
-void
-Fabric::setLinkState(std::uint16_t a, std::uint16_t b, bool up)
-{
-    setLinkDown(downLinks_, linkKey(a, b), !up);
-}
-
-void
 Fabric::setLaneLinkState(std::size_t island, std::uint16_t a,
                          std::uint16_t b, bool up)
 {
-    if (!sharded()) {
-        setLinkState(a, b, up);
-        return;
-    }
     assert(island < lanes_.size());
-    setLinkDown(lanes_[island].downLinks, linkKey(a, b), !up);
+    std::vector<std::uint32_t>& set = lanes_[island].downLinks;
+    const std::uint32_t key = linkKey(a, b);
+    auto it = std::find(set.begin(), set.end(), key);
+    if (!up && it == set.end()) {
+        set.push_back(key);
+    } else if (up && it != set.end()) {
+        *it = set.back();
+        set.pop_back();
+    }
 }
 
 bool
 Fabric::laneLinkDown(std::size_t island, std::uint16_t a,
                      std::uint16_t b) const
 {
-    const std::vector<std::uint32_t>& set =
-        sharded() ? lanes_[island].downLinks : downLinks_;
+    const std::vector<std::uint32_t>& set = lanes_[island].downLinks;
     return std::find(set.begin(), set.end(), linkKey(a, b)) != set.end();
 }
 
@@ -132,151 +135,27 @@ Fabric::egressAdmits(const std::vector<std::uint32_t>& down_links,
 std::uint64_t
 Fabric::totalPortEventDrops() const
 {
-    std::uint64_t total = portEventDrops_;
+    std::uint64_t total = 0;
     for (const Lane& lane : lanes_)
         total += lane.portEventDrops;
     return total;
 }
 
-std::uint64_t
-Fabric::send(Packet pkt)
-{
-    if (sharded())
-        return sendSharded(std::move(pkt));
-
-    pkt.wireId = nextWireId_++;
-    pkt.sentAt = events_.now();
-    ++totalSent_;
-
-    // Port/link gate: a down source port or a down link kills the packet
-    // at egress, before any fault stage — the wire simply is not there.
-    Time detour;
-    if (!egressAdmits(downLinks_, pkt, &detour)) {
-        ++totalDropped_;
-        ++portEventDrops_;
-        for (const auto& tap : taps_)
-            tap(pkt, true);
-        IBSIM_TRACE(traceFabric, events_.now(),
-                    pkt.str() + "  ** DROPPED (link down) **");
-        return pkt.wireId;
-    }
-
-    if (hook_ != nullptr) {
-        std::vector<FaultHook::Delivery> out;
-        hook_->processPacket(pkt, events_.now(), out);
-        if (out.empty()) {
-            ++totalDropped_;
-            for (const auto& tap : taps_)
-                tap(pkt, true);
-            IBSIM_TRACE(traceFabric, events_.now(),
-                        pkt.str() + "  ** DROPPED (chaos) **");
-            return pkt.wireId;
-        }
-        const std::uint64_t id = pkt.wireId;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            if (i == 0) {
-                out[i].pkt.wireId = id;
-            } else {
-                out[i].pkt.wireId = nextWireId_++;
-                ++totalInjected_;
-            }
-            out[i].pkt.sentAt = events_.now();
-            deliver(std::move(out[i].pkt), out[i].extraDelay + detour);
-        }
-        return id;
-    }
-
-    const std::uint64_t id = pkt.wireId;
-    deliver(std::move(pkt), detour);
-    return id;
-}
-
-void
-Fabric::deliver(Packet pkt, Time extra_delay)
-{
-    PortRecord& dst = port(pkt.dstLid);
-    const bool unknownLid = (dst.handler == nullptr);
-    const bool portDown = dst.state == PortState::Down;
-
-    for (const auto& tap : taps_)
-        tap(pkt, unknownLid || portDown);
-
-    IBSIM_TRACE(traceFabric, events_.now(),
-                pkt.str() +
-                    (unknownLid || portDown ? "  ** DROPPED **" : ""));
-
-    if (unknownLid || portDown) {
-        ++totalDropped_;
-        if (portDown)
-            ++portEventDrops_;
-        return;
-    }
-
-    // Per-port serialization: back-to-back packets from one port (or into
-    // one port) queue behind each other; disjoint port pairs do not
-    // contend. This matters for the flood experiments, where the wire is
-    // actually busy. Chaos extra delay models switch-internal queueing,
-    // so it lands between egress serialization and ingress arrival.
-    // Note: port() for the source LID can grow the table and invalidate
-    // `dst`, so the handler is read out first.
-    PortHandler* handler = dst.handler;
-    const Time serialization = Time::sec(
-        static_cast<double>(pkt.wireSize()) / config_.bandwidthBytesPerSec);
-    PortRecord& src = port(pkt.srcLid);
-    const Time start = std::max(events_.now(), src.egressFreeAt);
-    src.egressFreeAt = start + serialization;
-    Time& ingress = ports_[pkt.dstLid].ingressFreeAt;
-    const Time arrive =
-        std::max(src.egressFreeAt + config_.latency + extra_delay, ingress);
-    ingress = arrive + serialization;
-    const Time deliverAt = arrive + config_.perPacketOverhead;
-
-    // Park the packet in the pool and capture only its slot index: the
-    // delivery closure stays within the event kernel's inline capacity
-    // (no allocation per hop) and the slot's payload buffer is recycled.
-    // The payload moves — no byte copy, and for the empty-payload flood
-    // packets no allocator traffic at all.
-    const std::uint32_t slot = pool_.acquire();
-    pool_.at(slot) = std::move(pkt);
-
-    auto deliver_cb = [this, handler, slot] {
-        ++totalDelivered_;
-        handler->receive(pool_.at(slot));
-        pool_.release(slot);
-    };
-    static_assert(EventQueue::Callback::storesInline<decltype(deliver_cb)>,
-                  "delivery closure must not allocate");
-    events_.schedule(deliverAt, std::move(deliver_cb));
-}
-
-// ---------------------------------------------------------------------
-// Island mode.
-// ---------------------------------------------------------------------
-
-void
-Fabric::enableSharding(ShardedKernel& kernel)
-{
-    assert(lanes_.empty() && ports_.empty() &&
-           "enable island mode before any lane or port exists");
-    kernel_ = &kernel;
-    kernel_->addBarrierAgent(this);
-}
-
 std::size_t
 Fabric::addIslandLane()
 {
-    assert(sharded());
-    const std::size_t index = lanes_.size();
+    assert(kernel_ != nullptr && kernel_->islandCount() == lanes_.size());
+    const std::size_t index = kernel_->addIsland();
     lanes_.emplace_back(&kernel_->island(index));
     for (Lane& lane : lanes_)
-        lane.out.resize(lanes_.size());
+        lane.out = std::vector<CrossChannel<Parcel>>(lanes_.size());
     return index;
 }
 
 void
 Fabric::assignLid(std::uint16_t lid, std::size_t island)
 {
-    assert(sharded() && island < lanes_.size());
+    assert(island < lanes_.size());
     if (lid >= islandOfLid_.size())
         islandOfLid_.resize(static_cast<std::size_t>(lid) + 1, 0);
     islandOfLid_[lid] = island;
@@ -292,24 +171,18 @@ Fabric::islandOf(std::uint16_t lid) const
 std::size_t
 Fabric::egressIsland() const
 {
-    return sharded() ? tlsEgressIsland : 0;
-}
-
-EventQueue&
-Fabric::islandEvents(std::size_t island)
-{
-    return sharded() ? *lanes_[island].events : events_;
+    return tlsEgressIsland;
 }
 
 void
 Fabric::setIslandFaultHook(std::size_t island, FaultHook* hook)
 {
-    assert(sharded() && island < lanes_.size());
+    assert(island < lanes_.size());
     lanes_[island].hook = hook;
 }
 
 std::uint64_t
-Fabric::sendSharded(Packet pkt)
+Fabric::send(Packet pkt)
 {
     const std::size_t laneIndex = islandOf(pkt.srcLid);
     Lane& lane = lanes_[laneIndex];
@@ -318,8 +191,7 @@ Fabric::sendSharded(Packet pkt)
     // Per-lane wire-id spaces: the island in the high bits keeps ids
     // globally unique (and the barrier merge a strict total order)
     // without any cross-island counter.
-    pkt.wireId = (static_cast<std::uint64_t>(laneIndex + 1) << 44) |
-                 lane.nextWireId++;
+    pkt.wireId = nextWireId(laneIndex);
     pkt.sentAt = lane.events->now();
     ++lane.sent;
 
@@ -353,52 +225,62 @@ Fabric::sendSharded(Packet pkt)
             if (i == 0) {
                 out[i].pkt.wireId = id;
             } else {
-                out[i].pkt.wireId =
-                    (static_cast<std::uint64_t>(laneIndex + 1) << 44) |
-                    lane.nextWireId++;
+                out[i].pkt.wireId = nextWireId(laneIndex);
                 ++lane.injected;
             }
             out[i].pkt.sentAt = lane.events->now();
-            deliverSharded(laneIndex, std::move(out[i].pkt),
-                           out[i].extraDelay + detour);
+            transmit(laneIndex, std::move(out[i].pkt),
+                     out[i].extraDelay + detour);
         }
         return id;
     }
 
     const std::uint64_t id = pkt.wireId;
-    deliverSharded(laneIndex, std::move(pkt), detour);
+    transmit(laneIndex, std::move(pkt), detour);
     return id;
 }
 
 void
-Fabric::deliverSharded(std::size_t lane_index, Packet pkt,
-                       Time extra_delay)
+Fabric::transmit(std::size_t lane_index, Packet pkt, Time extra_delay)
 {
     Lane& lane = lanes_[lane_index];
+    const std::size_t dstIsland = islandOf(pkt.dstLid);
     const bool unknownLid = pkt.dstLid >= ports_.size() ||
                             ports_[pkt.dstLid].handler == nullptr;
+    // A destination port's state belongs to its island: within the lane
+    // a Down port drops the packet here, in the taps' view; across lanes
+    // the owning island's ingress gate (finalizeIngress) drops it late.
+    const bool portDown = !unknownLid && dstIsland == lane_index &&
+                          ports_[pkt.dstLid].state == PortState::Down;
 
     for (const auto& tap : taps_)
-        tap(pkt, unknownLid);
+        tap(pkt, unknownLid || portDown);
 
     IBSIM_TRACE(traceFabric, lane.events->now(),
-                pkt.str() + (unknownLid ? "  ** DROPPED **" : ""));
+                pkt.str() +
+                    (unknownLid || portDown ? "  ** DROPPED **" : ""));
 
-    if (unknownLid) {
+    if (unknownLid || portDown) {
         ++lane.dropped;
+        if (portDown)
+            ++lane.portEventDrops;
         return;
     }
 
     const Time serialization = Time::sec(
         static_cast<double>(pkt.wireSize()) / config_.bandwidthBytesPerSec);
 
-    // Egress serialization max-chain on the source port — owned by this
-    // island, unless the packet was forged with a foreign source LID
+    // Per-port serialization: back-to-back packets from one port (or
+    // into one port) queue behind each other; disjoint port pairs do
+    // not contend. Chaos extra delay models switch-internal queueing, so
+    // it lands between egress serialization and ingress arrival. The
+    // egress max-chain runs on the source port — owned by this island,
+    // unless the packet was forged with a foreign or unknown source LID
     // (ForgedNakStage): then it "appears from the wire" at the executing
     // island with no egress queueing, keeping every PortRecord
     // single-island-owned.
     Time depart;
-    if (islandOf(pkt.srcLid) == lane_index) {
+    if (pkt.srcLid < ports_.size() && islandOf(pkt.srcLid) == lane_index) {
         PortRecord& src = ports_[pkt.srcLid];
         const Time start = std::max(lane.events->now(), src.egressFreeAt);
         src.egressFreeAt = start + serialization;
@@ -408,7 +290,6 @@ Fabric::deliverSharded(std::size_t lane_index, Packet pkt,
     }
     const Time arrive0 = depart + config_.latency + extra_delay;
 
-    const std::size_t dstIsland = islandOf(pkt.dstLid);
     if (dstIsland == lane_index) {
         finalizeIngress(dstIsland, std::move(pkt), arrive0, serialization);
     } else {
@@ -425,15 +306,16 @@ Fabric::deliverSharded(std::size_t lane_index, Packet pkt,
 }
 
 void
-Fabric::finalizeIngress(std::size_t dst_island, Packet pkt, Time arrive0,
+Fabric::finalizeIngress(std::size_t dst_island, Packet&& pkt, Time arrive0,
                         Time serialization)
 {
     Lane& dst = lanes_[dst_island];
     PortRecord& rec = ports_[pkt.dstLid];
     if (rec.state == PortState::Down) {
-        // Administrative ingress gate, checked on the owning island. The
-        // egress tap already saw the packet as delivered; this late drop
-        // models a port that died while the packet was in flight.
+        // Administrative ingress gate for cross-island parcels, checked
+        // on the owning island. The egress tap already saw the packet as
+        // delivered; this late drop models a port that died while the
+        // packet was in flight.
         ++dst.dropped;
         ++dst.portEventDrops;
         return;
@@ -443,6 +325,9 @@ Fabric::finalizeIngress(std::size_t dst_island, Packet pkt, Time arrive0,
     rec.ingressFreeAt = arrive + serialization;
     const Time deliverAt = arrive + config_.perPacketOverhead;
 
+    // Park the packet in the pool and capture only its slot index: the
+    // payload moves — no byte copy, and for the empty-payload flood
+    // packets no allocator traffic at all.
     const std::uint32_t slot = dst.pool.acquire();
     dst.pool.at(slot) = std::move(pkt);
 
@@ -473,7 +358,7 @@ Fabric::flushInbound(std::size_t island, Time /*now*/, Time horizon)
     const std::int64_t threshold = horizon.toNs();
     const Time overhead = config_.perPacketOverhead;
     // Only in-neighbor lanes can hold parcels for this island (cross-
-    // island sends along undeclared routes assert in deliverSharded), so
+    // island sends along undeclared routes assert in transmit()), so
     // the scan skips the rest of the mesh.
     for (std::uint32_t src_index : kernel_->inNeighbors(island)) {
         lanes_[src_index].out[island].drainUpTo(
@@ -528,12 +413,12 @@ Fabric::inboundPending(std::size_t island)
 void
 Fabric::declareRoute(std::uint16_t src_lid, std::uint16_t dst_lid)
 {
-    if (!sharded())
-        return;
     if (dst_lid >= islandOfLid_.size())
         return;  // never-assigned LID: packets to it drop at egress
     const std::size_t src = islandOf(src_lid);
     const std::size_t dst = islandOf(dst_lid);
+    if (src == dst)
+        return;  // same-lane traffic is inline, no clock involved
     kernel_->declareEdge(src, dst);
     kernel_->declareEdge(dst, src);
 }
@@ -541,14 +426,14 @@ Fabric::declareRoute(std::uint16_t src_lid, std::uint16_t dst_lid)
 void
 Fabric::declareDenseIsland(std::size_t island)
 {
-    if (sharded())
+    if (lanes_.size() > 1)
         kernel_->declareDense(island);
 }
 
 std::uint64_t
 Fabric::totalSent() const
 {
-    std::uint64_t total = totalSent_;
+    std::uint64_t total = 0;
     for (const Lane& lane : lanes_)
         total += lane.sent;
     return total;
@@ -557,7 +442,7 @@ Fabric::totalSent() const
 std::uint64_t
 Fabric::totalDelivered() const
 {
-    std::uint64_t total = totalDelivered_;
+    std::uint64_t total = 0;
     for (const Lane& lane : lanes_)
         total += lane.delivered;
     return total;
@@ -566,7 +451,7 @@ Fabric::totalDelivered() const
 std::uint64_t
 Fabric::totalDropped() const
 {
-    std::uint64_t total = totalDropped_;
+    std::uint64_t total = 0;
     for (const Lane& lane : lanes_)
         total += lane.dropped;
     return total;
@@ -575,7 +460,7 @@ Fabric::totalDropped() const
 std::uint64_t
 Fabric::totalInjected() const
 {
-    std::uint64_t total = totalInjected_;
+    std::uint64_t total = 0;
     for (const Lane& lane : lanes_)
         total += lane.injected;
     return total;

@@ -104,37 +104,42 @@ using CaptureTap = std::function<void(const Packet&, bool dropped)>;
 /**
  * The fabric: LID-addressed delivery with latency and serialization.
  *
- * Two execution modes share the routing tables:
+ * A fabric is a list of *lanes*, one per ShardedKernel island (a
+ * standalone fabric over a bare EventQueue has exactly one). Each lane
+ * owns its island's wire-id space, PacketPool, fault hook, link-state
+ * replica, counters and outbound channels, and every LID belongs to one
+ * lane (lane 0 unless assigned). Single-queue mode is simply the
+ * one-lane case.
  *
- *  - Single-queue (default): every delivery is scheduled on the one
- *    EventQueue passed at construction — the historical path, untouched
- *    by island mode and pinned by the repo's traceHash goldens.
- *
- *  - Island mode (enableSharding()): each LID belongs to an island of a
- *    ShardedKernel and the fabric keeps one Lane per island — its own
- *    wire-id space, RNG fork, PacketPool, fault hook and outbound
- *    channels. Same-island packets take the inline path on the island's
- *    queue; cross-island packets become Parcels in per-(src, dst)
- *    CrossChannels keyed by their *effect* time (earliest arrival plus
- *    the per-packet overhead — the first event they can schedule). The
- *    destination island drains every channel up to its window horizon
- *    before running the window, merging parcels in (arrival, wire-id)
- *    order and applying the destination port's ingress serialization
- *    max-chain; the kernel's pairwise channel clocks guarantee every
- *    parcel at or below the horizon is already visible (DESIGN.md
- *    §12.b), so there is no global barrier anywhere on the path. Both
- *    the egress and ingress busy-times of a port are only ever touched
- *    by that port's island. The fabric forwards each connection's route
- *    to the kernel's edge graph (declareRoute(); UD-capable islands
- *    declare dense edges), which is what lets distant islands run
- *    windows without synchronizing. A fault hook shared across lanes
- *    would race at jobs > 1 — use setIslandFaultHook()
- *    (chaos::ChaosEngine::installSharded() does).
+ * A packet whose source and destination share a lane is scheduled
+ * inline on that lane's queue. A cross-lane packet becomes a Parcel in a
+ * per-(src, dst) CrossChannel keyed by its *effect* time (earliest
+ * arrival plus the per-packet overhead — the first event it can
+ * schedule). The destination island drains every channel up to its
+ * window horizon before running the window, merging parcels in
+ * (arrival, wire-id) order and applying the destination port's ingress
+ * serialization max-chain; the kernel's pairwise channel clocks
+ * guarantee every parcel at or below the horizon is already visible
+ * (DESIGN.md §12.b), so there is no global barrier anywhere on the path.
+ * Both the egress and ingress busy-times of a port are only ever touched
+ * by that port's island. The fabric forwards each connection's route to
+ * the kernel's edge graph (declareRoute(); UD-capable islands declare
+ * dense edges), which is what lets distant islands run windows without
+ * synchronizing. A fault hook shared across lanes would race at
+ * jobs > 1 — use setIslandFaultHook() (chaos::ChaosEngine::install()
+ * does).
  */
 class Fabric : public ShardedKernel::BarrierAgent
 {
   public:
+    /** A one-lane fabric over @p events (no kernel). */
     explicit Fabric(EventQueue& events, LinkConfig config = {});
+
+    /**
+     * A fabric over @p kernel with one lane per existing island (at
+     * least one); registers the fabric as a BarrierAgent.
+     */
+    explicit Fabric(ShardedKernel& kernel, LinkConfig config = {});
 
     /** Register @p handler under @p lid. LIDs must be unique. */
     void attach(std::uint16_t lid, PortHandler& handler);
@@ -146,17 +151,19 @@ class Fabric : public ShardedKernel::BarrierAgent
      * Send a packet. Ownership of the contents transfers; the fabric stamps
      * wireId/sentAt. Returns the wire id (a dropped packet, or one
      * addressed to an unknown LID, still gets a wire id for capture
-     * purposes; 0 is never used).
+     * purposes; 0 is never used). Wire ids are `(lane << 44) | n` with a
+     * per-lane counter n starting at 1.
      */
     std::uint64_t send(Packet pkt);
 
     /**
-     * Install the fault-injection hook (non-owning; nullptr uninstalls).
-     * Consulted for every packet that passes the port/link gate; packet
-     * loss of any kind is a chaos::FaultInjector stage (DropStage,
-     * MatchOnceDropStage, ...).
+     * Install the fault-injection hook on every lane (non-owning;
+     * nullptr uninstalls). Consulted for every packet that passes the
+     * port/link gate; packet loss of any kind is a chaos::FaultInjector
+     * stage (DropStage, MatchOnceDropStage, ...). One hook shared by
+     * several lanes is only safe at jobs = 1.
      */
-    void setFaultHook(FaultHook* hook) { hook_ = hook; }
+    void setFaultHook(FaultHook* hook);
 
     /** Add a capture tap observing all traffic. */
     void addTap(CaptureTap tap);
@@ -169,11 +176,11 @@ class Fabric : public ShardedKernel::BarrierAgent
      * (Packet::rerouted), in which case it passes and is charged one
      * extra hop of latency for the detour. Packets already past egress
      * when a link cuts still arrive — cutting a link does not vaporize
-     * in-flight photons. In island mode every island keeps its own
-     * replica of link state (setLaneLinkState()), toggled by its own
-     * scheduled events, so egress decisions never read foreign-island
-     * state. Port `Down` state additionally gates ingress at the
-     * destination port (island-owned there too).
+     * in-flight photons. Every lane keeps its own replica of link state
+     * (setLaneLinkState()), toggled by its own scheduled events, so
+     * egress decisions never read foreign-island state. Port `Down`
+     * state additionally gates ingress at the destination port (checked
+     * at send time within a lane, on the owning island across lanes).
      */
 
     /** Administrative port state (setup/test API; `Down` gates traffic). */
@@ -188,10 +195,7 @@ class Fabric : public ShardedKernel::BarrierAgent
     /** Deliver an async event to the handler attached at @p lid. */
     void raisePortEvent(std::uint16_t lid, const PortEvent& ev);
 
-    /** Single-queue mode: toggle the {a, b} link. */
-    void setLinkState(std::uint16_t a, std::uint16_t b, bool up);
-
-    /** Island mode: toggle @p island's replica of the {a, b} link. */
+    /** Toggle @p island's replica of the {a, b} link. */
     void setLaneLinkState(std::size_t island, std::uint16_t a,
                           std::uint16_t b, bool up);
 
@@ -221,7 +225,7 @@ class Fabric : public ShardedKernel::BarrierAgent
     /** Total packets actually delivered. */
     std::uint64_t totalDelivered() const;
 
-    /** Total packets dropped (loss model, fault hook or unknown LID). */
+    /** Total packets dropped (fault hook, port/link gate or unknown LID). */
     std::uint64_t totalDropped() const;
 
     /** Extra packets materialized by the fault hook (dups, forged NAKs). */
@@ -229,69 +233,58 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     const LinkConfig& config() const { return config_; }
 
-    EventQueue& events() { return events_; }
+    /** Lane 0's in-flight packet pool (capacity planning / tests). */
+    const PacketPool& packetPool() const { return lanes_.front().pool; }
 
-    /** In-flight packet pool usage (capacity planning / tests). */
-    const PacketPool& packetPool() const { return pool_; }
+    /** @{ Lanes and islands (see the class comment). */
 
-    /** @{ Island mode (see the class comment). */
+    /** The kernel driving the lanes (nullptr for a standalone fabric). */
+    ShardedKernel* kernel() { return kernel_; }
 
-    /**
-     * Switch into island mode over @p kernel. Call before any lane or
-     * LID exists; registers the fabric as a BarrierAgent.
-     */
-    void enableSharding(ShardedKernel& kernel);
-
-    bool sharded() const { return kernel_ != nullptr; }
-
-    ShardedKernel* shardedKernel() { return kernel_; }
-
-    /**
-     * Create the lane mirroring the kernel island of the same index.
-     * Returns the lane index, which must equal the kernel's island index.
-     */
+    /** Add a kernel island and its lane. Returns the island index. */
     std::size_t addIslandLane();
 
     /** Assign @p lid to @p island (setup time, before traffic). */
     void assignLid(std::uint16_t lid, std::size_t island);
 
-    /** Island owning @p lid; 0 when unsharded or unassigned. */
+    /** Island owning @p lid; 0 when unassigned. */
     std::size_t islandOf(std::uint16_t lid) const;
 
-    /** Islands in the fabric (1 when unsharded). */
-    std::size_t
-    islandCount() const
-    {
-        return sharded() ? lanes_.size() : 1;
-    }
+    /** Lanes in the fabric (== the kernel's island count). */
+    std::size_t islandCount() const { return lanes_.size(); }
 
     /**
      * The island executing the current send — valid inside capture taps
-     * and receive handlers; 0 when unsharded. Forged packets carry fake
-     * source LIDs, so taps must key per-island state on this, not on
+     * and receive handlers. Forged packets carry fake source LIDs, so
+     * taps must key per-island state on this, not on
      * islandOf(pkt.srcLid).
      */
     std::size_t egressIsland() const;
 
-    /** Island @p island's queue (the single queue when unsharded). */
-    EventQueue& islandEvents(std::size_t island);
+    /** Island @p island's queue. */
+    EventQueue&
+    islandEvents(std::size_t island)
+    {
+        return *lanes_[island].events;
+    }
 
-    /** Per-island fault hook (island mode; nullptr uninstalls). */
+    /** Per-island fault hook (nullptr uninstalls). */
     void setIslandFaultHook(std::size_t island, FaultHook* hook);
 
     /**
      * Declare to the kernel's edge graph that traffic flows between the
      * islands of the two LIDs, both directions (requests one way, ACKs
      * back). An unassigned destination LID (a timeout experiment's
-     * vanishing peer) declares nothing — its packets drop at egress. A
-     * no-op when unsharded. rnic::Rnic calls this on every connect.
+     * vanishing peer) declares nothing — its packets drop at egress.
+     * Same-island routes need no edge. rnic::Rnic calls this on every
+     * connect.
      */
     void declareRoute(std::uint16_t src_lid, std::uint16_t dst_lid);
 
     /**
      * Declare dense edges for @p island — the sound fallback for
      * islands whose destinations are not known at setup (a UD QP names
-     * its destination per work request).
+     * its destination per work request). A no-op with one lane.
      */
     void declareDenseIsland(std::size_t island);
 
@@ -310,17 +303,11 @@ class Fabric : public ShardedKernel::BarrierAgent
 
   private:
     /**
-     * Stamp a wire id / sent time on an injected or duplicated delivery
-     * and schedule it; shared by send() for every pipeline output.
-     */
-    void deliver(Packet pkt, Time extra_delay);
-
-    /**
      * Per-LID state of the datapath, one cache line per hop: the
      * attached handler plus the egress/ingress link-busy times that used
      * to live in two extra std::maps. LIDs are small, fabric-assigned
      * integers, so the table is a dense vector indexed by LID — the
-     * per-packet lookups in send()/deliver() are two array indexings
+     * per-packet lookups in send()/transmit() are a few array indexings
      * instead of three red-black-tree walks. Detaching a port clears
      * only the handler; the link-busy times survive re-attachment,
      * exactly like the old always-growing std::map entries did.
@@ -340,7 +327,7 @@ class Fabric : public ShardedKernel::BarrierAgent
     PortRecord& port(std::uint16_t lid);
 
     /**
-     * @{ Island-mode datapath. A Parcel is a packet in a cross-island
+     * @{ The lane datapath. A Parcel is a packet in a cross-island
      * channel: arrive0 is its earliest ingress arrival (egress
      * serialization, latency and chaos delay already applied by the
      * source island); the destination island applies its ingress
@@ -365,6 +352,12 @@ class Fabric : public ShardedKernel::BarrierAgent
         explicit Lane(EventQueue* ev) : events(ev) {}
 
         EventQueue* events;
+        /**
+         * In-flight packets parked between send() and delivery. Delivery
+         * callbacks capture only the slot index, so they stay within the
+         * event kernel's inline-callback capacity (no allocation per hop)
+         * and payload buffers are recycled across packets.
+         */
         PacketPool pool;
         FaultHook* hook = nullptr;
         std::uint64_t nextWireId = 1;
@@ -375,16 +368,23 @@ class Fabric : public ShardedKernel::BarrierAgent
         std::uint64_t portEventDrops = 0;
         /** Island-local replica of down links (keys from linkKey()). */
         std::vector<std::uint32_t> downLinks;
-        /** Outbound channels, one per destination island (a deque:
-         * CrossChannel holds a mutex and must never move). */
-        std::deque<CrossChannel<Parcel>> out;
+        /** Outbound channels, one per destination island (rebuilt, never
+         * grown: CrossChannel holds a mutex and must never move). */
+        std::vector<CrossChannel<Parcel>> out;
         std::vector<Parcel> inbox;  ///< drain merge scratch
     };
 
-    std::uint64_t sendSharded(Packet pkt);
-    void deliverSharded(std::size_t lane_index, Packet pkt,
-                        Time extra_delay);
-    void finalizeIngress(std::size_t dst_island, Packet pkt, Time arrive0,
+    /** Next wire id of lane @p lane_index. */
+    std::uint64_t
+    nextWireId(std::size_t lane_index)
+    {
+        return (static_cast<std::uint64_t>(lane_index) << 44) |
+               lanes_[lane_index].nextWireId++;
+    }
+
+    /** Schedule one pipeline output of send() (taps, gate, serialize). */
+    void transmit(std::size_t lane_index, Packet pkt, Time extra_delay);
+    void finalizeIngress(std::size_t dst_island, Packet&& pkt, Time arrive0,
                          Time serialization);
     /** @} */
 
@@ -396,9 +396,6 @@ class Fabric : public ShardedKernel::BarrierAgent
         return (static_cast<std::uint32_t>(lo) << 16) | hi;
     }
 
-    static void setLinkDown(std::vector<std::uint32_t>& set,
-                            std::uint32_t key, bool down);
-
     /**
      * Egress gate: src-port-Down and link-down checks, applied to
      * genuine endpoint packets before the fault pipeline. Returns false
@@ -407,32 +404,13 @@ class Fabric : public ShardedKernel::BarrierAgent
     bool egressAdmits(const std::vector<std::uint32_t>& down_links,
                       const Packet& pkt, Time* detour) const;
 
-    EventQueue& events_;
     LinkConfig config_;
     std::vector<PortRecord> ports_;
-    FaultHook* hook_ = nullptr;
-    /**
-     * In-flight packets parked between send() and delivery. Delivery
-     * callbacks capture only the slot index, so they stay within the
-     * event kernel's inline-callback capacity (no allocation per hop) and
-     * payload buffers are recycled across packets.
-     */
-    PacketPool pool_;
     std::vector<CaptureTap> taps_;
-    std::uint64_t nextWireId_ = 1;
-    std::uint64_t totalSent_ = 0;
-    std::uint64_t totalDelivered_ = 0;
-    std::uint64_t totalDropped_ = 0;
-    std::uint64_t totalInjected_ = 0;
-    std::uint64_t portEventDrops_ = 0;
-    /** Single-queue down-link set (island mode uses Lane::downLinks). */
-    std::vector<std::uint32_t> downLinks_;
-
-    /** @{ Island mode. lanes_ is a deque: stable Lane addresses. */
     ShardedKernel* kernel_ = nullptr;
+    /** Never empty; a deque keeps Lane addresses stable. */
     std::deque<Lane> lanes_;
     std::vector<std::size_t> islandOfLid_;
-    /** @} */
 };
 
 } // namespace net

@@ -167,6 +167,9 @@ class OdpDriver
     }
 
     const DriverStats& stats() const { return stats_; }
+
+    /** The queue this driver schedules its fault/invalidation work on. */
+    EventQueue& events() { return events_; }
     const FaultTiming& timing() const { return timing_; }
 
   private:

@@ -199,10 +199,8 @@ ShardedKernel::startWorkers()
     jobs_ = static_cast<unsigned>(std::min<std::size_t>(
         jobs_, std::max<std::size_t>(1, islands_.size())));
     rebuildNeighbors();
-    for (unsigned w = 0; w < jobs_; ++w) {
-        workers_.emplace_back();
-        ready_.emplace_back();
-    }
+    workers_ = std::vector<Worker>(jobs_);
+    ready_ = std::vector<ReadyShard>(jobs_);
     for (unsigned w = 1; w < jobs_; ++w)
         workers_[w].thread = std::thread([this, w] { workerLoop(w); });
 }
@@ -802,15 +800,25 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
     }
 }
 
+EventQueue*
+ShardedKernel::soleQueue() const
+{
+    return islands_.size() == 1 ? islands_.front().queue.get() : nullptr;
+}
+
 bool
 ShardedKernel::run(Time limit)
 {
+    if (EventQueue* q = soleQueue())
+        return q->run(limit);
     return runCore(limit, nullptr, nullptr);
 }
 
 bool
 ShardedKernel::runUntil(const std::function<bool()>& pred, Time limit)
 {
+    if (EventQueue* q = soleQueue())
+        return q->runUntil(pred, limit);
     bool hit = false;
     runCore(limit, &pred, &hit);
     return hit;
@@ -819,6 +827,20 @@ ShardedKernel::runUntil(const std::function<bool()>& pred, Time limit)
 bool
 ShardedKernel::runUntilTriggered(std::uint64_t target, Time limit)
 {
+    if (EventQueue* q = soleQueue()) {
+        // One island: the counters are polled after every event, so the
+        // run stops at exactly the event that crosses the target.
+        const bool hit = q->runUntil(
+            [this, target] {
+                std::uint64_t sum = 0;
+                for (const Trigger& t : triggers_)
+                    sum += t.count();
+                return sum >= target;
+            },
+            limit);
+        triggerExits_ += hit ? 1 : 0;
+        return hit;
+    }
     startWorkers();
     // Quiesced: seed every counter's absolute value so work retired
     // before this call counts toward the target, exactly like the
@@ -841,6 +863,10 @@ ShardedKernel::runUntilTriggered(std::uint64_t target, Time limit)
 void
 ShardedKernel::advance(Time delta)
 {
+    if (EventQueue* q = soleQueue()) {
+        q->advance(delta);
+        return;
+    }
     const Time target = now_ + delta;
     runCore(target, nullptr, nullptr);
     syncClocks(target);

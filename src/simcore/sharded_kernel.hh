@@ -59,12 +59,18 @@
  * purely from simulation-visible state, so long drains quiesce
  * logarithmically rather than linearly often.
  *
+ * A kernel with exactly one island skips all of the above: run(),
+ * runUntil(), runUntilTriggered() and advance() call that island's
+ * EventQueue directly (predicates and triggers are polled after every
+ * event, and no worker, ready shard or round ever exists). This is how
+ * the cluster's single-queue mode runs — one kernel, two partitions.
+ *
  * What the kernel deliberately does not do: share any RNG, wire-id
- * counter or packet pool between islands (the fabric forks all three per
- * island), or interleave same-timestamp events across islands the way a
- * single global queue would. Island mode is therefore its own
- * deterministic mode, not a bit-replay of the single-queue mode — the
- * single-queue path is untouched and keeps its own goldens.
+ * counter or packet pool between islands (the cluster forks node RNGs,
+ * the fabric wire ids and pools, per island), or interleave same-timestamp events across islands the way a
+ * single global queue would. The one-island partition and the
+ * island-per-node partition are therefore distinct deterministic
+ * schedules with their own goldens.
  */
 
 #ifndef IBSIM_SIMCORE_SHARDED_KERNEL_HH
@@ -148,13 +154,20 @@ class ShardedKernel
     EventQueue& island(std::size_t i) { return *islands_[i].queue; }
     std::size_t islandCount() const { return islands_.size(); }
 
-    /** Effective worker count (clamped once running). */
-    unsigned jobs() const { return jobs_; }
+    /** Effective worker count (clamped to the island count once
+     * running; always 1 with one island). */
+    unsigned jobs() const { return islands_.size() == 1 ? 1u : jobs_; }
 
     Time lookahead() const { return lookahead_; }
 
-    /** Round-synchronized virtual time. */
-    Time now() const { return now_; }
+    /** Round-synchronized virtual time (the sole island's clock when
+     * there is one island). */
+    Time
+    now() const
+    {
+        const EventQueue* q = soleQueue();
+        return q != nullptr ? q->now() : now_;
+    }
 
     /** @{ The cross-island edge graph driving the channel clocks.
      *
@@ -232,7 +245,8 @@ class ShardedKernel
     std::size_t triggerCount() const { return triggers_.size(); }
 
     /**
-     * Run until the registered trigger counters sum to >= @p target.
+     * Run until the registered trigger counters sum to >= @p target
+     * (with one island: stop at exactly the crossing event).
      * @return true if the target was reached (false = limit cut).
      */
     bool runUntilTriggered(std::uint64_t target, Time limit = Time::max());
@@ -253,7 +267,8 @@ class ShardedKernel
     /**
      * Run until @p pred holds, checking at every round boundary (the
      * kernel quiesces once per windowsPerRound() grid windows; the
-     * predicate may read any cross-island state there).
+     * predicate may read any cross-island state there) — after every
+     * event with one island.
      * @return true if the predicate was satisfied.
      */
     bool runUntil(const std::function<bool()>& pred,
@@ -312,8 +327,14 @@ class ShardedKernel
     static constexpr std::uint8_t kSchedDone = 3;     ///< round finished
     /** @} */
 
-    /** Per-island execution state. done is the published channel clock. */
-    struct alignas(64) Island
+    /**
+     * Per-island execution state. done is the published channel clock.
+     * Islands sit side by side in islands_; the trailing pad keeps one
+     * island's hot fields off its neighbour's cache lines. (Padding, not
+     * alignas: every single-queue cluster builds a one-island kernel,
+     * and repeated over-aligned allocations fragment the heap.)
+     */
+    struct Island
     {
         std::unique_ptr<EventQueue> queue;
         std::atomic<std::int64_t> done{0};
@@ -330,6 +351,7 @@ class ShardedKernel
         std::uint64_t windows = 0;       ///< windows executed (under claim)
         std::uint64_t parcels = 0;       ///< items flushed (under claim)
         std::uint64_t maxLagNs = 0;      ///< worst blocked lag (under claim)
+        char pad[64];
     };
 
     /** A monotone island-local progress counter (addTrigger()). */
@@ -356,6 +378,9 @@ class ShardedKernel
         std::uint64_t busyNs = 0;
         std::uint64_t totalNs = 0;
     };
+
+    /** The island's queue when there is exactly one island, else null. */
+    EventQueue* soleQueue() const;
 
     /**
      * The round loop shared by run()/runUntil()/advance().
@@ -478,8 +503,9 @@ class ShardedKernel
     std::uint64_t seqWindowsRound_ = 0;  ///< jobs = 1 drain-probe gate
     /** @} */
 
-    /** Ready-queue shards (one per worker; jobs > 1). */
-    std::deque<ReadyShard> ready_;
+    /** Ready-queue shards (one per worker, sized when the workers
+     * start; never with one island). */
+    std::vector<ReadyShard> ready_;
 
     /**
      * @{ Worker pool protocol. The coordinator resets the per-island
@@ -490,7 +516,7 @@ class ShardedKernel
      * then park. Claims give the cross-worker happens-before when an
      * island migrates between workers.
      */
-    std::deque<Worker> workers_;
+    std::vector<Worker> workers_;  ///< sized when the workers start
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<unsigned> outstanding_{0};
     std::atomic<std::size_t> doneCount_{0};

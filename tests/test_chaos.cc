@@ -326,6 +326,40 @@ TEST(ChaosFaults, InvalidationStormIsSurvived)
     EXPECT_TRUE(w.monitor.clean()) << w.monitor.report();
 }
 
+TEST(ChaosFaults, InvalidationStormRunsOnTheEngineIsland)
+{
+    // In island mode cluster.events() is island 0's queue: a storm on a
+    // node-0 driver fires every burst there, and a storm on another
+    // island's driver is refused — the engine's RNG and stats are not
+    // island-owned, so it would race at jobs > 1.
+    ClusterOptions options;
+    options.sharded = true;
+    options.jobs = 2;
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 3,
+                    net::LinkConfig{}, options);
+    chaos::ChaosEngine engine(cluster.events(), chaos::ChaosConfig{});
+    constexpr std::uint64_t bytes = 64 * 1024;
+    std::vector<verbs::MemoryRegion*> mrs;
+    std::vector<std::uint64_t> bufs;
+    for (std::size_t i = 0; i < 2; ++i) {
+        Node& node = cluster.node(i);
+        bufs.push_back(node.alloc(bytes));
+        node.touch(bufs.back(), bytes);
+        mrs.push_back(&node.registerMemory(bufs.back(), bytes,
+                                           verbs::AccessFlags::odp()));
+    }
+
+    engine.startInvalidationStorm(cluster.node(0).driver(), mrs[0]->table(),
+                                  bufs[0], bytes, Time::us(100),
+                                  /*pages_per_burst=*/2, /*bursts=*/8);
+    EXPECT_THROW(engine.startInvalidationStorm(
+                     cluster.node(1).driver(), mrs[1]->table(), bufs[1],
+                     bytes, Time::us(100), 2, 8),
+                 std::logic_error);
+    EXPECT_TRUE(cluster.drain());
+    EXPECT_EQ(engine.stats().stormBursts, 8u);
+}
+
 // ---------------------------------------------------------------------
 // Oracle sensitivity: a clean verdict is only meaningful if broken
 // behaviour is actually flagged.
@@ -1006,6 +1040,7 @@ struct MeshSoakResult
     std::uint64_t hash = 0;
     std::uint64_t violations = 0;
     std::uint64_t flaps = 0;
+    std::uint64_t wireDropped = 0;  ///< summed over the lane pipelines
     std::uint64_t counter = 0;
     bool drained = false;
     std::string report;
@@ -1044,10 +1079,7 @@ runMeshSoak(std::uint64_t seed, unsigned jobs = 0)
     topo.setDefaultPlan({Time::us(500), Time::us(120)});
     topo.setLinkPlan(1, 3, {Time::us(300), Time::us(180)});
     engine.attachTopology(topo);
-    if (cluster.sharded())
-        engine.installSharded(cluster.fabric());
-    else
-        engine.install(cluster.fabric());
+    engine.install(cluster.fabric());
 
     chaos::InvariantMonitor monitor(cluster.fabric());
 
@@ -1139,8 +1171,8 @@ runMeshSoak(std::uint64_t seed, unsigned jobs = 0)
 
     out.hash = monitor.traceHash();
     out.violations = monitor.violationCount();
-    out.flaps = cluster.sharded() ? engine.shardedFlaps()
-                                  : topo.totalFlaps();
+    out.flaps = engine.flaps();
+    out.wireDropped = engine.stats().wire.dropped;
     out.counter = read64(n1, counter);
     out.report = monitor.report();
     return out;
@@ -1177,6 +1209,7 @@ TEST(ChaosTopology, MeshSoakShardedIsJobInvariant)
     EXPECT_TRUE(seq.drained);
     EXPECT_EQ(seq.violations, 0u) << seq.report;
     EXPECT_GT(seq.flaps, 0u);
+    EXPECT_GT(seq.wireDropped, 0u);
     // Atomic semantics are schedule-independent: exactly-once FetchAdds.
     EXPECT_EQ(seq.counter, 500u + 8 * 2);
 
@@ -1187,6 +1220,7 @@ TEST(ChaosTopology, MeshSoakShardedIsJobInvariant)
         EXPECT_EQ(par.violations, seq.violations)
             << "jobs=" << jobs << "\n" << par.report;
         EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs;
+        EXPECT_EQ(par.wireDropped, seq.wireDropped) << "jobs=" << jobs;
         EXPECT_EQ(par.counter, seq.counter) << "jobs=" << jobs;
     }
 
@@ -1212,7 +1246,7 @@ void
 flipLink(Cluster& cluster, std::uint16_t a, std::uint16_t b, bool up,
          bool redundant = false)
 {
-    cluster.fabric().setLinkState(a, b, up);
+    cluster.fabric().setLaneLinkState(0, a, b, up);
     net::PortEvent ev;
     ev.type = up ? net::PortEvent::Type::PathUp
                  : net::PortEvent::Type::PathDown;
@@ -1596,7 +1630,7 @@ runCombinedStormSoak(std::uint64_t seed, unsigned jobs)
                          {Time::us(800), Time::us(150)});
     topo.setLinkPlan(1, 2, {Time::ms(2), Time::ms(4)});
     engine.attachPortEvents(topo);
-    engine.installSharded(cluster.fabric());
+    engine.install(cluster.fabric());
 
     chaos::InvariantMonitor monitor(cluster.fabric());
 
@@ -1726,8 +1760,8 @@ TEST(ChaosPortEvents, CombinedStormSoakIsCleanAndGolden)
 
 TEST(ChaosPortEvents, CombinedStormSoakIsJobInvariant)
 {
-    // The jobs 1/2/4/8 differential the ISSUE names: installSharded
-    // forks the port-event chains per island, so a fixed seed must give
+    // The jobs 1/2/4/8 differential: install() runs the port-event
+    // chains per island, so a fixed seed must give
     // bit-identical port events — and therefore traces, verdicts and
     // recovery stats — at any worker count.
     const StormSoakResult seq = runCombinedStormSoak(4046, 1);

@@ -286,8 +286,8 @@ TEST(ShardedKernel, TracesAreBitIdenticalAcrossWorkerCounts)
 
 TEST(ShardedKernel, SingleIslandTopologyDegeneratesToSequential)
 {
-    // One island: the channel clocks are a no-op (no in-neighbors, safe
-    // horizon = infinity) and any jobs count clamps to one worker.
+    // One island: the kernel runs the island's queue directly and any
+    // jobs count clamps to one worker.
     ShardedKernel kernel(Time::us(1), 4);
     kernel.addIsland();
     std::vector<std::int64_t> fired;
@@ -301,6 +301,42 @@ TEST(ShardedKernel, SingleIslandTopologyDegeneratesToSequential)
     EXPECT_EQ(fired,
               (std::vector<std::int64_t>{0, 1, 999, 1000, 7777, 50000}));
     EXPECT_EQ(kernel.kernelStats().channelParcels, 0u);
+}
+
+TEST(ShardedKernel, SingleIslandRunsItsQueueDirectly)
+{
+    // One island has no rounds: runUntil and runUntilTriggered stop at
+    // exactly the satisfying event, not at a round boundary (rounds are
+    // 16 us here, every event sits inside the first one).
+    ShardedKernel kernel(Time::us(1), 4);
+    kernel.addIsland();
+    int count = 0;
+    for (int i = 1; i <= 10; ++i)
+        kernel.island(0).schedule(Time::ns(100 * i), [&count] { ++count; });
+
+    EXPECT_TRUE(kernel.runUntil([&count] { return count == 5; }));
+    EXPECT_EQ(count, 5);
+    EXPECT_EQ(kernel.now(), Time::ns(500));
+
+    // run(limit) executes events at exactly the limit.
+    EXPECT_FALSE(kernel.run(Time::ns(700)));
+    EXPECT_EQ(count, 7);
+    EXPECT_EQ(kernel.now(), Time::ns(700));
+
+    // advance() leaves the clock at its target, between events.
+    kernel.advance(Time::ns(150));
+    EXPECT_EQ(count, 8);
+    EXPECT_EQ(kernel.now(), Time::ns(850));
+
+    kernel.addTrigger(0, [&count] { return std::uint64_t(count); });
+    EXPECT_TRUE(kernel.runUntilTriggered(9));
+    EXPECT_EQ(count, 9);
+    EXPECT_EQ(kernel.now(), Time::ns(900));
+
+    EXPECT_EQ(kernel.jobs(), 1u);
+    const ShardedKernel::KernelStats ks = kernel.kernelStats();
+    EXPECT_EQ(ks.barriers, 0u);
+    EXPECT_TRUE(ks.workerBusyFraction.empty());
 }
 
 TEST(ShardedKernel, ZeroDelaySelfLinksNeedNoLookahead)

@@ -416,6 +416,18 @@ TEST(CliInput, SuiteRejectsNonNumericJobs)
                    "--jobs: invalid value 'banana'");
 }
 
+TEST(CliInput, SuiteRejectsMalformedJobsEnv)
+{
+    // Used to fall back to the hardware thread count ("banana", "-3")
+    // or truncate ("4x" ran 4 jobs).
+    for (const char* value : {"banana", "4x", "-3", "0"}) {
+        expectRejected(std::string("IBSIM_JSON=/dev/null IBSIM_JOBS=") +
+                           value + " " IBSIM_CLI_PATH " fig4 --quick",
+                       std::string("IBSIM_JOBS: invalid value '") + value +
+                           "'");
+    }
+}
+
 TEST(CliInput, ExploreFlagsNeedTheSubcommand)
 {
     expectRejected(IBSIM_CLI_PATH " --ops 2", "unknown option: --ops");

@@ -4,6 +4,8 @@
  * capture taps and counters.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "chaos/fault_injector.hh"
@@ -223,8 +225,65 @@ TEST(FabricTest, WireIdsAreMonotonic)
     fabric.attach(2, sink);
     const auto id1 = fabric.send(makePacket(2));
     const auto id2 = fabric.send(makePacket(2));
+    EXPECT_EQ(id1, 1u);  // lane 0: the id space starts at 1
     EXPECT_LT(id1, id2);
     events.run();
     EXPECT_EQ(sink.received[0].wireId, id1);
     EXPECT_EQ(sink.received[1].wireId, id2);
+}
+
+TEST(FabricTest, WireIdsStayUniqueAcrossLanes)
+{
+    // Two lanes over a two-island kernel: each lane counts from 1 in its
+    // own id space, (lane << 44) | n, so ids never collide.
+    ShardedKernel kernel(Time::us(0.95), 1);
+    kernel.addIsland();
+    Fabric fabric(kernel);
+    EXPECT_EQ(fabric.addIslandLane(), 1u);
+    Sink sink1, sink2;
+    fabric.assignLid(1, 0);
+    fabric.assignLid(2, 1);
+    fabric.attach(1, sink1);
+    fabric.attach(2, sink2);
+    fabric.declareRoute(1, 2);
+
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 3; ++i) {
+        Packet to2 = makePacket(2);
+        to2.srcLid = 1;
+        ids.push_back(fabric.send(to2));
+        Packet to1 = makePacket(1);
+        to1.srcLid = 2;
+        ids.push_back(fabric.send(to1));
+    }
+    EXPECT_EQ(ids[0], 1u);
+    EXPECT_EQ(ids[1], (std::uint64_t(1) << 44) | 1u);
+    std::vector<std::uint64_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+
+    EXPECT_TRUE(kernel.run());
+    EXPECT_EQ(sink1.received.size(), 3u);
+    EXPECT_EQ(sink2.received.size(), 3u);
+    EXPECT_EQ(fabric.totalDelivered(), 6u);
+}
+
+TEST(FabricTest, SameIslandPacketToDownPortIsTappedAsDropped)
+{
+    EventQueue events;
+    Fabric fabric(events);
+    Sink sink;
+    fabric.attach(2, sink);
+    fabric.setPortState(2, PortState::Down);
+    std::vector<bool> tapped;
+    fabric.addTap([&](const Packet&, bool dropped) {
+        tapped.push_back(dropped);
+    });
+
+    fabric.send(makePacket(2));
+    events.run();
+    EXPECT_EQ(tapped, std::vector<bool>{true});
+    EXPECT_TRUE(sink.received.empty());
+    EXPECT_EQ(fabric.totalDropped(), 1u);
+    EXPECT_EQ(fabric.totalPortEventDrops(), 1u);
 }
