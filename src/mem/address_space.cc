@@ -1,35 +1,70 @@
 #include "mem/address_space.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace ibsim {
 namespace mem {
 
+namespace {
+
+/** Smallest page buffer; buffers double from here up to pageSize. */
+constexpr std::uint64_t minBufferBytes = 256;
+
+} // namespace
+
 std::uint64_t
 AddressSpace::alloc(std::uint64_t size)
 {
-    assert(size > 0);
+    if (size == 0)
+        throw std::invalid_argument("AddressSpace::alloc: size must be > 0");
+    // Rounding up to whole pages must not wrap past 2^64.
+    const std::uint64_t room =
+        std::numeric_limits<std::uint64_t>::max() - nextFree_;
+    if (size > room - (pageSize - 1)) {
+        throw std::invalid_argument(
+            "AddressSpace::alloc: size " + std::to_string(size) +
+            " overflows the address space");
+    }
     const std::uint64_t base = nextFree_;
-    const std::uint64_t pages = (size + pageSize - 1) / pageSize;
-    nextFree_ += pages * pageSize;
+    nextFree_ += (size + pageSize - 1) / pageSize * pageSize;
     return base;
+}
+
+AddressSpace::Chunk::~Chunk()
+{
+    for (std::uint64_t w = 0; w < chunkPages / 64; ++w) {
+        for (std::uint64_t bits = presentBits[w]; bits != 0; bits &= bits - 1)
+            delete[] frames[w * 64 + std::countr_zero(bits)].bytes;
+    }
+}
+
+const AddressSpace::Chunk*
+AddressSpace::findChunk(std::uint64_t page_idx) const
+{
+    const auto it = chunks_.find(page_idx / chunkPages);
+    return it == chunks_.end() ? nullptr : it->second.get();
+}
+
+AddressSpace::Chunk&
+AddressSpace::chunk(std::uint64_t page_idx)
+{
+    std::unique_ptr<Chunk>& c = chunks_[page_idx / chunkPages];
+    if (!c)
+        c = std::make_unique<Chunk>();
+    return *c;
 }
 
 bool
 AddressSpace::present(std::uint64_t vaddr) const
 {
-    return pages_.find(pageOf(vaddr)) != pages_.end();
-}
-
-AddressSpace::Page&
-AddressSpace::ensurePage(std::uint64_t page_idx)
-{
-    auto [it, inserted] = pages_.try_emplace(page_idx);
-    if (inserted)
-        it->second.fill(0);
-    return it->second;
+    const Chunk* c = findChunk(pageOf(vaddr));
+    return c != nullptr && c->present(pageOf(vaddr) % chunkPages);
 }
 
 void
@@ -39,22 +74,36 @@ AddressSpace::touch(std::uint64_t vaddr, std::uint64_t len)
     const std::uint64_t first = pageOf(vaddr);
     const std::uint64_t last = pageOf(vaddr + len - 1);
     for (std::uint64_t p = first; p <= last; ++p)
-        ensurePage(p);
+        populatePage(p * pageSize);
 }
 
 bool
 AddressSpace::populatePage(std::uint64_t vaddr)
 {
-    const std::uint64_t idx = pageOf(vaddr);
-    const bool fresh = pages_.find(idx) == pages_.end();
-    ensurePage(idx);
-    return fresh;
+    const std::uint64_t p = pageOf(vaddr);
+    if (!chunk(p).populate(p % chunkPages))
+        return false;
+    ++presentPages_;
+    return true;
 }
 
 void
 AddressSpace::releasePage(std::uint64_t vaddr)
 {
-    pages_.erase(pageOf(vaddr));
+    const std::uint64_t p = pageOf(vaddr);
+    const auto it = chunks_.find(p / chunkPages);
+    if (it == chunks_.end())
+        return;
+    Chunk& c = *it->second;
+    const std::uint64_t i = p % chunkPages;
+    if (!c.present(i))
+        return;
+    c.presentBits[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    Frame& f = c.frames[i];
+    storedBytes_ -= f.size;
+    delete[] f.bytes;
+    f = Frame{};
+    --presentPages_;
 }
 
 void
@@ -64,12 +113,32 @@ AddressSpace::write(std::uint64_t vaddr,
     std::uint64_t off = 0;
     while (off < data.size()) {
         const std::uint64_t va = vaddr + off;
-        Page& page = ensurePage(pageOf(va));
+        Chunk& c = chunk(pageOf(va));
+        const std::uint64_t i = pageOf(va) % chunkPages;
+        if (c.populate(i))
+            ++presentPages_;
+        Frame& f = c.frames[i];
         const std::uint64_t in_page = va % pageSize;
-        const std::uint64_t chunk =
+        const std::uint64_t n =
             std::min<std::uint64_t>(pageSize - in_page, data.size() - off);
-        std::memcpy(page.data() + in_page, data.data() + off, chunk);
-        off += chunk;
+        const std::uint64_t end = in_page + n;
+        if (end > f.size) {
+            // Grow to the next power of two covering the write; the new
+            // tail stays zero, as unwritten bytes of a present page read.
+            std::uint64_t size = std::max<std::uint64_t>(f.size,
+                                                         minBufferBytes);
+            while (size < end)
+                size *= 2;
+            auto* bytes = new std::uint8_t[size]();
+            if (f.size > 0)
+                std::memcpy(bytes, f.bytes, f.size);
+            delete[] f.bytes;
+            storedBytes_ += size - f.size;
+            f.bytes = bytes;
+            f.size = static_cast<std::uint16_t>(size);
+        }
+        std::memcpy(f.bytes + in_page, data.data() + off, n);
+        off += n;
     }
 }
 
@@ -81,13 +150,16 @@ AddressSpace::read(std::uint64_t vaddr, std::uint64_t len) const
     while (off < len) {
         const std::uint64_t va = vaddr + off;
         const std::uint64_t in_page = va % pageSize;
-        const std::uint64_t chunk =
+        const std::uint64_t n =
             std::min<std::uint64_t>(pageSize - in_page, len - off);
-        auto it = pages_.find(pageOf(va));
-        if (it != pages_.end())
-            std::memcpy(out.data() + off, it->second.data() + in_page,
-                        chunk);
-        off += chunk;
+        if (const Chunk* c = findChunk(pageOf(va))) {
+            const Frame& f = c->frames[pageOf(va) % chunkPages];
+            if (in_page < f.size) {
+                std::memcpy(out.data() + off, f.bytes + in_page,
+                            std::min<std::uint64_t>(n, f.size - in_page));
+            }
+        }
+        off += n;
     }
     return out;
 }

@@ -12,9 +12,9 @@
 #define IBSIM_RNIC_QP_CONTEXT_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "rnic/ring.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/time.hh"
 #include "verbs/types.hh"
@@ -163,7 +163,7 @@ struct QpContext
     verbs::CompletionQueue* cq = nullptr;
 
     /** @{ Requester state. */
-    std::deque<SendWqe> outstanding;  ///< sent, not yet completed
+    Ring<SendWqe> outstanding;  ///< sent, not yet completed
     std::uint32_t nextPsn = 0;
     std::uint32_t retryCount = 0;     ///< consecutive transport timeouts
     std::uint32_t rnrCount = 0;       ///< RNR NAKs outstanding against budget
@@ -226,7 +226,7 @@ struct QpContext
 
     /** @{ Responder state. */
     std::uint32_t expectedPsn = 0;
-    std::deque<RecvWqe> recvQueue;
+    Ring<RecvWqe> recvQueue;
     /** @} */
 
     QpStats stats;

@@ -291,10 +291,14 @@ RcRequester::transmit(SendWqe& wqe)
     // A retransmitted READ restarts its response stream from scratch.
     if (retransmission)
         wqe.segmentsReceived = 0;
+    ++wqe.transmissions;
 
-    for (std::uint32_t seg = 0; seg < wqe.segments; ++seg) {
+    // Fabric taps and fault hooks run inside sendPacket and may post to
+    // this QP, growing the ring that holds `wqe`: send from a copy.
+    const SendWqe w = wqe;
+    for (std::uint32_t seg = 0; seg < w.segments; ++seg) {
         net::Packet pkt;
-        switch (wqe.op) {
+        switch (w.op) {
           case verbs::WrOpcode::Read:
             pkt.op = net::Opcode::ReadRequest;
             break;
@@ -307,37 +311,37 @@ RcRequester::transmit(SendWqe& wqe)
           case verbs::WrOpcode::FetchAdd:
           case verbs::WrOpcode::CompSwap:
             pkt.op = net::Opcode::AtomicRequest;
-            pkt.atomicIsCompSwap = wqe.op == verbs::WrOpcode::CompSwap;
-            pkt.atomicOperand = wqe.atomicOperand;
-            pkt.atomicCompare = wqe.atomicCompare;
+            pkt.atomicIsCompSwap = w.op == verbs::WrOpcode::CompSwap;
+            pkt.atomicOperand = w.atomicOperand;
+            pkt.atomicCompare = w.atomicCompare;
             break;
           case verbs::WrOpcode::Recv:
             assert(false && "RECV is not a send-side opcode");
             return;
         }
-        pkt.psn = (wqe.psn + seg) & 0xffffff;
-        pkt.raddr = wqe.raddr;
-        pkt.rkey = wqe.rkey;
-        pkt.length = wqe.length;
+        pkt.psn = (w.psn + seg) & 0xffffff;
+        pkt.raddr = w.raddr;
+        pkt.rkey = w.rkey;
+        pkt.length = w.length;
         pkt.segIndex = seg;
-        pkt.segCount = wqe.segments;
-        pkt.dammed = wqe.dammed;
+        pkt.segCount = w.segments;
+        pkt.dammed = w.dammed;
         pkt.retransmission = retransmission;
 
-        if (wqe.op == verbs::WrOpcode::Send ||
-            wqe.op == verbs::WrOpcode::Write) {
+        if (w.op == verbs::WrOpcode::Send ||
+            w.op == verbs::WrOpcode::Write) {
             // This segment's chunk of the payload.
             const std::uint32_t mtu = rnic_.profile().mtu;
             const std::uint32_t off = seg * mtu;
             const std::uint32_t chunk =
-                std::min(mtu, wqe.length - off);
-            pkt.payload = rnic_.memory().read(wqe.laddr + off, chunk);
-        } else if (wqe.op == verbs::WrOpcode::Read) {
+                std::min(mtu, w.length - off);
+            pkt.payload = rnic_.memory().read(w.laddr + off, chunk);
+        } else if (w.op == verbs::WrOpcode::Read) {
             // One request reserves the whole PSN range; only the first
             // packet exists on the wire.
-            pkt.psn = wqe.psn;
+            pkt.psn = w.psn;
             pkt.segIndex = 0;
-            seg = wqe.segments;  // single emission
+            seg = w.segments;  // single emission
         }
 
         ++qp_.stats.requestsSent;
@@ -345,8 +349,6 @@ RcRequester::transmit(SendWqe& wqe)
             ++qp_.stats.retransmissions;
         rnic_.sendPacket(std::move(pkt), qp_);
     }
-    ++wqe.transmissions;
-
     if (!qp_.timerArmed && !qp_.inRnrWait)
         armTimer();
 }

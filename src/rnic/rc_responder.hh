@@ -12,7 +12,6 @@
 #ifndef IBSIM_RNIC_RC_RESPONDER_HH
 #define IBSIM_RNIC_RC_RESPONDER_HH
 
-#include <deque>
 #include <map>
 #include <optional>
 
@@ -96,11 +95,11 @@ class RcResponder
      * depth comes from DeviceProfile::atomicReplayDepth. atomicCache_
      * holds one entry per cached PSN and atomicCacheOrder_ holds each of
      * those PSNs exactly once in insertion order — cacheAtomicResult()
-     * maintains that correspondence so eviction retires map and deque
+     * maintains that correspondence so eviction retires map and ring
      * coherently.
      */
     std::map<std::uint32_t, std::uint64_t> atomicCache_;
-    std::deque<std::uint32_t> atomicCacheOrder_;
+    Ring<std::uint32_t> atomicCacheOrder_;
 
     /** Run an atomic against host memory; returns the original value. */
     std::uint64_t applyAtomic(const net::Packet& pkt);

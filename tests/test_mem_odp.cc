@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "mem/address_space.hh"
 #include "odp/odp_driver.hh"
 #include "odp/page_status_board.hh"
@@ -78,6 +81,143 @@ TEST(AddressSpaceTest, TouchEndpointInclusive)
     as.touch(base, pageSize);
     EXPECT_TRUE(as.present(base));
     EXPECT_FALSE(as.present(base + pageSize));
+}
+
+TEST(AddressSpaceTest, AllocRejectsZeroAndOverflowingSizes)
+{
+    AddressSpace as;
+    const auto a = as.alloc(1);
+    EXPECT_THROW(as.alloc(0), std::invalid_argument);
+    // size + pageSize - 1 wraps: would reserve zero pages.
+    EXPECT_THROW(as.alloc(std::numeric_limits<std::uint64_t>::max()),
+                 std::invalid_argument);
+    EXPECT_THROW(as.alloc(std::numeric_limits<std::uint64_t>::max() -
+                          pageSize + 2),
+                 std::invalid_argument);
+    // Rounds up without wrapping, but the range would end past 2^64.
+    EXPECT_THROW(as.alloc(std::numeric_limits<std::uint64_t>::max() - a -
+                          2 * pageSize + 2),
+                 std::invalid_argument);
+    // Rejected calls reserve nothing: the next region follows `a`.
+    const auto b = as.alloc(1);
+    EXPECT_EQ(b - a, pageSize);
+    EXPECT_EQ(as.reservedBytes(), 2 * pageSize);
+}
+
+TEST(AddressSpaceTest, WritePastHighWaterKeepsEarlierBytes)
+{
+    AddressSpace as;
+    const auto base = as.alloc(pageSize);
+    const std::vector<std::uint8_t> head(100, 0xab);
+    const std::vector<std::uint8_t> tail(50, 0xcd);
+    as.write(base + 10, head);
+    as.write(base + 3000, tail);  // grows the buffer to the full page
+    EXPECT_EQ(as.read(base + 10, head.size()), head);
+    EXPECT_EQ(as.read(base + 3000, tail.size()), tail);
+    EXPECT_EQ(as.read(base + 110, 2890),
+              std::vector<std::uint8_t>(2890, 0));
+    EXPECT_EQ(as.read(base + 3050, pageSize - 3050),
+              std::vector<std::uint8_t>(pageSize - 3050, 0));
+}
+
+TEST(AddressSpaceTest, ReadSpanningWrittenAndUnwrittenIsZeroFilled)
+{
+    AddressSpace as;
+    const auto base = as.alloc(4 * pageSize);
+    // Page 0: bytes near its end; page 1: touched only; page 2: a few
+    // bytes at its start; page 3: never present.
+    as.write(base + pageSize - 20, std::vector<std::uint8_t>(10, 1));
+    as.touch(base + pageSize, 1);
+    as.write(base + 2 * pageSize + 5, std::vector<std::uint8_t>(5, 2));
+
+    const auto out = as.read(base, 4 * pageSize);
+    ASSERT_EQ(out.size(), 4 * pageSize);
+    for (std::uint64_t i = 0; i < out.size(); ++i) {
+        std::uint8_t want = 0;
+        if (i >= pageSize - 20 && i < pageSize - 10)
+            want = 1;
+        else if (i >= 2 * pageSize + 5 && i < 2 * pageSize + 10)
+            want = 2;
+        ASSERT_EQ(out[i], want) << "offset " << i;
+    }
+    EXPECT_EQ(as.presentPages(), 3u);
+    EXPECT_FALSE(as.present(base + 3 * pageSize));
+}
+
+TEST(AddressSpaceTest, ReleaseThenRepopulateReadsZero)
+{
+    AddressSpace as;
+    const auto base = as.alloc(pageSize);
+    as.write(base, std::vector<std::uint8_t>(pageSize, 0x5a));
+    as.releasePage(base);
+    EXPECT_EQ(as.read(base, pageSize), std::vector<std::uint8_t>(pageSize, 0));
+    EXPECT_TRUE(as.populatePage(base));
+    EXPECT_EQ(as.read(base, pageSize), std::vector<std::uint8_t>(pageSize, 0));
+    as.write(base + 8, std::vector<std::uint8_t>(4, 7));
+    as.releasePage(base);
+    as.write(base + 300, std::vector<std::uint8_t>(4, 9));
+    EXPECT_EQ(as.read(base + 8, 4), std::vector<std::uint8_t>(4, 0));
+    EXPECT_EQ(as.read(base + 300, 4), std::vector<std::uint8_t>(4, 9));
+}
+
+TEST(AddressSpaceTest, AddressesOutsideAllocRangesRoundTrip)
+{
+    // Implicit ODP reaches addresses no alloc() handed out, up to the top
+    // of the 64-bit space and below the allocation base.
+    AddressSpace as;
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    const std::vector<std::uint8_t> data = {1, 2, 3, 4, 5, 6, 7, 8};
+    for (const std::uint64_t va :
+         {top - 7, top - pageSize - 3, std::uint64_t{0x1000},
+          std::uint64_t{0xdead0000beef}}) {
+        as.write(va, data);
+        EXPECT_EQ(as.read(va, data.size()), data) << std::hex << va;
+        EXPECT_TRUE(as.present(va));
+    }
+    // top - pageSize - 3 straddles into the page holding top - 7.
+    EXPECT_EQ(as.presentPages(), 4u);
+    EXPECT_EQ(as.reservedBytes(), 0u);
+}
+
+TEST(AddressSpaceTest, PresentPagesCountIsExact)
+{
+    AddressSpace as;
+    const auto base = as.alloc(8 * pageSize);
+    as.touch(base, 3 * pageSize);
+    as.touch(base + pageSize, 3 * pageSize);  // overlaps two
+    EXPECT_EQ(as.presentPages(), 4u);
+    EXPECT_FALSE(as.populatePage(base + 2 * pageSize));
+    EXPECT_TRUE(as.populatePage(base + 6 * pageSize));
+    as.write(base, std::vector<std::uint8_t>(10, 1));  // already present
+    EXPECT_EQ(as.presentPages(), 5u);
+    as.releasePage(base + 7 * pageSize);  // never present: no-op
+    as.releasePage(base + pageSize);
+    as.releasePage(base + pageSize);      // twice: counted once
+    EXPECT_EQ(as.presentPages(), 4u);
+    as.releasePage(base + 512 * pageSize);  // chunk never created
+    EXPECT_EQ(as.presentPages(), 4u);
+}
+
+TEST(AddressSpaceTest, StoredBytesCoverOnlyWrittenPrefix)
+{
+    AddressSpace as;
+    const auto base = as.alloc(3 * pageSize);
+    as.touch(base, 3 * pageSize);
+    EXPECT_EQ(as.storedBytes(), 0u);  // presence alone stores nothing
+
+    // A flood_wide client page: four 100-B READ landings at 128-B slots.
+    for (std::uint64_t slot = 0; slot < 4; ++slot)
+        as.write(base + slot * 128, std::vector<std::uint8_t>(100, 3));
+    EXPECT_EQ(as.storedBytes(), 512u);
+
+    as.write(base + pageSize, std::vector<std::uint8_t>(pageSize, 4));
+    EXPECT_EQ(as.storedBytes(), 512u + pageSize);
+
+    as.releasePage(base);
+    as.releasePage(base + pageSize);
+    EXPECT_EQ(as.storedBytes(), 0u);
+    as.releasePage(base + 2 * pageSize);
+    EXPECT_EQ(as.storedBytes(), 0u);
 }
 
 TEST(TranslationTableTest, PinnedTableIsAlwaysMapped)

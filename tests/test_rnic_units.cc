@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit and parameterized tests of the RNIC building blocks: Local ACK
- * Timeout arithmetic (paper Sec. II-C), 24-bit PSN ring math, and the
- * device profile catalog (Table I).
+ * Timeout arithmetic (paper Sec. II-C), 24-bit PSN ring math, the
+ * device profile catalog (Table I), and the per-QP queue ring.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "rnic/device_profile.hh"
 #include "rnic/qp_context.hh"
+#include "rnic/ring.hh"
 #include "rnic/timeout.hh"
 
 using namespace ibsim;
@@ -153,4 +157,109 @@ TEST(DeviceCatalog, ModelNames)
 {
     EXPECT_STREQ(modelName(Model::ConnectX3), "ConnectX-3");
     EXPECT_STREQ(modelName(Model::ConnectX6), "ConnectX-6");
+}
+
+namespace {
+
+template <typename T>
+std::vector<T>
+contents(const Ring<T>& ring)
+{
+    std::vector<T> out;
+    for (const T& v : ring)
+        out.push_back(v);
+    return out;
+}
+
+} // namespace
+
+TEST(QueueRing, AllocatesNothingBeforeFirstPush)
+{
+    Ring<SendWqe> ring;
+    EXPECT_EQ(ring.capacity(), 0u);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_TRUE(ring.begin() == ring.end());
+    ring.clear();  // clearing an empty ring allocates nothing either
+    EXPECT_EQ(ring.capacity(), 0u);
+
+    ring.push_back(SendWqe{});
+    EXPECT_EQ(ring.capacity(), Ring<SendWqe>::initialCapacity);
+    EXPECT_EQ(ring.size(), 1u);
+}
+
+TEST(QueueRing, WrapsAroundWithoutGrowing)
+{
+    Ring<int> ring;
+    for (int i = 0; i < 4; ++i)
+        ring.push_back(i);
+    ring.pop_front();
+    ring.pop_front();
+    ring.push_back(4);
+    ring.push_back(5);  // these two land in the freed front slots
+    EXPECT_EQ(ring.capacity(), 4u);
+    EXPECT_EQ(ring.front(), 2);
+    EXPECT_EQ(ring.back(), 5);
+    EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4, 5}));
+}
+
+TEST(QueueRing, GrowthWhileWrappedKeepsOrder)
+{
+    Ring<std::string> ring;
+    for (int i = 0; i < 4; ++i)
+        ring.push_back(std::to_string(i));
+    ring.pop_front();
+    ring.push_back("4");  // wrapped: head is slot 1, tail slot 0
+    ring.push_back("5");  // full: doubles and unwraps
+    EXPECT_EQ(ring.capacity(), 8u);
+    for (int i = 6; i < 12; ++i)
+        ring.push_back(std::to_string(i));
+    EXPECT_EQ(ring.capacity(), 16u);
+    std::vector<std::string> want;
+    for (int i = 1; i < 12; ++i)
+        want.push_back(std::to_string(i));
+    EXPECT_EQ(contents(ring), want);
+    EXPECT_EQ(ring.front(), "1");
+    EXPECT_EQ(ring.back(), "11");
+}
+
+TEST(QueueRing, IterationAfterWrapVisitsFifoOrder)
+{
+    Ring<std::uint32_t> ring;
+    // Cycle the head around the 4-slot array several times.
+    std::uint32_t next = 0;
+    for (int round = 0; round < 10; ++round) {
+        while (ring.size() < 3)
+            ring.push_back(next++);
+        ring.pop_front();
+        ring.pop_front();
+    }
+    EXPECT_EQ(ring.capacity(), 4u);
+    ring.push_back(next++);
+    ring.push_back(next++);
+    ring.push_back(next++);
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t v = next - 4; v < next; ++v)
+        want.push_back(v);
+    EXPECT_EQ(contents(ring), want);
+
+    // Mutation through the iterator lands on the element seen by front().
+    for (auto& v : ring)
+        v += 100;
+    EXPECT_EQ(ring.front(), want.front() + 100);
+}
+
+TEST(QueueRing, ClearEmptiesAndKeepsSlots)
+{
+    Ring<int> ring;
+    for (int i = 0; i < 6; ++i)
+        ring.push_back(i);
+    ring.pop_front();
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_TRUE(ring.begin() == ring.end());
+    EXPECT_EQ(ring.capacity(), 8u);
+    ring.push_back(7);
+    ring.push_back(8);
+    EXPECT_EQ(contents(ring), (std::vector<int>{7, 8}));
 }
