@@ -3,13 +3,13 @@
 namespace ibsim {
 namespace capture {
 
-PacketCapture::PacketCapture(net::Fabric& fabric)
+PacketCapture::PacketCapture(net::Fabric& fabric) : fabric_(fabric)
 {
-    fabric.addTap([this, &fabric](const net::Packet& pkt, bool dropped) {
+    tap_ = fabric_.addTap([this](const net::Packet& pkt, bool dropped) {
         if (!recording_)
             return;
         CaptureEntry entry;
-        entry.when = fabric.islandEvents(fabric.egressIsland()).now();
+        entry.when = fabric_.islandEvents(fabric_.egressIsland()).now();
         entry.packet = pkt;
         // Drop the payload bytes: captures of flood runs hold hundreds of
         // thousands of packets and the analysis only needs headers.
@@ -17,6 +17,12 @@ PacketCapture::PacketCapture(net::Fabric& fabric)
         entry.dropped = dropped;
         entries_.push_back(std::move(entry));
     });
+}
+
+PacketCapture::~PacketCapture()
+{
+    // The tap captures this: later traffic must not reach a dead capture.
+    fabric_.removeTap(tap_);
 }
 
 std::vector<const CaptureEntry*>

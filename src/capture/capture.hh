@@ -18,6 +18,7 @@
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
+#include "simcore/tap_list.hh"
 #include "simcore/time.hh"
 
 namespace ibsim {
@@ -39,6 +40,9 @@ class PacketCapture
   public:
     /** Create a capture and attach it to @p fabric. */
     explicit PacketCapture(net::Fabric& fabric);
+
+    /** Detaches from the fabric, which must still exist. */
+    ~PacketCapture();
 
     PacketCapture(const PacketCapture&) = delete;
     PacketCapture& operator=(const PacketCapture&) = delete;
@@ -62,6 +66,8 @@ class PacketCapture
     connection(std::uint32_t qpn_a, std::uint32_t qpn_b) const;
 
   private:
+    net::Fabric& fabric_;
+    TapId tap_ = 0;
     std::vector<CaptureEntry> entries_;
     bool recording_ = true;
 };

@@ -1,7 +1,9 @@
 #include "chaos/invariant_monitor.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
+#include <utility>
 
 #include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
@@ -27,7 +29,114 @@ flowStr(std::uint16_t lid, std::uint32_t qpn)
     return "lid=" + std::to_string(lid) + " qpn=" + std::to_string(qpn);
 }
 
+/** A flow's key in its shard's flowIndex; sorts as (lid, qpn). */
+std::uint64_t
+flowKey(std::uint16_t lid, std::uint32_t qpn)
+{
+    return (std::uint64_t(lid) << 32) | qpn;
+}
+
+/** The entry for @p psn in a PSN-sorted ledger, or nullptr. */
+template <typename Entry>
+Entry*
+findPsn(std::vector<Entry>& ledger, std::uint32_t psn)
+{
+    auto it = std::lower_bound(
+        ledger.begin(), ledger.end(), psn,
+        [](const Entry& e, std::uint32_t p) { return e.psn < p; });
+    return it != ledger.end() && it->psn == psn ? &*it : nullptr;
+}
+
+/**
+ * The entry for @p psn in a PSN-sorted ledger and whether it was just
+ * inserted. PSNs mostly arrive in increasing order, so new entries are
+ * usually appended.
+ */
+template <typename Entry>
+std::pair<Entry*, bool>
+entryForPsn(std::vector<Entry>& ledger, std::uint32_t psn)
+{
+    if (ledger.empty() || ledger.back().psn < psn)
+        return {&ledger.emplace_back(Entry{psn, {}}), true};
+    auto it = std::lower_bound(
+        ledger.begin(), ledger.end(), psn,
+        [](const Entry& e, std::uint32_t p) { return e.psn < p; });
+    if (it != ledger.end() && it->psn == psn)
+        return {&*it, false};
+    return {&*ledger.insert(it, Entry{psn, {}}), true};
+}
+
 } // namespace
+
+bool
+PsnRunSet::insert(std::uint32_t psn)
+{
+    assert(psn <= 0xffffff);
+    const std::size_t count = runCount();
+    if (count == 0) {
+        inline_ = {psn, psn};
+        inlineCount_ = 1;
+        hint_ = 0;
+        return true;
+    }
+    Run* r = runs();
+    // In-order streams extend the run the previous insert touched: test
+    // the hint before searching.
+    const bool hinted = r[hint_].first <= psn &&
+                        (hint_ + 1 == count || psn < r[hint_ + 1].first);
+    const std::ptrdiff_t i =
+        hinted ? static_cast<std::ptrdiff_t>(hint_) : runAtOrBelow(psn);
+    if (i >= 0 && psn <= r[i].last)
+        return false;
+    const std::size_t next = static_cast<std::size_t>(i + 1);
+    const bool joinsLeft = i >= 0 && r[i].last + 1 == psn;
+    const bool joinsRight = next < count && r[next].first == psn + 1;
+    if (joinsLeft && joinsRight) {
+        // Two runs exist, so they live in spill_.
+        r[i].last = r[next].last;
+        spill_.erase(spill_.begin() + next);
+        hint_ = static_cast<std::uint32_t>(i);
+    } else if (joinsLeft) {
+        r[i].last = psn;
+        hint_ = static_cast<std::uint32_t>(i);
+    } else if (joinsRight) {
+        r[next].first = psn;
+        hint_ = static_cast<std::uint32_t>(next);
+    } else {
+        if (spill_.empty())
+            spill_.push_back(inline_);
+        spill_.insert(spill_.begin() + next, Run{psn, psn});
+        hint_ = static_cast<std::uint32_t>(next);
+    }
+    return true;
+}
+
+bool
+PsnRunSet::contains(std::uint32_t psn) const
+{
+    const std::ptrdiff_t i = runAtOrBelow(psn);
+    return i >= 0 && psn <= runs()[i].last;
+}
+
+void
+PsnRunSet::clear()
+{
+    spill_.clear();
+    inlineCount_ = 0;
+    hint_ = 0;
+}
+
+std::ptrdiff_t
+PsnRunSet::runAtOrBelow(std::uint32_t psn) const
+{
+    const Run* r = runs();
+    const Run* end = r + runCount();
+    const Run* it = std::upper_bound(
+        r, end, psn, [](std::uint32_t p, const Run& run) {
+            return p < run.first;
+        });
+    return (it - r) - 1;
+}
 
 std::string
 Violation::str() const
@@ -43,57 +152,94 @@ InvariantMonitor::InvariantMonitor(net::Fabric& fabric) : fabric_(fabric)
         shard.out.resize(shards_.size());
     if (fabric_.kernel() != nullptr)
         fabric_.kernel()->addBarrierAgent(this);
-    fabric_.addTap([this](const net::Packet& pkt, bool dropped) {
+    fabricTap_ = fabric_.addTap([this](const net::Packet& pkt, bool dropped) {
         onEgress(pkt, dropped);
     });
 }
 
 InvariantMonitor::~InvariantMonitor()
 {
+    // Every tap captures this: traffic after the monitor is gone must
+    // not call into it.
     if (fabric_.kernel() != nullptr)
         fabric_.kernel()->removeBarrierAgent(this);
+    fabric_.removeTap(fabricTap_);
+    for (const auto& [rnic, taps] : rnicTaps_) {
+        rnic->removeSendPostTap(taps.first);
+        rnic->removeRecvPostTap(taps.second);
+    }
+    for (const auto& [cq, tap] : cqTaps_)
+        cq->removeTap(tap);
 }
 
 void
 InvariantMonitor::watch(rnic::Rnic& rnic, rnic::QpContext& qp)
 {
-    const FlowKey key{rnic.lid(), qp.qpn};
-    auto& flows = shardOf(rnic.lid()).flows;
-    const bool fresh = flows.find(key) == flows.end();
-    FlowState& st = flows[key];
-    st.rnic = &rnic;
-    st.qp = &qp;
-    if (fresh) {
+    const std::uint16_t lid = rnic.lid();
+    const std::uint64_t key = flowKey(lid, qp.qpn);
+    Shard& shard = shardOf(lid);
+    if (const std::uint32_t* index = shard.flowIndex.find(key)) {
+        shard.flows[*index].qp = &qp;
+    } else {
+        const FlowState* last =
+            shard.flows.empty() ? nullptr : &shard.flows.back();
+        if (last != nullptr && key < flowKey(last->lid, last->qpn))
+            shard.flowsSorted = false;
+        shard.flowIndex.insert(
+            key, static_cast<std::uint32_t>(shard.flows.size()));
+        FlowState& st = shard.flows.emplace_back();
+        st.qp = &qp;
+        st.lid = lid;
+        st.qpn = qp.qpn;
         st.lastNextPsn = qp.nextPsn;
         st.attachPsn = qp.nextPsn;
         st.lateAttach = qp.nextPsn != 0 || !qp.outstanding.empty();
     }
 
-    if (tappedRnics_.insert(&rnic).second) {
-        const std::uint16_t lid = rnic.lid();
-        rnic.addSendPostTap(
+    if (auto [it, fresh] = rnicTaps_.try_emplace(&rnic); fresh) {
+        it->second.first = rnic.addSendPostTap(
             [this, lid](const rnic::QpContext& q, const rnic::SendWqe& w) {
                 onSendPost(lid, q, w);
             });
-        rnic.addRecvPostTap(
+        it->second.second = rnic.addRecvPostTap(
             [this, lid](const rnic::QpContext& q, const rnic::RecvWqe& w) {
                 onRecvPost(lid, q, w);
             });
     }
-    if (qp.cq != nullptr && tappedCqs_.insert(qp.cq).second) {
-        const std::uint16_t lid = rnic.lid();
-        qp.cq->addTap([this, lid](const verbs::WorkCompletion& wc) {
-            onCompletion(lid, wc);
-        });
+    if (qp.cq == nullptr)
+        return;
+    if (auto [it, fresh] = cqTaps_.try_emplace(qp.cq); fresh) {
+        it->second =
+            qp.cq->addTap([this, lid](const verbs::WorkCompletion& wc) {
+                onCompletion(lid, wc);
+            });
     }
 }
 
 void
 InvariantMonitor::watchAll(Cluster& cluster)
 {
+    // Size every shard's flow storage for the QPs about to be watched,
+    // so attach does not regrow the tables QP by QP. Growth stays
+    // geometric: repeated calls as QPs are added must not reallocate
+    // the flows on every call.
+    std::vector<std::vector<rnic::QpContext*>> qps(cluster.nodeCount());
+    std::vector<std::size_t> added(shards_.size(), 0);
+    for (std::size_t i = 0; i < cluster.nodeCount(); ++i) {
+        qps[i] = cluster.node(i).rnic().allQps();
+        added[fabric_.islandOf(cluster.node(i).rnic().lid())] +=
+            qps[i].size();
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        Shard& shard = shards_[s];
+        const std::size_t want = shard.flows.size() + added[s];
+        if (want > shard.flows.capacity())
+            shard.flows.reserve(std::max(want, 2 * shard.flows.capacity()));
+        shard.flowIndex.reserve(want);
+    }
     for (std::size_t i = 0; i < cluster.nodeCount(); ++i) {
         rnic::Rnic& rnic = cluster.node(i).rnic();
-        for (rnic::QpContext* qp : rnic.allQps())
+        for (rnic::QpContext* qp : qps[i])
             watch(rnic, *qp);
     }
 }
@@ -113,9 +259,9 @@ InvariantMonitor::egressShard()
 InvariantMonitor::FlowState*
 InvariantMonitor::flow(std::uint16_t lid, std::uint32_t qpn)
 {
-    auto& flows = shardOf(lid).flows;
-    auto it = flows.find({lid, qpn});
-    return it == flows.end() ? nullptr : &it->second;
+    Shard& shard = shardOf(lid);
+    const std::uint32_t* index = shard.flowIndex.find(flowKey(lid, qpn));
+    return index == nullptr ? nullptr : &shard.flows[*index];
 }
 
 void
@@ -178,11 +324,8 @@ InvariantMonitor::onEgress(const net::Packet& pkt, bool dropped)
         else if ((pkt.chaosFlags & net::Packet::chaosDuplicated) != 0 &&
                  pkt.op == net::Opcode::AtomicResponse) {
             FlowState* rs = flow(pkt.srcLid, pkt.srcQpn);
-            if (rs != nullptr) {
-                auto must = rs->atomicMustAnswer.find(pkt.psn);
-                if (must != rs->atomicMustAnswer.end())
-                    ++rs->atomicAnswered[pkt.psn];
-            }
+            if (rs != nullptr)
+                creditAtomicAnswer(*rs, pkt.psn);
         }
         return;
     }
@@ -215,9 +358,7 @@ InvariantMonitor::syncEpoch(FlowState& st)
     st.lastNextPsn = st.qp->nextPsn;
     st.attachPsn = 0;
     st.lateAttach = false;
-    st.atomicMustAnswer.clear();
-    st.atomicAnswered.clear();
-    st.atomicRespPayload.clear();
+    st.atomics.reset();
     st.anyFreshData = false;
     st.anyFreshAtomic = false;
 }
@@ -274,7 +415,7 @@ InvariantMonitor::onRequestEgress(Shard& shard, const net::Packet& pkt,
         if (!pkt.retransmission) {
             for (std::uint32_t i = 0; i < span; ++i) {
                 const std::uint32_t p = (pkt.psn + i) & 0xffffff;
-                if (!st->freshSeen.insert(p).second) {
+                if (!st->freshSeen.insert(p)) {
                     emit(shard, "fresh-once", now, pkt.srcLid, pkt.srcQpn,
                          "fresh " + std::string(net::opcodeName(pkt.op)) +
                              " reuses psn=" + std::to_string(p));
@@ -339,8 +480,19 @@ InvariantMonitor::judgeAtomicMustAnswer(std::uint16_t dst_lid,
         !resp->qp->errorState &&
         resp->qp->resetEpoch == epoch &&
         rnic::psnDiff(psn, resp->qp->expectedPsn) < 0) {
-        ++resp->atomicMustAnswer[psn];
+        if (resp->atomics == nullptr)
+            resp->atomics = std::make_unique<AtomicLedger>();
+        ++entryForPsn(resp->atomics->dups, psn).first->mustAnswer;
     }
+}
+
+void
+InvariantMonitor::creditAtomicAnswer(FlowState& st, std::uint32_t psn)
+{
+    if (st.atomics == nullptr)
+        return;
+    if (AtomicDup* dup = findPsn(st.atomics->dups, psn))
+        ++dup->answered;
 }
 
 void
@@ -368,27 +520,27 @@ InvariantMonitor::onResponseEgress(Shard& shard, const net::Packet& pkt,
                 // A1 value consistency: every answer for one PSN carries
                 // the same original value; a re-executing responder
                 // returns the post-update value instead.
-                auto [it, first] =
-                    rs->atomicRespPayload.try_emplace(pkt.psn, pkt.payload);
-                if (!first && it->second != pkt.payload) {
+                if (rs->atomics == nullptr)
+                    rs->atomics = std::make_unique<AtomicLedger>();
+                auto [pinned, first] =
+                    entryForPsn(rs->atomics->payloads, pkt.psn);
+                if (first) {
+                    pinned->payload = pkt.payload;
+                } else if (pinned->payload != pkt.payload) {
                     emit(shard, "atomic-replay-value", now, pkt.srcLid,
                          pkt.srcQpn,
                          "atomic psn=" + std::to_string(pkt.psn) +
                              " answered with a different value than its "
                              "first response (responder re-executed)");
                 }
-                auto must = rs->atomicMustAnswer.find(pkt.psn);
-                if (must != rs->atomicMustAnswer.end())
-                    ++rs->atomicAnswered[pkt.psn];
+                creditAtomicAnswer(*rs, pkt.psn);
             } else if (pkt.op == net::Opcode::RnrNak ||
                        (pkt.op == net::Opcode::Nak &&
                         pkt.nak == net::NakCode::RemoteAccessError)) {
                 // A duplicate atomic answered with RNR or an access NAK
                 // is answered, not lost (PSN-sequence NAKs reference
                 // expectedPsn, never the duplicate, so they don't count).
-                auto must = rs->atomicMustAnswer.find(pkt.psn);
-                if (must != rs->atomicMustAnswer.end())
-                    ++rs->atomicAnswered[pkt.psn];
+                creditAtomicAnswer(*rs, pkt.psn);
             }
 
             // A2: fresh (non-replayed) executions leave the responder in
@@ -490,7 +642,7 @@ InvariantMonitor::onSendPost(std::uint16_t lid, const rnic::QpContext& qp,
     st->anyPostSeen = true;
     st->lastNextPsn = qp.nextPsn;
     ++st->sendPosted;
-    ++st->sendPostedByWr[wqe.wrId];
+    ++st->sendWrs[wqe.wrId].posted;
 }
 
 void
@@ -500,7 +652,7 @@ InvariantMonitor::onRecvPost(std::uint16_t lid, const rnic::QpContext& qp,
     FlowState* st = flow(lid, qp.qpn);
     if (st == nullptr)
         return;
-    ++st->recvPostedByWr[wqe.wrId];
+    ++st->recvWrs[wqe.wrId].posted;
 }
 
 void
@@ -521,36 +673,24 @@ InvariantMonitor::onCompletion(std::uint16_t lid,
              "successful completion wrId=" + std::to_string(wc.wrId) +
                  " delivered while the QP is in the Error state");
     }
-    if (wc.opcode == verbs::WrOpcode::Recv) {
-        // Late attach: a completion for a RECV we never saw posted
-        // belongs to the pre-attach era, not to the oracle.
-        if (st->lateAttach && st->recvPostedByWr[wc.wrId] == 0)
-            return;
-        ++st->recvCompleted;
-        const std::uint64_t done = ++st->recvCompletedByWr[wc.wrId];
-        if (done > st->recvPostedByWr[wc.wrId]) {
-            emit(shardOf(lid), "recv-exactly-once",
-                 fabric_.islandEvents(fabric_.islandOf(lid)).now(), lid,
-                 wc.qpn,
-                 "wrId=" + std::to_string(wc.wrId) + " completed " +
-                     std::to_string(done) + "x but posted " +
-                     std::to_string(st->recvPostedByWr[wc.wrId]) + "x");
-        }
+    const bool recv = wc.opcode == verbs::WrOpcode::Recv;
+    auto& ledger = recv ? st->recvWrs : st->sendWrs;
+    WrCount* count = ledger.find(wc.wrId);
+    // Late attach: a completion for a WR we never saw posted belongs to
+    // the pre-attach era, not to the oracle — skipping it keeps C1, C2
+    // and F1 judging observed posts only.
+    if (st->lateAttach && (count == nullptr || count->posted == 0))
         return;
-    }
-    // Late attach: likewise for sends posted before watching started —
-    // skipping them keeps C1 and F1 judging observed posts only.
-    if (st->lateAttach && st->sendPostedByWr[wc.wrId] == 0)
-        return;
-    ++st->sendCompleted;
-    const std::uint64_t done = ++st->sendCompletedByWr[wc.wrId];
-    if (done > st->sendPostedByWr[wc.wrId]) {
-        emit(shardOf(lid), "send-exactly-once",
+    if (count == nullptr)
+        count = &ledger.insert(wc.wrId, WrCount{});
+    ++(recv ? st->recvCompleted : st->sendCompleted);
+    if (++count->completed > count->posted) {
+        emit(shardOf(lid), recv ? "recv-exactly-once" : "send-exactly-once",
              fabric_.islandEvents(fabric_.islandOf(lid)).now(), lid,
              wc.qpn,
              "wrId=" + std::to_string(wc.wrId) + " completed " +
-                 std::to_string(done) + "x but posted " +
-                 std::to_string(st->sendPostedByWr[wc.wrId]) + "x");
+                 std::to_string(count->completed) + "x but posted " +
+                 std::to_string(count->posted) + "x");
     }
 }
 
@@ -558,13 +698,26 @@ void
 InvariantMonitor::finalCheck()
 {
     // Runs after the simulation (never from a worker); shards are
-    // visited in island order, so the output is worker-count-invariant.
+    // visited in island order and flows in (lid, qpn) order, so the
+    // output is worker-count- and watch-order-invariant.
+    std::vector<const FlowState*> order;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         Shard& shard = shards_[i];
         const Time at = fabric_.islandEvents(i).now();
-        for (auto& [key, st] : shard.flows) {
+        order.clear();
+        for (const FlowState& st : shard.flows)
+            order.push_back(&st);
+        if (!shard.flowsSorted) {
+            std::sort(order.begin(), order.end(),
+                      [](const FlowState* a, const FlowState* b) {
+                          return flowKey(a->lid, a->qpn) <
+                                 flowKey(b->lid, b->qpn);
+                      });
+        }
+        for (const FlowState* entry : order) {
+            const FlowState& st = *entry;
             if (st.sendCompleted != st.sendPosted) {
-                emit(shard, "send-completion-missing", at, key.lid, key.qpn,
+                emit(shard, "send-completion-missing", at, st.lid, st.qpn,
                      std::to_string(st.sendPosted) +
                          " send WRs posted but " +
                          std::to_string(st.sendCompleted) + " completed");
@@ -575,18 +728,15 @@ InvariantMonitor::finalCheck()
             // drain. Stand down when the injector corrupted a replay
             // answer in flight: the ledger can no longer attribute
             // answers to PSNs.
-            if (!st.atomicAnswerAttributionLost) {
-                for (const auto& [psn, must] : st.atomicMustAnswer) {
-                    const auto it = st.atomicAnswered.find(psn);
-                    const std::uint64_t answered =
-                        it == st.atomicAnswered.end() ? 0 : it->second;
-                    if (answered < must) {
-                        emit(shard, "atomic-replay-lost", at, key.lid,
-                             key.qpn,
-                             "duplicate atomic psn=" + std::to_string(psn) +
-                                 " delivered " + std::to_string(must) +
+            if (!st.atomicAnswerAttributionLost && st.atomics != nullptr) {
+                for (const AtomicDup& dup : st.atomics->dups) {
+                    if (dup.answered < dup.mustAnswer) {
+                        emit(shard, "atomic-replay-lost", at, st.lid, st.qpn,
+                             "duplicate atomic psn=" +
+                                 std::to_string(dup.psn) + " delivered " +
+                                 std::to_string(dup.mustAnswer) +
                                  "x but answered " +
-                                 std::to_string(answered) +
+                                 std::to_string(dup.answered) +
                                  "x (replay cache lost a required record)");
                     }
                 }
@@ -600,7 +750,7 @@ InvariantMonitor::finalCheck()
                 st.qp->config.transport == verbs::Transport::Ud) {
                 const auto& qs = st.qp->stats;
                 if (qs.udDeliveredSends != st.recvCompleted + qs.udDrops) {
-                    emit(shard, "ud-silent-drop", at, key.lid, key.qpn,
+                    emit(shard, "ud-silent-drop", at, st.lid, st.qpn,
                          std::to_string(qs.udDeliveredSends) +
                              " datagrams delivered but " +
                              std::to_string(st.recvCompleted) +

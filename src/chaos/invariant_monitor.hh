@@ -91,6 +91,15 @@
  * node, whatever its transport — the one-call attach for >2-node meshes
  * flapping under a chaos::Topology schedule (cluster/topology.hh).
  *
+ * State layout: all per-packet and per-post state is flat. Each shard
+ * keeps its flows in a vector reached through an rnic::FlatKeyMap keyed
+ * by (lid << 32) | qpn. A flow's fresh-PSN set is a PsnRunSet (one
+ * inline run for an in-order stream), its send and recv ledgers map
+ * every 64-bit wrId to {posted, completed} in a FlatKeyMap that
+ * allocates on first use, and its atomic ledgers live in a side struct
+ * allocated when the flow first records an atomic. finalCheck() visits
+ * flows in (lid, qpn) order, so reports do not depend on watch order.
+ *
  * Sharding: the monitor keeps one shard per fabric lane (island). Each
  * shard owns the flows of its island's LIDs, its own violation list and
  * its own FNV hash stream, written only by the worker executing that
@@ -118,14 +127,17 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/fabric.hh"
+#include "rnic/flat_table.hh"
 #include "rnic/qp_context.hh"
 #include "rnic/rnic.hh"
 #include "simcore/cross_channel.hh"
+#include "simcore/tap_list.hh"
 #include "simcore/time.hh"
 
 namespace ibsim {
@@ -137,6 +149,54 @@ class SoftReliableChannel;
 } // namespace swrel
 
 namespace chaos {
+
+/**
+ * A set of 24-bit PSNs kept as sorted, disjoint, non-adjacent runs
+ * [first, last]. It has the semantics of std::set<uint32_t> for insert(),
+ * contains() and clear(), but a flow that sends its PSNs in order holds
+ * one run however long it runs, and the 24-bit wrap (0xffffff, then 0)
+ * adds a second. One run is stored inline, so the common flow never
+ * allocates; out-of-order PSNs spill into a sorted vector.
+ */
+class PsnRunSet
+{
+  public:
+    /** Insert @p psn (< 2^24); false if it was already present. */
+    bool insert(std::uint32_t psn);
+
+    bool contains(std::uint32_t psn) const;
+
+    /** Forget every PSN (keeps any spill storage for reuse). */
+    void clear();
+
+    /** Disjoint runs held (tests). */
+    std::size_t
+    runCount() const
+    {
+        return spill_.empty() ? inlineCount_ : spill_.size();
+    }
+
+  private:
+    struct Run
+    {
+        std::uint32_t first;
+        std::uint32_t last;
+    };
+
+    Run* runs() { return spill_.empty() ? &inline_ : spill_.data(); }
+    const Run* runs() const
+    {
+        return spill_.empty() ? &inline_ : spill_.data();
+    }
+
+    /** Index of the last run starting at or below @p psn, or -1. */
+    std::ptrdiff_t runAtOrBelow(std::uint32_t psn) const;
+
+    Run inline_{0, 0};
+    std::uint32_t inlineCount_ = 0;  ///< 0 or 1 while spill_ is empty
+    std::uint32_t hint_ = 0;         ///< run the last insert touched
+    std::vector<Run> spill_;         ///< every run, once there are two
+};
 
 /** One invariant violation (structured, render with str()). */
 struct Violation
@@ -236,75 +296,93 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
                                Time horizon) override;
 
   private:
-    struct FlowKey
+    /** C1/C2/F1: posts and completions of one wrId on one flow. */
+    struct WrCount
     {
-        std::uint16_t lid;
-        std::uint32_t qpn;
-        bool operator<(const FlowKey& o) const
-        {
-            return lid != o.lid ? lid < o.lid : qpn < o.qpn;
-        }
+        std::uint64_t posted = 0;
+        std::uint64_t completed = 0;
     };
 
+    /** A1 must-answer ledger entry: one duplicate atomic PSN. */
+    struct AtomicDup
+    {
+        std::uint32_t psn;
+        std::uint64_t mustAnswer = 0;
+        std::uint64_t answered = 0;
+    };
+
+    /** A1 value ledger entry: the first response value seen per PSN. */
+    struct AtomicPayload
+    {
+        std::uint32_t psn;
+        std::vector<std::uint8_t> payload;
+    };
+
+    /**
+     * A1 responder-role state, allocated when a flow first records an
+     * atomic. Both ledgers are sorted by PSN. dups counts delivered
+     * duplicate atomics inside the executed range (recorded at request
+     * egress) and the answers they drew, judged at finalCheck();
+     * payloads pins the first response value seen per PSN.
+     */
+    struct AtomicLedger
+    {
+        std::vector<AtomicDup> dups;
+        std::vector<AtomicPayload> payloads;
+    };
+
+    /** Hot fields first: the egress, post and completion taps read the
+     * head of the struct on every packet, post and completion. */
     struct FlowState
     {
-        rnic::Rnic* rnic = nullptr;
         rnic::QpContext* qp = nullptr;
 
         /** P1 state: qp->nextPsn observed at the previous post. */
         std::uint32_t lastNextPsn = 0;
-        bool anyPostSeen = false;
+
+        /**
+         * Late-attach state: nextPsn snapshotted at watch() time.
+         * PSNs below attachPsn were posted unobserved, so the fresh-wire
+         * checks skip them, and completions of WRs never seen posted are
+         * ignored (lateAttach: the QP had prior traffic at watch()).
+         */
+        std::uint32_t attachPsn = 0;
 
         /** Reset epoch the wire bookkeeping is anchored to. */
         std::uint16_t lastEpoch = 0;
 
-        /**
-         * @{ Late-attach state: nextPsn snapshotted at watch() time, and
-         * whether the QP had prior traffic then. PSNs below attachPsn
-         * were posted unobserved, so the fresh-wire checks skip them,
-         * and completions of WRs never seen posted are ignored.
-         */
-        std::uint32_t attachPsn = 0;
+        bool anyPostSeen = false;
         bool lateAttach = false;
-        /** @} */
 
-        /** W1 state: fresh request PSNs seen on the wire. */
-        std::set<std::uint32_t> freshSeen;
-
-        /** @{ C1/C2/F1 accounting. */
-        std::uint64_t sendPosted = 0;
-        std::uint64_t sendCompleted = 0;
-        std::map<std::uint64_t, std::uint64_t> sendPostedByWr;
-        std::map<std::uint64_t, std::uint64_t> sendCompletedByWr;
-        std::map<std::uint64_t, std::uint64_t> recvPostedByWr;
-        std::map<std::uint64_t, std::uint64_t> recvCompletedByWr;
-        /** @} */
-
-        /** U3: RECV completions observed on this flow (post-attach). */
-        std::uint64_t recvCompleted = 0;
-
-        /**
-         * @{ A1 responder-role state. mustAnswer counts delivered
-         * duplicate atomics inside the executed range (recorded at
-         * request egress, judged against answered at finalCheck());
-         * respPayload pins the first response value seen per PSN.
-         */
-        std::map<std::uint32_t, std::uint64_t> atomicMustAnswer;
-        std::map<std::uint32_t, std::uint64_t> atomicAnswered;
-        std::map<std::uint32_t, std::vector<std::uint8_t>> atomicRespPayload;
         /** Injector corrupted a replay answer in flight: the per-PSN
          * answered ledger is no longer attributable, A1-lost stands
          * down for this flow (value/serialization checks keep running). */
         bool atomicAnswerAttributionLost = false;
-        /** @} */
 
         /** @{ A2 state: PSN of the last fresh (non-replayed) data-bearing
          * response / fresh atomic response this flow emitted. */
-        std::uint32_t lastFreshDataPsn = 0;
         bool anyFreshData = false;
-        std::uint32_t lastFreshAtomicPsn = 0;
         bool anyFreshAtomic = false;
+        std::uint32_t lastFreshDataPsn = 0;
+        std::uint32_t lastFreshAtomicPsn = 0;
         /** @} */
+
+        /** @{ C1/C2/F1 accounting; U3: RECV completions (post-attach). */
+        std::uint64_t sendPosted = 0;
+        std::uint64_t sendCompleted = 0;
+        std::uint64_t recvCompleted = 0;
+        rnic::FlatKeyMap<WrCount, std::uint64_t> sendWrs;
+        rnic::FlatKeyMap<WrCount, std::uint64_t> recvWrs;
+        /** @} */
+
+        /** W1 state: fresh request PSNs seen on the wire. */
+        PsnRunSet freshSeen;
+
+        /** A1 ledgers; null until the flow records an atomic. */
+        std::unique_ptr<AtomicLedger> atomics;
+
+        std::uint16_t lid = 0;
+        std::uint32_t qpn = 0;
     };
 
     /**
@@ -332,7 +410,13 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
      */
     struct Shard
     {
-        std::map<FlowKey, FlowState> flows;
+        /** Flows in watch order; flowIndex maps (lid << 32) | qpn to
+         * the flow's index. */
+        std::vector<FlowState> flows;
+        rnic::FlatKeyMap<std::uint32_t, std::uint64_t> flowIndex;
+        /** False once watch() appended a flow below the last one; then
+         * finalCheck() sorts before it reports. */
+        bool flowsSorted = true;
         std::vector<Violation> violations;
         std::uint64_t violationCount = 0;
         std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
@@ -377,6 +461,9 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     void judgeAtomicMustAnswer(std::uint16_t dst_lid, std::uint32_t dst_qpn,
                                std::uint32_t psn, std::uint16_t epoch);
 
+    /** A1: credit an answer to @p psn if it is a recorded duplicate. */
+    static void creditAtomicAnswer(FlowState& st, std::uint32_t psn);
+
     /** The W4 ack-coherence judgement (inline or at a barrier). */
     void judgeAckCoherence(Shard& shard, Time at, net::Opcode op,
                            std::uint16_t dst_lid, std::uint32_t dst_qpn,
@@ -388,8 +475,11 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     /** One per fabric lane. A deque keeps shard addresses stable (not
      * that they move — sized once). */
     std::deque<Shard> shards_;
-    std::set<const rnic::Rnic*> tappedRnics_;
-    std::set<const verbs::CompletionQueue*> tappedCqs_;
+    TapId fabricTap_ = 0;
+    /** Taps installed per RNIC (send post, recv post) and per CQ, taken
+     * back by the destructor. Consulted by watch() only. */
+    std::map<rnic::Rnic*, std::pair<TapId, TapId>> rnicTaps_;
+    std::map<verbs::CompletionQueue*, TapId> cqTaps_;
     /** Merged shard views, rebuilt on demand (accessors are cold). */
     mutable std::vector<Violation> mergedViolations_;
 };

@@ -70,10 +70,16 @@ Fabric::setFaultHook(FaultHook* hook)
         lane.hook = hook;
 }
 
-void
+TapId
 Fabric::addTap(CaptureTap tap)
 {
-    taps_.push_back(std::move(tap));
+    return taps_.add(std::move(tap));
+}
+
+void
+Fabric::removeTap(TapId id)
+{
+    taps_.remove(id);
 }
 
 void

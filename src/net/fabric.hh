@@ -24,6 +24,7 @@
 #include "simcore/cross_channel.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/sharded_kernel.hh"
+#include "simcore/tap_list.hh"
 
 namespace ibsim {
 namespace net {
@@ -166,7 +167,10 @@ class Fabric : public ShardedKernel::BarrierAgent
     void setFaultHook(FaultHook* hook);
 
     /** Add a capture tap observing all traffic. */
-    void addTap(CaptureTap tap);
+    TapId addTap(CaptureTap tap);
+
+    /** Unregister a tap added by addTap(). */
+    void removeTap(TapId id);
 
     /** @{ Port events and link state (see DESIGN.md §13).
      *
@@ -406,7 +410,7 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     LinkConfig config_;
     std::vector<PortRecord> ports_;
-    std::vector<CaptureTap> taps_;
+    TapList<CaptureTap> taps_;
     ShardedKernel* kernel_ = nullptr;
     /** Never empty; a deque keeps Lane addresses stable. */
     std::deque<Lane> lanes_;

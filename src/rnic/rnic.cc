@@ -160,16 +160,28 @@ Rnic::postRecv(QpContext& qp, RecvWqe wqe)
     qp.recvQueue.push_back(wqe);
 }
 
-void
+TapId
 Rnic::addSendPostTap(SendPostTap tap)
 {
-    sendPostTaps_.push_back(std::move(tap));
+    return sendPostTaps_.add(std::move(tap));
+}
+
+TapId
+Rnic::addRecvPostTap(RecvPostTap tap)
+{
+    return recvPostTaps_.add(std::move(tap));
 }
 
 void
-Rnic::addRecvPostTap(RecvPostTap tap)
+Rnic::removeSendPostTap(TapId id)
 {
-    recvPostTaps_.push_back(std::move(tap));
+    sendPostTaps_.remove(id);
+}
+
+void
+Rnic::removeRecvPostTap(TapId id)
+{
+    recvPostTaps_.remove(id);
 }
 
 void

@@ -27,6 +27,7 @@
 #include "rnic/qp_context.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/rng.hh"
+#include "simcore/tap_list.hh"
 #include "verbs/completion_queue.hh"
 #include "verbs/memory_region.hh"
 
@@ -141,8 +142,10 @@ class Rnic : public net::PortHandler
         std::function<void(const QpContext&, const SendWqe&)>;
     using RecvPostTap =
         std::function<void(const QpContext&, const RecvWqe&)>;
-    void addSendPostTap(SendPostTap tap);
-    void addRecvPostTap(RecvPostTap tap);
+    TapId addSendPostTap(SendPostTap tap);
+    TapId addRecvPostTap(RecvPostTap tap);
+    void removeSendPostTap(TapId id);
+    void removeRecvPostTap(TapId id);
     /** @} */
 
     /** Fabric ingress. */
@@ -280,8 +283,8 @@ class Rnic : public net::PortHandler
     std::uint32_t mruKey_ = 0;
     verbs::MemoryRegion* mruMr_ = nullptr;
 
-    std::vector<SendPostTap> sendPostTaps_;
-    std::vector<RecvPostTap> recvPostTaps_;
+    TapList<SendPostTap> sendPostTaps_;
+    TapList<RecvPostTap> recvPostTaps_;
     std::vector<AsyncEventTap> asyncEventTaps_;
     std::size_t activeQps_ = 0;
     RnicStats stats_;

@@ -15,6 +15,7 @@
 #include <functional>
 #include <vector>
 
+#include "simcore/tap_list.hh"
 #include "verbs/types.hh"
 
 namespace ibsim {
@@ -48,11 +49,14 @@ class CompletionQueue
      * the single listener slot. Observers (e.g. the chaos invariant
      * monitor) run before the listener and never consume entries.
      */
-    void
+    TapId
     addTap(std::function<void(const WorkCompletion&)> tap)
     {
-        taps_.push_back(std::move(tap));
+        return taps_.add(std::move(tap));
     }
+
+    /** Unregister an observer added by addTap(). */
+    void removeTap(TapId id) { taps_.remove(id); }
 
     /**
      * Cap the pending depth (chaos CQ-overflow pressure). Completions
@@ -94,7 +98,7 @@ class CompletionQueue
 
   private:
     std::function<void(const WorkCompletion&)> listener_;
-    std::vector<std::function<void(const WorkCompletion&)>> taps_;
+    TapList<std::function<void(const WorkCompletion&)>> taps_;
     std::function<void(const WorkCompletion&)> overflowHandler_;
     std::deque<WorkCompletion> queue_;
     std::size_t capacity_ = 0;

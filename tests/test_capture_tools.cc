@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "capture/analysis.hh"
 #include "capture/capture.hh"
 #include "capture/trace_format.hh"
@@ -54,6 +56,32 @@ TEST_F(CaptureFixture, RecordsRequestAndResponse)
     // Payload bytes are stripped to keep flood captures small.
     EXPECT_TRUE(capture.entries()[1].packet.payload.empty());
     EXPECT_EQ(capture.entries()[1].packet.length, 100u);
+}
+
+TEST(CaptureLifetime, DestroyedCaptureLeavesNoTapBehind)
+{
+    // The sanitizer job turns a leftover tap into a use-after-free.
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 7);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& cq = client.createCq();
+    auto& scq = server.createCq();
+    auto [cqp, sqp] = cluster.connectRc(client, cq, server, scq);
+    const auto src = server.alloc(4096);
+    const auto dst = client.alloc(4096);
+    auto& smr = server.registerMemory(src, 4096, verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(dst, 4096, verbs::AccessFlags::pinned());
+
+    auto capture = std::make_unique<PacketCapture>(cluster.fabric());
+    cqp.postRead(dst, cmr.lkey(), src, smr.rkey(), 100, 1);
+    ASSERT_TRUE(cluster.runUntil([&] { return cq.totalCompletions() == 1; },
+                                 cluster.now() + Time::sec(1)));
+    EXPECT_EQ(capture->size(), 2u);
+    capture.reset();
+
+    cqp.postRead(dst, cmr.lkey(), src, smr.rkey(), 100, 2);
+    EXPECT_TRUE(cluster.runUntil([&] { return cq.totalCompletions() == 2; },
+                                 cluster.now() + Time::sec(1)));
 }
 
 TEST_F(CaptureFixture, RecordingCanBePaused)

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -420,6 +422,307 @@ TEST(ChaosOracle, CqOverflowShowsUpAsMissingCompletions)
     EXPECT_NE(w.monitor.report().find("send-completion-missing"),
               std::string::npos)
         << w.monitor.report();
+}
+
+namespace {
+
+/** Two nodes and one RC pair over pinned buffers, no chaos engine. */
+struct OraclePair
+{
+    OraclePair() : cluster(rnic::DeviceProfile::connectX4(), 2, 5)
+    {
+        acq = &a.createCq();
+        bcq = &b.createCq();
+        auto [qa, qb] = cluster.connectRc(a, *acq, b, *bcq);
+        aqp = qa;
+        bqp = qb;
+        src = a.alloc(bytes);
+        dst = b.alloc(bytes);
+        amr = &a.registerMemory(src, bytes, verbs::AccessFlags::pinned());
+        bmr = &b.registerMemory(dst, bytes, verbs::AccessFlags::pinned());
+    }
+
+    void
+    postWrite(std::uint64_t wr_id)
+    {
+        aqp.postWrite(src, amr->lkey(), dst, bmr->rkey(), 64, wr_id);
+    }
+
+    /** Run until @p a_total / @p b_total completions reached each CQ. */
+    bool
+    runTo(std::uint64_t a_total, std::uint64_t b_total)
+    {
+        return cluster.runUntil(
+            [&] {
+                return acq->totalCompletions() >= a_total &&
+                       bcq->totalCompletions() >= b_total;
+            },
+            cluster.now() + Time::sec(1));
+    }
+
+    static constexpr std::uint64_t bytes = 4096;
+
+    Cluster cluster;
+    Node& a = cluster.node(0);
+    Node& b = cluster.node(1);
+    verbs::CompletionQueue* acq = nullptr;
+    verbs::CompletionQueue* bcq = nullptr;
+    verbs::QueuePair aqp;
+    verbs::QueuePair bqp;
+    std::uint64_t src = 0;
+    std::uint64_t dst = 0;
+    verbs::MemoryRegion* amr = nullptr;
+    verbs::MemoryRegion* bmr = nullptr;
+};
+
+/** wrIds of the exactly-once ledger tests: plain, and both extremes. */
+const std::vector<std::uint64_t> ledgerWrIds = {
+    42, 0, std::numeric_limits<std::uint64_t>::max()};
+
+std::string
+twiceDetail(std::uint64_t wr_id)
+{
+    return "wrId=" + std::to_string(wr_id) + " completed 2x but posted 1x";
+}
+
+} // namespace
+
+TEST(ChaosOracle, ForgedSecondSendCompletionIsCaught)
+{
+    for (std::uint64_t wr : ledgerWrIds) {
+        SCOPED_TRACE(wr);
+        OraclePair p;
+        chaos::InvariantMonitor monitor(p.cluster.fabric());
+        monitor.watch(p.a.rnic(), p.aqp.context());
+        monitor.watch(p.b.rnic(), p.bqp.context());
+        p.postWrite(wr);
+        ASSERT_TRUE(p.runTo(1, 0));
+        const std::vector<verbs::WorkCompletion> wcs = p.acq->poll();
+        ASSERT_EQ(wcs.size(), 1u);
+        EXPECT_TRUE(monitor.clean()) << monitor.report();
+
+        p.acq->push(wcs[0]);  // the forged second completion
+        ASSERT_EQ(monitor.violationCount(), 1u) << monitor.report();
+        EXPECT_EQ(monitor.violations()[0].invariant, "send-exactly-once");
+        EXPECT_EQ(monitor.violations()[0].detail, twiceDetail(wr));
+    }
+}
+
+TEST(ChaosOracle, ForgedSecondRecvCompletionIsCaught)
+{
+    for (std::uint64_t wr : ledgerWrIds) {
+        SCOPED_TRACE(wr);
+        OraclePair p;
+        chaos::InvariantMonitor monitor(p.cluster.fabric());
+        monitor.watch(p.a.rnic(), p.aqp.context());
+        monitor.watch(p.b.rnic(), p.bqp.context());
+        p.bqp.postRecv(p.dst, p.bmr->lkey(), 256, wr);
+        p.aqp.postSend(p.src, p.amr->lkey(), 64, 1);
+        ASSERT_TRUE(p.runTo(1, 1));
+        const std::vector<verbs::WorkCompletion> wcs = p.bcq->poll();
+        ASSERT_EQ(wcs.size(), 1u);
+        ASSERT_EQ(wcs[0].opcode, verbs::WrOpcode::Recv);
+        EXPECT_TRUE(monitor.clean()) << monitor.report();
+
+        p.bcq->push(wcs[0]);
+        ASSERT_EQ(monitor.violationCount(), 1u) << monitor.report();
+        EXPECT_EQ(monitor.violations()[0].invariant, "recv-exactly-once");
+        EXPECT_EQ(monitor.violations()[0].detail, twiceDetail(wr));
+    }
+}
+
+TEST(ChaosOracle, LateAttachJudgesOnlyPostAttachWrs)
+{
+    OraclePair p;
+    for (std::uint64_t wr = 1; wr <= 8; ++wr)
+        p.postWrite(wr);
+    ASSERT_TRUE(p.runTo(3, 0));
+    ASSERT_GT(p.aqp.outstanding(), 0u);  // attach with WRs in flight
+
+    chaos::InvariantMonitor monitor(p.cluster.fabric());
+    monitor.watchAll(p.cluster);
+    for (std::uint64_t wr = 101; wr <= 104; ++wr)
+        p.postWrite(wr);
+    ASSERT_TRUE(p.runTo(12, 0));
+    monitor.finalCheck();
+    EXPECT_TRUE(monitor.clean()) << monitor.report();
+
+    std::vector<verbs::WorkCompletion> wcs = p.acq->poll();
+    ASSERT_EQ(wcs.size(), 12u);
+    // A pre-attach WR was never seen posted: its forged twin is ignored.
+    ASSERT_EQ(wcs[0].wrId, 1u);
+    p.acq->push(wcs[0]);
+    EXPECT_TRUE(monitor.clean()) << monitor.report();
+    // A post-attach WR is judged.
+    ASSERT_EQ(wcs[8].wrId, 101u);
+    p.acq->push(wcs[8]);
+    ASSERT_EQ(monitor.violationCount(), 1u) << monitor.report();
+    EXPECT_EQ(monitor.violations()[0].invariant, "send-exactly-once");
+    EXPECT_EQ(monitor.violations()[0].detail, twiceDetail(101));
+}
+
+TEST(ChaosOracle, FinalCheckOrderIsIndependentOfWatchOrder)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 9);
+    Node& a = cluster.node(0);
+    Node& b = cluster.node(1);
+    const std::uint64_t src = a.alloc(4096);
+    const std::uint64_t dst = b.alloc(4096);
+    const std::uint32_t lkey =
+        a.registerMemory(src, 4096, verbs::AccessFlags::pinned()).lkey();
+    const std::uint32_t rkey =
+        b.registerMemory(dst, 4096, verbs::AccessFlags::pinned()).rkey();
+    std::vector<verbs::QueuePair> clients, servers;
+    for (int i = 0; i < 2; ++i) {
+        verbs::CompletionQueue& acq = a.createCq();
+        acq.setCapacity(1);  // nobody polls: one completion lands
+        auto [qa, qb] = cluster.connectRc(a, acq, b, b.createCq());
+        clients.push_back(qa);
+        servers.push_back(qb);
+    }
+
+    chaos::InvariantMonitor forward(cluster.fabric());
+    chaos::InvariantMonitor reverse(cluster.fabric());
+    for (int i = 0; i < 2; ++i) {
+        forward.watch(a.rnic(), clients[i].context());
+        forward.watch(b.rnic(), servers[i].context());
+        reverse.watch(b.rnic(), servers[1 - i].context());
+        reverse.watch(a.rnic(), clients[1 - i].context());
+    }
+    for (verbs::QueuePair& qp : clients)
+        for (std::uint64_t wr = 1; wr <= 3; ++wr)
+            qp.postWrite(src, lkey, dst, rkey, 64, wr);
+    ASSERT_TRUE(cluster.runUntil(
+        [&] {
+            return clients[0].outstanding() == 0 &&
+                   clients[1].outstanding() == 0;
+        },
+        cluster.now() + Time::sec(1)));
+    forward.finalCheck();
+    reverse.finalCheck();
+
+    ASSERT_EQ(forward.violationCount(), 2u) << forward.report();
+    for (const chaos::Violation& v : forward.violations())
+        EXPECT_EQ(v.invariant, "send-completion-missing");
+    EXPECT_LT(forward.violations()[0].qpn, forward.violations()[1].qpn);
+    EXPECT_EQ(reverse.report(), forward.report());
+}
+
+TEST(ChaosOracle, DestroyedMonitorLeavesNoTapsBehind)
+{
+    // Every monitor tap captures the monitor: after it is destroyed,
+    // posts, egress and completions must not call into it (the
+    // sanitizer job turns a leftover tap into a use-after-free).
+    OraclePair p;
+    auto monitor =
+        std::make_unique<chaos::InvariantMonitor>(p.cluster.fabric());
+    monitor->watch(p.a.rnic(), p.aqp.context());
+    monitor->watch(p.b.rnic(), p.bqp.context());
+    for (std::uint64_t wr = 1; wr <= 4; ++wr)
+        p.postWrite(wr);
+    ASSERT_TRUE(p.runTo(2, 0));
+    monitor.reset();  // mid-run: WRs still in flight
+
+    p.bqp.postRecv(p.dst, p.bmr->lkey(), 256, 7);
+    p.aqp.postSend(p.src, p.amr->lkey(), 64, 5);
+    p.postWrite(6);
+    EXPECT_TRUE(p.runTo(6, 1));
+}
+
+// ---------------------------------------------------------------------
+// PsnRunSet: the W1 fresh-once ledger.
+// ---------------------------------------------------------------------
+
+TEST(PsnRunSet, OutOfOrderInsertsMergeIntoRuns)
+{
+    chaos::PsnRunSet set;
+    for (std::uint32_t psn : {10u, 12u, 14u})
+        EXPECT_TRUE(set.insert(psn));
+    EXPECT_EQ(set.runCount(), 3u);
+    EXPECT_TRUE(set.insert(11));  // joins 10 and 12
+    EXPECT_EQ(set.runCount(), 2u);
+    EXPECT_TRUE(set.insert(13));  // joins [10, 12] and 14
+    EXPECT_EQ(set.runCount(), 1u);
+    EXPECT_TRUE(set.insert(9));   // extends downwards
+    EXPECT_TRUE(set.insert(15));  // extends upwards
+    EXPECT_EQ(set.runCount(), 1u);
+    for (std::uint32_t psn = 9; psn <= 15; ++psn)
+        EXPECT_TRUE(set.contains(psn)) << psn;
+    EXPECT_FALSE(set.contains(8));
+    EXPECT_FALSE(set.contains(16));
+}
+
+TEST(PsnRunSet, DuplicateInsideAnInteriorRunIsRefused)
+{
+    chaos::PsnRunSet set;
+    for (std::uint32_t psn = 0; psn < 5; ++psn)
+        set.insert(psn);
+    for (std::uint32_t psn = 100; psn < 105; ++psn)
+        set.insert(psn);
+    for (std::uint32_t psn = 200; psn < 205; ++psn)
+        set.insert(psn);
+    ASSERT_EQ(set.runCount(), 3u);
+    EXPECT_FALSE(set.insert(102));  // middle of the middle run
+    EXPECT_FALSE(set.insert(100));  // its edges
+    EXPECT_FALSE(set.insert(104));
+    EXPECT_EQ(set.runCount(), 3u);
+    EXPECT_TRUE(set.insert(105));
+    EXPECT_FALSE(set.insert(105));
+}
+
+TEST(PsnRunSet, WrapFromTopOfRingToZero)
+{
+    chaos::PsnRunSet set;
+    for (std::uint32_t psn = 0xfffffd; psn <= 0xffffff; ++psn)
+        EXPECT_TRUE(set.insert(psn));
+    EXPECT_TRUE(set.insert(0));  // 0xffffff + 1 wraps to a new run
+    EXPECT_TRUE(set.insert(1));
+    EXPECT_EQ(set.runCount(), 2u);
+    EXPECT_FALSE(set.insert(0xffffff));
+    EXPECT_FALSE(set.insert(0));
+    EXPECT_FALSE(set.contains(2));
+    EXPECT_FALSE(set.contains(0xfffffc));
+}
+
+TEST(PsnRunSet, ClearForgetsEveryPsn)
+{
+    // A reset epoch restarts the PSN stream at 0: the monitor clears the
+    // set, after which the same PSNs are fresh again.
+    chaos::PsnRunSet set;
+    for (std::uint32_t psn : {0u, 1u, 2u, 50u, 0xffffffu})
+        set.insert(psn);
+    set.clear();
+    EXPECT_EQ(set.runCount(), 0u);
+    EXPECT_FALSE(set.contains(1));
+    for (std::uint32_t psn : {0u, 1u, 2u, 50u, 0xffffffu})
+        EXPECT_TRUE(set.insert(psn)) << psn;
+    EXPECT_EQ(set.runCount(), 3u);
+}
+
+TEST(PsnRunSet, MatchesStdSetOnRandomStreams)
+{
+    Rng rng(17);
+    for (int round = 0; round < 20; ++round) {
+        chaos::PsnRunSet set;
+        std::set<std::uint32_t> model;
+        // Bursts of in-order PSNs from random starts near the wrap and
+        // near zero, so runs meet, merge and straddle the ring's end.
+        for (int burst = 0; burst < 40; ++burst) {
+            const bool nearTop = rng.uniformInt(0, 1) == 1;
+            std::uint32_t psn = static_cast<std::uint32_t>(
+                nearTop ? rng.uniformInt(0xffff00, 0xffffff)
+                        : rng.uniformInt(0, 255));
+            const int len = static_cast<int>(rng.uniformInt(1, 12));
+            for (int i = 0; i < len; ++i, psn = (psn + 1) & 0xffffff) {
+                ASSERT_EQ(set.insert(psn), model.insert(psn).second)
+                    << round << " " << psn;
+            }
+        }
+        for (std::uint32_t psn = 0; psn < 300; ++psn)
+            ASSERT_EQ(set.contains(psn), model.count(psn) == 1) << psn;
+        for (std::uint32_t psn = 0xfffe00; psn <= 0xffffff; ++psn)
+            ASSERT_EQ(set.contains(psn), model.count(psn) == 1) << psn;
+    }
 }
 
 // ---------------------------------------------------------------------

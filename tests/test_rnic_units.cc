@@ -2,15 +2,19 @@
  * @file
  * Unit and parameterized tests of the RNIC building blocks: Local ACK
  * Timeout arithmetic (paper Sec. II-C), 24-bit PSN ring math, the
- * device profile catalog (Table I), and the per-QP queue ring.
+ * device profile catalog (Table I), the per-QP queue ring and the flat
+ * key map.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "rnic/device_profile.hh"
+#include "rnic/flat_table.hh"
 #include "rnic/qp_context.hh"
 #include "rnic/ring.hh"
 #include "rnic/timeout.hh"
@@ -262,4 +266,99 @@ TEST(QueueRing, ClearEmptiesAndKeepsSlots)
     ring.push_back(7);
     ring.push_back(8);
     EXPECT_EQ(contents(ring), (std::vector<int>{7, 8}));
+}
+
+TEST(FlatKeyMapUnits, AllocatesNothingBeforeFirstInsert)
+{
+    FlatKeyMap<int> map;
+    EXPECT_EQ(map.capacity(), 0u);
+    EXPECT_EQ(map.find(7), nullptr);
+    EXPECT_FALSE(map.erase(7));
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.capacity(), 0u);  // misses and erases allocate nothing
+
+    // Sentinel keys live out of line: they do not allocate either.
+    map.insert(0, 1);
+    EXPECT_EQ(map.capacity(), 0u);
+
+    map.insert(7, 2);
+    EXPECT_EQ(map.capacity(), FlatKeyMap<int>::initialCapacity);
+    EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(FlatKeyMapUnits, SentinelKeysAreOrdinaryKeys)
+{
+    constexpr std::uint64_t maxKey = std::numeric_limits<std::uint64_t>::max();
+    FlatKeyMap<int, std::uint64_t> map;
+    map.insert(0, 10);
+    map.insert(maxKey, 20);
+    map.insert(1, 30);
+    EXPECT_EQ(map.size(), 3u);
+    ASSERT_NE(map.find(0), nullptr);
+    ASSERT_NE(map.find(maxKey), nullptr);
+    EXPECT_EQ(*map.find(0), 10);
+    EXPECT_EQ(*map.find(maxKey), 20);
+    EXPECT_EQ(*map.find(1), 30);
+
+    ++map[0];
+    ++map[maxKey];
+    EXPECT_EQ(*map.find(0), 11);
+    EXPECT_EQ(*map.find(maxKey), 21);
+
+    EXPECT_TRUE(map.erase(0));
+    EXPECT_FALSE(map.erase(0));
+    EXPECT_EQ(map.find(0), nullptr);
+    EXPECT_NE(map.find(maxKey), nullptr);
+    EXPECT_EQ(map.size(), 2u);
+
+    // The 32-bit table's sentinels work the same way.
+    FlatKeyMap<int> narrow;
+    narrow[0] = 1;
+    narrow[0xffffffffu] = 2;
+    EXPECT_EQ(narrow.size(), 2u);
+    EXPECT_EQ(*narrow.find(0), 1);
+    EXPECT_EQ(*narrow.find(0xffffffffu), 2);
+}
+
+TEST(FlatKeyMapUnits, SixtyFourBitKeysKeepTheirHighWord)
+{
+    // (lid << 32) | qpn keys: many lids share each qpn, so the high word
+    // must take part in both the hash and the comparison.
+    FlatKeyMap<std::uint32_t, std::uint64_t> map;
+    std::uint32_t value = 0;
+    for (std::uint64_t lid = 1; lid <= 16; ++lid)
+        for (std::uint64_t qpn = 100; qpn < 132; ++qpn)
+            map.insert((lid << 32) | qpn, value++);
+    EXPECT_EQ(map.size(), 512u);
+    value = 0;
+    for (std::uint64_t lid = 1; lid <= 16; ++lid) {
+        for (std::uint64_t qpn = 100; qpn < 132; ++qpn) {
+            const std::uint32_t* found = map.find((lid << 32) | qpn);
+            ASSERT_NE(found, nullptr) << lid << " " << qpn;
+            EXPECT_EQ(*found, value++);
+        }
+    }
+    EXPECT_EQ(map.find((std::uint64_t(17) << 32) | 100), nullptr);
+    EXPECT_EQ(map.find(100), nullptr);  // same low word, no high word
+}
+
+TEST(FlatKeyMapUnits, GrowthAndReserve)
+{
+    FlatKeyMap<std::uint64_t, std::uint64_t> map;
+    for (std::uint64_t key = 1; key <= 1000; ++key)
+        ++map[key * 0x100000001ull];
+    EXPECT_EQ(map.size(), 1000u);
+    EXPECT_LE(map.size() * 10, map.capacity() * 7);  // load <= 0.7
+    for (std::uint64_t key = 1; key <= 1000; ++key)
+        ASSERT_EQ(*map.find(key * 0x100000001ull), 1u) << key;
+
+    FlatKeyMap<int, std::uint64_t> reserved;
+    reserved.reserve(100);
+    const std::size_t capacity = reserved.capacity();
+    EXPECT_GE(capacity, 200u);
+    for (std::uint64_t key = 1; key <= 100; ++key)
+        reserved.insert(key << 40, 0);
+    EXPECT_EQ(reserved.capacity(), capacity);  // no rehash on the way
+    reserved.reserve(10);  // never shrinks
+    EXPECT_EQ(reserved.capacity(), capacity);
 }
