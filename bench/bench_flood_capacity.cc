@@ -54,8 +54,6 @@ struct CapacityResult
     std::uint64_t maxClockLagNs = 0;
     double busyMean = 0;
     double busyMin = 0;
-    std::uint64_t triggerExits = 0;
-    std::uint64_t drainAborts = 0;
     std::uint64_t roundsSkipped = 0;
     std::uint64_t readyDepth = 0;
 };
@@ -156,10 +154,8 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
     // datapath.
     std::unique_ptr<chaos::InvariantMonitor> monitor;
 
-    // Trigger-based waits: only clients post, so server CQs stay at
-    // zero and the cluster-wide count equals the client-CQ sum. Island
-    // cells exit through the kernel's per-island completion triggers
-    // (no per-quiesce CQ re-poll); single-queue cells poll as before.
+    // Only clients post, so server CQs stay at zero and the
+    // cluster-wide completion count equals the client-CQ sum.
     const auto start = Clock::now();
     postWave(0);
     cluster.runUntilCompletions(perWave, Time::sec(600));
@@ -191,8 +187,6 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
         result.islandEventsMin = ks.minIslandExecuted;
         result.steals = ks.steals;
         result.maxClockLagNs = ks.maxClockLagNs;
-        result.triggerExits = ks.triggerExits;
-        result.drainAborts = ks.drainAborts;
         result.roundsSkipped = ks.roundsSkipped;
         result.readyDepth = ks.maxReadyQueueDepth;
         if (!ks.workerBusyFraction.empty()) {
@@ -339,10 +333,6 @@ registerFloodCapacity(exp::Registry& registry)
                               static_cast<double>(r.maxClockLagNs))
                          .set("busy_mean", r.busyMean)
                          .set("busy_min", r.busyMin)
-                         .set("trigger_exits",
-                              static_cast<double>(r.triggerExits))
-                         .set("drain_aborts",
-                              static_cast<double>(r.drainAborts))
                          .set("rounds_skipped",
                               static_cast<double>(r.roundsSkipped))
                          .set("ready_depth",
@@ -362,8 +352,6 @@ registerFloodCapacity(exp::Registry& registry)
                            "chan_pkts"),
                   exp::col("imbalance", exp::Stat::Mean, 2, "imbalance"),
                   exp::col("steals", exp::Stat::Mean, 0, "steals"),
-                  exp::col("trigger_exits", exp::Stat::Mean, 0,
-                           "trig_exit"),
                   exp::col("ready_depth", exp::Stat::Mean, 0,
                            "ready_q"),
                   exp::col("max_clock_lag_ns", exp::Stat::Mean, 0,
@@ -378,11 +366,9 @@ registerFloodCapacity(exp::Registry& registry)
                  "pairwise channel clocks, work-stealing scheduler.\n"
                  "jobs=1 runs the windowed algorithm inline (the "
                  "sequential reference); every jobs>1\nrun is "
-                 "bit-identical to it. Waves wait via per-island "
-                 "completion triggers\n(runUntilCompletions): trig_exit "
-                 "counts runs that stopped inside a worker pass.\n"
-                 "steals / lag_ns / busy_* / ready_q / drain_aborts are "
-                 "wall-clock scheduler\nobservability, not part of the "
+                 "bit-identical to it.\n"
+                 "steals / lag_ns / busy_* / ready_q are wall-clock "
+                 "scheduler observability,\nnot part of the "
                  "deterministic surface.");
          }});
 }

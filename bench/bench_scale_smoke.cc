@@ -56,7 +56,6 @@ struct ScaleResult
     std::uint64_t roundsSkipped = 0;
     std::uint64_t steals = 0;
     std::uint64_t readyDepth = 0;
-    std::uint64_t drainAborts = 0;
 };
 
 /**
@@ -222,7 +221,6 @@ runScaleTrial(std::size_t islands, unsigned jobs, std::uint64_t seed)
     result.roundsSkipped = ks.roundsSkipped;
     result.steals = ks.steals;
     result.readyDepth = ks.maxReadyQueueDepth;
-    result.drainAborts = ks.drainAborts;
     return result;
 }
 
@@ -275,8 +273,6 @@ registerScaleSmoke(exp::Registry& registry)
                          .set("steals", static_cast<double>(r.steals))
                          .set("ready_depth",
                               static_cast<double>(r.readyDepth))
-                         .set("drain_aborts",
-                              static_cast<double>(r.drainAborts))
                          .set("completed", r.completed ? 1.0 : 0.0);
                  });
 

@@ -199,30 +199,6 @@ Cluster::totalCompletions() const
     return total;
 }
 
-std::uint64_t
-Cluster::completionsOn(std::size_t island) const
-{
-    // Island mode: node i is island i (planes included). Otherwise every
-    // node is on island 0.
-    return sharded_ ? nodes_[island]->totalCompletions() : totalCompletions();
-}
-
-bool
-Cluster::runUntilCompletions(std::uint64_t target, Time limit)
-{
-    // Top up the per-island trigger set (one per island holding a
-    // node). Counters read through the nodes, so nodes and CQs created
-    // after registration still count.
-    const std::size_t islands =
-        std::min(kernel_.islandCount(), nodes_.size());
-    while (islandsWithTriggers_ < islands) {
-        const std::size_t island = islandsWithTriggers_++;
-        kernel_.addTrigger(island,
-                           [this, island] { return completionsOn(island); });
-    }
-    return kernel_.runUntilTriggered(target, limit);
-}
-
 std::pair<verbs::QueuePair, verbs::QueuePair>
 Cluster::connectRc(Node& a, verbs::CompletionQueue& cq_a, Node& b,
                    verbs::CompletionQueue& cq_b, verbs::QpConfig config)

@@ -138,22 +138,17 @@ class Cluster
     std::uint64_t totalCompletions() const;
 
     /**
-     * Run until the cluster-wide completion count reaches @p target —
-     * the trigger-based fast path for the most common runUntil shape.
-     *
-     * Registers one monotone per-island trigger counter with the kernel
-     * (cluster code owns the kernel's trigger set) and exits via
-     * runUntilTriggered(). In island mode satisfaction is detected
-     * inside the worker pass right after the crossing window retires,
-     * instead of re-polling every CQ at each quiesce; in single-queue
-     * mode the counters are polled after every event. Either way stop
-     * time, trace hash and oracle verdicts are bit-identical to the
-     * polling equivalent
-     * `runUntil([&]{ return totalCompletions() >= target; })`.
+     * Run until the cluster-wide completion count reaches @p target:
+     * runUntil() with the predicate `totalCompletions() >= target`.
      * @return true if the target was reached.
      */
-    bool runUntilCompletions(std::uint64_t target,
-                             Time limit = Time::max());
+    bool
+    runUntilCompletions(std::uint64_t target, Time limit = Time::max())
+    {
+        return kernel_.runUntil(
+            [this, target] { return totalCompletions() >= target; },
+            limit);
+    }
 
     /** Events executed so far (summed over islands). */
     std::uint64_t eventsExecuted() const { return kernel_.executed(); }
@@ -209,12 +204,6 @@ class Cluster
     net::Fabric fabric_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::uint16_t nextLid_ = 1;
-    /** Islands whose completion trigger is registered with the kernel
-     * (runUntilCompletions tops this up lazily). */
-    std::size_t islandsWithTriggers_ = 0;
-
-    /** Completions delivered on @p island's nodes. */
-    std::uint64_t completionsOn(std::size_t island) const;
 };
 
 } // namespace ibsim

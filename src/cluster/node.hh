@@ -69,9 +69,8 @@ class Node
     verbs::CompletionQueue& createCq();
 
     /**
-     * Completions delivered on this node's CQs since creation, summed.
-     * Monotone under execution — the island-local trigger counter the
-     * cluster registers for trigger-based runUntil (DESIGN.md §12.c).
+     * Completions delivered on this node's CQs since creation, summed
+     * (Cluster::runUntilCompletions() waits on the cluster-wide sum).
      */
     std::uint64_t totalCompletions() const;
 

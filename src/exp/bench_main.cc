@@ -79,6 +79,9 @@ runBenches(const Registry& registry,
         std::fprintf(stderr, "no benches selected\n");
         return 1;
     }
+    // Opening a sink checks the --json/--csv outputs: an unwritable path
+    // exits 2 here, before any trial, instead of dropping every row.
+    ctx.sink(selection.front()->name);
     int failures = 0;
     for (const BenchInfo* bench : selection) {
         if (selection.size() > 1)

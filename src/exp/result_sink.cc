@@ -96,18 +96,39 @@ jsonEscape(const std::string& s)
     return out;
 }
 
+void
+requireWritable(const char* what, const std::string& path)
+{
+    if (path.empty())
+        return;
+    std::FILE* f = std::fopen(path.c_str(), "a");
+    if (f == nullptr) {
+        std::fprintf(stderr, "%s: cannot open '%s'\n", what, path.c_str());
+        std::exit(2);
+    }
+    std::fclose(f);
+}
+
 ResultSink::ResultSink(Options options) : options_(std::move(options))
 {
     jsonPath_ = options_.jsonPath;
+    const char* jsonWhat = "--json";
     if (jsonPath_.empty()) {
-        if (const char* env = std::getenv("IBSIM_JSON"))
+        if (const char* env = std::getenv("IBSIM_JSON")) {
             jsonPath_ = env;
+            jsonWhat = "IBSIM_JSON";
+        }
     }
     csvPath_ = options_.csvPath;
+    const char* csvWhat = "--csv";
     if (csvPath_.empty()) {
-        if (const char* env = std::getenv("IBSIM_CSV"))
+        if (const char* env = std::getenv("IBSIM_CSV")) {
             csvPath_ = env;
+            csvWhat = "IBSIM_CSV";
+        }
     }
+    requireWritable(jsonWhat, jsonPath_);
+    requireWritable(csvWhat, csvPath_);
 }
 
 void

@@ -62,7 +62,9 @@ class ResultSink
     struct Options
     {
         std::string benchName;
-        /** Output paths; empty falls back to IBSIM_JSON / IBSIM_CSV. */
+        /** Output paths; empty falls back to IBSIM_JSON / IBSIM_CSV.
+         * The constructor opens each named path for appending and exits
+         * with status 2 when it cannot. */
         std::string jsonPath;
         std::string csvPath;
         /** Suppress the stdout rendering (JSON/CSV still written). */
@@ -109,6 +111,14 @@ class ResultSink
     std::string jsonPath_;
     std::string csvPath_;
 };
+
+/**
+ * Create @p path or open it for appending; on failure print
+ * "<what>: cannot open '<path>'" and exit with status 2, so a bench
+ * never runs with an output it would silently drop. An empty path is a
+ * no-op.
+ */
+void requireWritable(const char* what, const std::string& path);
 
 /** Minimal JSON string escaping for keys/values we emit. */
 std::string jsonEscape(const std::string& s);

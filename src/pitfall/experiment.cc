@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "exp/result_sink.hh"
+
 namespace ibsim {
 namespace pitfall {
 
@@ -37,6 +39,7 @@ TablePrinter::TablePrinter(std::vector<std::string> headers,
 {
     if (const char* path = std::getenv("IBSIM_CSV"))
         csvPath_ = path;
+    exp::requireWritable("IBSIM_CSV", csvPath_);
 }
 
 void

@@ -43,7 +43,8 @@ probabilityPercent(std::size_t trials,
  *
  * When the IBSIM_CSV environment variable names a file, every table also
  * appends its rows there as CSV (header included), so the bench outputs
- * can be re-plotted directly.
+ * can be re-plotted directly. A path that cannot be opened exits with
+ * status 2 at construction.
  */
 class TablePrinter
 {

@@ -130,33 +130,6 @@ ShardedKernel::logicalIslandCount() const
 }
 
 void
-ShardedKernel::setWindowsPerRound(unsigned windows)
-{
-    assert(windows > 0);
-    windowsPerRound_ = windows;
-    windowsPinned_ = true;  // an explicit length disables adaptation
-}
-
-std::size_t
-ShardedKernel::addTrigger(std::size_t island, TriggerCount count)
-{
-    assert(island < islands_.size());
-    triggers_.push_back(Trigger{island, std::move(count), 0});
-    islands_[island].trig.push_back(
-        static_cast<std::uint32_t>(triggers_.size() - 1));
-    return triggers_.size() - 1;
-}
-
-void
-ShardedKernel::clearTriggers()
-{
-    triggers_.clear();
-    for (Island& is : islands_)
-        is.trig.clear();
-    trigArmed_.store(false, std::memory_order_relaxed);
-}
-
-void
 ShardedKernel::addBarrierAgent(BarrierAgent* agent)
 {
     agents_.push_back(agent);
@@ -314,10 +287,6 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
             continue;
         }
 
-        // The drain token reads dirty under this island's claim, so
-        // marking before the window's pushes keeps "clean" an honest
-        // "no activity since the last visit".
-        is.dirty.store(true, std::memory_order_relaxed);
         std::uint64_t parcels = 0;
         for (BarrierAgent* agent : agents_)
             parcels += agent->flushInbound(i, done, runLimit);
@@ -327,35 +296,13 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
         is.done.store(runLimit.toNs(), std::memory_order_release);
         if (jobs_ > 1)
             wakeOutNeighbors(worker, i, runLimit.toNs());
-        else
-            ++seqWindowsRound_;
         ++is.windows;
-        if (!is.trig.empty() &&
-            trigArmed_.load(std::memory_order_relaxed))
-            noteTriggers(is);
         advanced = true;
         if (runLimit == round_limit) {
             is.roundDone.store(true, std::memory_order_relaxed);
             doneCount_.fetch_add(1, std::memory_order_release);
             return Step::RoundDone;
         }
-    }
-}
-
-void
-ShardedKernel::noteTriggers(Island& is)
-{
-    for (std::uint32_t t : is.trig) {
-        Trigger& trig = triggers_[t];
-        const std::uint64_t cur = trig.count();
-        if (cur <= trig.lastSeen)
-            continue;  // monotone counters only move forward
-        const std::uint64_t delta = cur - trig.lastSeen;
-        trig.lastSeen = cur;
-        const std::uint64_t sum =
-            trigSum_.fetch_add(delta, std::memory_order_relaxed) + delta;
-        if (sum >= trigTarget_)
-            trigFired_.store(true, std::memory_order_relaxed);
     }
 }
 
@@ -367,26 +314,13 @@ ShardedKernel::workerRoundInline()
     std::uint64_t busy = 0;
     const std::size_t n = islands_.size();
 
-    for (;;) {
-        const std::uint64_t windowsBefore = seqWindowsRound_;
+    while (doneCount_.load(std::memory_order_acquire) < n) {
         for (std::size_t i = 0; i < n; ++i) {
             if (islands_[i].roundDone.load(std::memory_order_relaxed))
                 continue;
             const auto t0 = clock::now();
             if (stepIsland(0, i, roundLimit_) != Step::Blocked)
                 busy += elapsedNs(t0, clock::now());
-        }
-        if (doneCount_.load(std::memory_order_acquire) >= n)
-            break;
-        // Drain probe: a pass that advanced clocks but executed no window
-        // is the pure-leapfrog drain tail — cut it the moment nothing at
-        // or below the round limit remains (no races to worry about
-        // inline).
-        if (seqWindowsRound_ == windowsBefore &&
-            allQuietBelow(roundLimit_)) {
-            drainAborts_.fetch_add(1, std::memory_order_relaxed);
-            roundAbort_.store(true, std::memory_order_relaxed);
-            break;
         }
     }
 
@@ -500,20 +434,11 @@ ShardedKernel::workerRoundReady(unsigned worker)
     // not count as progress or an idle pair of workers would spin).
     bool progress = false;
     for (;;) {
-        if (roundAbort_.load(std::memory_order_acquire))
-            break;
         std::uint32_t idx;
         if (popReady(worker, idx)) {
+            // The pop made this worker the island's sole executor until
+            // it parks the island again (Done or Blocked).
             Island& is = islands_[idx];
-            std::uint8_t expect = 0;
-            if (!is.claim.compare_exchange_strong(
-                    expect, 1, std::memory_order_acquire,
-                    std::memory_order_relaxed)) {
-                // The drain token is inspecting it; hand it back.
-                pushReady(worker, idx);
-                std::this_thread::yield();
-                continue;
-            }
             is.sched.store(kSchedRunning, std::memory_order_relaxed);
             const auto t0 = clock::now();
             const Step step = stepIsland(worker, idx, roundLimit_);
@@ -524,23 +449,18 @@ ShardedKernel::workerRoundReady(unsigned worker)
                     steals_.fetch_add(1, std::memory_order_relaxed);
                 is.lastWorker = worker;
             }
-            if (step == Step::RoundDone) {
+            if (step == Step::RoundDone)
                 is.sched.store(kSchedDone, std::memory_order_relaxed);
-                is.claim.store(0, std::memory_order_release);
-            } else {
-                is.claim.store(0, std::memory_order_release);
+            else
                 blockIsland(worker, idx);
-            }
             continue;
         }
         if (doneCount_.load(std::memory_order_acquire) >= n)
             break;
-        // Idle: advance the drain token, then the wake-miss safety net
-        // — re-enqueue every still-blocked island (covers dense-island
-        // wakes, which are deliberately not fanned out per publish, and
-        // inbound work that arrived below a stale wake threshold).
-        if (tryTokenPass())
-            break;
+        // Idle: the wake-miss safety net — re-enqueue every still-blocked
+        // island (covers dense-island wakes, which are deliberately not
+        // fanned out per publish, and inbound work that arrived below a
+        // stale wake threshold).
         if (!progress)
             std::this_thread::yield();
         progress = false;
@@ -559,61 +479,6 @@ ShardedKernel::workerRoundReady(unsigned worker)
     Worker& me = workers_[worker];
     me.busyNs += busy;
     me.totalNs += elapsedNs(roundStart, clock::now());
-}
-
-bool
-ShardedKernel::tryTokenPass()
-{
-    if (roundAbort_.load(std::memory_order_acquire))
-        return true;
-    if (tokenBusy_.exchange(true, std::memory_order_acquire))
-        return false;  // another worker is carrying the token
-    const std::size_t n = islands_.size();
-    // Two consecutive fully-clean circuits prove the round tail empty:
-    // a single circuit can miss an island that pushed *after* its
-    // visit, but the pusher's dirty flag survives into the next
-    // circuit (DESIGN.md §12.c has the induction).
-    const std::uint32_t needed = static_cast<std::uint32_t>(2 * n);
-    for (std::size_t visits = 0; visits < n && tokenClean_ < needed;
-         ++visits) {
-        Island& is = islands_[tokenPos_];
-        std::uint8_t expect = 0;
-        if (!is.claim.compare_exchange_strong(expect, 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-            // Someone is executing it — activity; retry here later.
-            tokenClean_ = 0;
-            break;
-        }
-        bool clean = !is.dirty.exchange(false, std::memory_order_acq_rel);
-        if (clean)
-            clean = is.queue->nextEventTime() > roundLimit_;
-        if (clean)
-            clean = inboundEarliest(tokenPos_) > roundLimit_;
-        is.claim.store(0, std::memory_order_release);
-        tokenClean_ = clean ? tokenClean_ + 1 : 0;
-        tokenPos_ = (tokenPos_ + 1) % static_cast<std::uint32_t>(n);
-    }
-    bool fired = false;
-    if (tokenClean_ >= needed) {
-        fired = true;
-        drainAborts_.fetch_add(1, std::memory_order_relaxed);
-        roundAbort_.store(true, std::memory_order_release);
-    }
-    tokenBusy_.store(false, std::memory_order_release);
-    return fired;
-}
-
-bool
-ShardedKernel::allQuietBelow(Time t) const
-{
-    for (std::size_t i = 0; i < islands_.size(); ++i) {
-        if (islands_[i].queue->nextEventTime() <= t)
-            return false;
-        if (inboundEarliest(i) <= t)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -642,14 +507,9 @@ void
 ShardedKernel::dispatchRound(Time init_done, Time round_limit)
 {
     roundLimit_ = round_limit;
-    roundAbort_.store(false, std::memory_order_relaxed);
-    tokenPos_ = 0;
-    tokenClean_ = 0;
-    seqWindowsRound_ = 0;
     for (Island& is : islands_) {
         is.done.store(init_done.toNs(), std::memory_order_relaxed);
         is.roundDone.store(false, std::memory_order_relaxed);
-        is.dirty.store(false, std::memory_order_relaxed);
     }
     doneCount_.store(0, std::memory_order_relaxed);
     if (jobs_ <= 1) {
@@ -726,23 +586,14 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
                        bool* pred_hit)
 {
     startWorkers();
-    const bool trig = trigArmed_.load(std::memory_order_relaxed);
-    // Adaptive rounds apply only to predicate-free runs: for
-    // runUntil()/runUntilTriggered() the round boundary *is* the stop
-    // granularity, and the trigger and poll paths must stop at
-    // identical virtual times, so both keep the base length.
-    const bool adaptive = !windowsPinned_ && pred == nullptr && !trig;
-    unsigned roundWindows = windowsPerRound_;
+    // Adaptive rounds apply only to predicate-free runs: for runUntil()
+    // the round boundary *is* the stop granularity, so it keeps the base
+    // length.
+    const bool adaptive = pred == nullptr;
+    unsigned roundWindows = kBaseWindows;
     for (;;) {
         // Round boundaries are the quiesce points: every worker is
         // parked, all clocks agree, channels hold only future work.
-        if (trig && pred_hit != nullptr &&
-            trigFired_.load(std::memory_order_relaxed)) {
-            *pred_hit = true;
-            ++triggerExits_;
-            quiesceFlush(now_);
-            return false;
-        }
         if (pred != nullptr && (*pred)()) {
             *pred_hit = true;
             quiesceFlush(now_);
@@ -782,16 +633,12 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
         }
         dispatchRound(initDone, roundLimit);
         ++rounds_;
-        // A token abort is sound only when nothing at or below the
-        // round limit was skipped; the quiesced re-check is free here.
-        assert(!roundAbort_.load(std::memory_order_relaxed) ||
-               earliestPending() > roundLimit);
         if (adaptive) {
             // Every completed busy round doubles the next one (capped):
             // long predicate-free drains quiesce O(log) instead of
             // O(length / base) times. Derived from simulation-visible
             // state only, so round placement stays jobs-invariant.
-            roundsSkipped_ += roundWindows / windowsPerRound_ - 1;
+            roundsSkipped_ += roundWindows / kBaseWindows - 1;
             if (roundWindows < kMaxAdaptiveWindows)
                 roundWindows = std::min(kMaxAdaptiveWindows,
                                         roundWindows * 2);
@@ -821,42 +668,6 @@ ShardedKernel::runUntil(const std::function<bool()>& pred, Time limit)
         return q->runUntil(pred, limit);
     bool hit = false;
     runCore(limit, &pred, &hit);
-    return hit;
-}
-
-bool
-ShardedKernel::runUntilTriggered(std::uint64_t target, Time limit)
-{
-    if (EventQueue* q = soleQueue()) {
-        // One island: the counters are polled after every event, so the
-        // run stops at exactly the event that crosses the target.
-        const bool hit = q->runUntil(
-            [this, target] {
-                std::uint64_t sum = 0;
-                for (const Trigger& t : triggers_)
-                    sum += t.count();
-                return sum >= target;
-            },
-            limit);
-        triggerExits_ += hit ? 1 : 0;
-        return hit;
-    }
-    startWorkers();
-    // Quiesced: seed every counter's absolute value so work retired
-    // before this call counts toward the target, exactly like the
-    // polling equivalent `runUntil([&]{ return sum() >= target; })`.
-    std::uint64_t sum = 0;
-    for (Trigger& t : triggers_) {
-        t.lastSeen = t.count();
-        sum += t.lastSeen;
-    }
-    trigSum_.store(sum, std::memory_order_relaxed);
-    trigTarget_ = target;
-    trigFired_.store(sum >= target, std::memory_order_relaxed);
-    trigArmed_.store(true, std::memory_order_relaxed);
-    bool hit = false;
-    runCore(limit, nullptr, &hit);
-    trigArmed_.store(false, std::memory_order_relaxed);
     return hit;
 }
 
@@ -899,8 +710,6 @@ ShardedKernel::kernelStats() const
     KernelStats s;
     s.barriers = rounds_;
     s.steals = steals_.load(std::memory_order_relaxed);
-    s.triggerExits = triggerExits_;
-    s.drainAborts = drainAborts_.load(std::memory_order_relaxed);
     s.roundsSkipped = roundsSkipped_;
     for (const ReadyShard& shard : ready_) {
         s.maxReadyQueueDepth =

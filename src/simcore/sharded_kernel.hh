@@ -24,46 +24,34 @@
  * keeps each island's flush/run step sequence a pure function of the
  * virtual state — the determinism backbone (DESIGN.md §12.b).
  *
- * Execution is batched into *rounds* of windowsPerRound() grid windows.
- * Inside a round islands run fully asynchronously under the channel-clock
- * constraint; between rounds the kernel quiesces once to check
- * runUntil() predicates, detect drain, and jump over idle gaps to the
- * globally earliest pending work. With jobs > 1 any idle worker may
- * claim any runnable island at window granularity via an atomic
- * per-island claim (a steal is a claim by a different worker than the
- * previous one). Claims only decide *who* executes; *what* each island
- * executes per window is schedule-independent, so trace hashes, stats
- * and oracle verdicts are bit-identical at any jobs count. jobs = 1 runs
- * the identical round/window algorithm inline with no threads, scanning
- * the islands in index order — the "sequential" reference the
- * differential tests compare against.
+ * Execution is batched into *rounds* of grid windows. Inside a round
+ * islands run fully asynchronously under the channel-clock constraint;
+ * between rounds the kernel quiesces once to check runUntil()
+ * predicates, detect drain, and jump over idle gaps to the globally
+ * earliest pending work. A round always runs to its limit. With
+ * jobs > 1 workers find runnable islands through a sharded *ready
+ * queue*: islands enqueue when an in-neighbor clock publish crosses
+ * their recorded wake threshold, workers pop LIFO from their own shard
+ * and steal FIFO from the others (a steal is a pop by a different
+ * worker than the previous one), and a pop is the only way an island
+ * changes hands. The queue only decides *who* executes; *what* each
+ * island executes per window is schedule-independent, so trace hashes,
+ * stats and oracle verdicts are bit-identical at any jobs count.
+ * jobs = 1 runs the identical round/window algorithm inline with no
+ * threads, scanning the islands in index order — the "sequential"
+ * reference the differential tests compare against.
  *
- * Round three (DESIGN.md §12.c) makes round boundaries the exception
- * instead of the rule. Per-island *trigger counters* — monotone,
- * island-local progress counts registered via addTrigger() — are folded
- * into a global sum inside the worker pass right after each executed
- * window, so runUntilTriggered() detects satisfaction the moment the
- * crossing window retires and the quiesce check collapses to one flag
- * read (the polling runUntil() stays as the fallback for opaque
- * predicates; both stop at the same round boundary, so they are
- * bit-identical). A Safra-style *drain token* walks the islands under
- * their claim bytes and aborts the null-message leapfrog tail of a
- * round once two consecutive clean circuits prove nothing at or below
- * the round limit remains — a drained mesh stops after a handful of
- * token visits instead of creeping clock windows to the round limit.
- * Workers find runnable islands through a sharded *ready queue* (islands
- * enqueue when an in-neighbor clock publish crosses their recorded wake
- * threshold; workers pop LIFO from their own shard and steal FIFO from
- * others), and `windowsPerRound`
- * *adapts* — predicate-free runs double the round length up to a cap,
- * purely from simulation-visible state, so long drains quiesce
- * logarithmically rather than linearly often.
+ * Round length adapts (DESIGN.md §12.c): runUntil() rounds are always
+ * kBaseWindows long — the round boundary is its stop granularity —
+ * while predicate-free runs double the length per round up to
+ * kMaxAdaptiveWindows, purely from simulation-visible state, so long
+ * drains quiesce logarithmically rather than linearly often.
  *
  * A kernel with exactly one island skips all of the above: run(),
- * runUntil(), runUntilTriggered() and advance() call that island's
- * EventQueue directly (predicates and triggers are polled after every
- * event, and no worker, ready shard or round ever exists). This is how
- * the cluster's single-queue mode runs — one kernel, two partitions.
+ * runUntil() and advance() call that island's EventQueue directly
+ * (predicates are polled after every event, and no worker, ready shard
+ * or round ever exists). This is how the cluster's single-queue mode
+ * runs — one kernel, two partitions.
  *
  * What the kernel deliberately does not do: share any RNG, wire-id
  * counter or packet pool between islands (the cluster forks node RNGs,
@@ -207,50 +195,11 @@ class ShardedKernel
     std::size_t logicalIslandCount() const;
     /** @} */
 
-    /**
-     * Pin the round length (the quiesce/steal-rebalance granularity).
-     * Calling this disables adaptive rounds: predicate-free runs
-     * otherwise double the round length per busy round (up to
-     * kMaxAdaptiveWindows) so long drains quiesce logarithmically
-     * often. runUntil()/runUntilTriggered() always use the base length
-     * — the round boundary is their stop granularity, and trigger and
-     * poll paths must stop at identical times.
-     */
-    void setWindowsPerRound(unsigned windows);
-    unsigned windowsPerRound() const { return windowsPerRound_; }
+    /** Round length of runUntil() rounds, in grid windows. */
+    static constexpr unsigned kBaseWindows = 16;
 
     /** Adaptive round-length cap for predicate-free runs. */
     static constexpr unsigned kMaxAdaptiveWindows = 256;
-
-    /** @{ Per-island trigger counters — the runUntil fast path.
-     *
-     * A trigger is a monotone (non-decreasing under simulated
-     * execution) counter that reads only @p island's state — e.g. a
-     * CQ's total completion count, or "work requests retired on this
-     * QP". The worker executing the island re-reads it after every
-     * executed window and folds the delta into a global sum, so
-     * runUntilTriggered(target) detects `sum >= target` inside the
-     * worker pass, the moment the crossing window retires. The run
-     * still stops at the next round boundary (run-ahead makes
-     * mid-round truncation non-deterministic — DESIGN.md §12.c), which
-     * is exactly where the polling fallback
-     * `runUntil([&]{ return sum() >= target; })` stops too: the two
-     * are bit-identical, triggers just replace the O(islands) quiesce
-     * poll with one flag read and give the drain token a satisfied
-     * round tail to abort. Registration is only legal while the kernel
-     * is quiesced (also *between* runs — counters re-seed per call). */
-    using TriggerCount = std::function<std::uint64_t()>;
-    std::size_t addTrigger(std::size_t island, TriggerCount count);
-    void clearTriggers();
-    std::size_t triggerCount() const { return triggers_.size(); }
-
-    /**
-     * Run until the registered trigger counters sum to >= @p target
-     * (with one island: stop at exactly the crossing event).
-     * @return true if the target was reached (false = limit cut).
-     */
-    bool runUntilTriggered(std::uint64_t target, Time limit = Time::max());
-    /** @} */
 
     /** Register / remove a channel holder (fabric, monitor, ...). */
     void addBarrierAgent(BarrierAgent* agent);
@@ -266,7 +215,7 @@ class ShardedKernel
 
     /**
      * Run until @p pred holds, checking at every round boundary (the
-     * kernel quiesces once per windowsPerRound() grid windows; the
+     * kernel quiesces once per kBaseWindows grid windows; the
      * predicate may read any cross-island state there) — after every
      * event with one island.
      * @return true if the predicate was satisfied.
@@ -287,20 +236,18 @@ class ShardedKernel
      * Sharding observability: round/window counts, channel traffic, the
      * per-logical-island event-count spread (imbalance is what caps the
      * parallel speedup), and scheduler behaviour. steals, maxClockLagNs,
-     * workerBusyFraction, drainAborts and maxReadyQueueDepth describe
-     * the *schedule*, which is timing-dependent — they are not part of
-     * the deterministic surface the differential tests compare
-     * (triggerExits and roundsSkipped are deterministic).
+     * workerBusyFraction and maxReadyQueueDepth describe the
+     * *schedule*, which is timing-dependent — they are not part of the
+     * deterministic surface the differential tests compare
+     * (roundsSkipped is deterministic).
      */
     struct KernelStats
     {
         std::uint64_t barriers = 0;        ///< round quiesce points
         std::uint64_t windows = 0;         ///< island-windows executed
         std::uint64_t channelParcels = 0;  ///< cross-island items flushed
-        std::uint64_t steals = 0;          ///< cross-worker island claims
+        std::uint64_t steals = 0;          ///< cross-worker island pops
         std::uint64_t maxClockLagNs = 0;   ///< worst blocked-island lag
-        std::uint64_t triggerExits = 0;    ///< runs exited via trigger flag
-        std::uint64_t drainAborts = 0;     ///< round tails cut by the token
         std::uint64_t roundsSkipped = 0;   ///< quiesces adaptive rounds saved
         std::uint64_t maxReadyQueueDepth = 0;  ///< deepest ready shard seen
         std::vector<std::uint64_t> executedPerIsland;  ///< logical islands
@@ -329,7 +276,9 @@ class ShardedKernel
 
     /**
      * Per-island execution state. done is the published channel clock.
-     * Islands sit side by side in islands_; the trailing pad keeps one
+     * The plain fields belong to whichever worker popped the island; the
+     * sched hand-offs and the shard mutexes order them when the island
+     * changes hands. Islands sit side by side in islands_; the trailing pad keeps one
      * island's hot fields off its neighbour's cache lines. (Padding, not
      * alignas: every single-queue cluster builds a one-island kernel,
      * and repeated over-aligned allocations fragment the heap.)
@@ -338,29 +287,17 @@ class ShardedKernel
     {
         std::unique_ptr<EventQueue> queue;
         std::atomic<std::int64_t> done{0};
-        std::atomic<std::uint8_t> claim{0};
         std::atomic<bool> roundDone{false};
         std::atomic<std::uint8_t> sched{kSchedBlocked};  ///< ready-queue state
-        std::atomic<bool> dirty{false};  ///< executed since last token visit
         /** Min in-neighbor clock (ns) that would unblock this island. */
         std::atomic<std::int64_t> wakeAt{0};
-        std::uint32_t lastWorker = kNoWorker;  ///< steal detection (under claim)
+        std::uint32_t lastWorker = kNoWorker;  ///< steal detection
         std::vector<std::uint32_t> inNbr;  ///< in-neighbor island indices
         std::vector<std::uint32_t> outNbr;  ///< out-neighbor island indices
-        std::vector<std::uint32_t> trig;  ///< indices into triggers_
-        std::uint64_t windows = 0;       ///< windows executed (under claim)
-        std::uint64_t parcels = 0;       ///< items flushed (under claim)
-        std::uint64_t maxLagNs = 0;      ///< worst blocked lag (under claim)
+        std::uint64_t windows = 0;       ///< windows executed
+        std::uint64_t parcels = 0;       ///< items flushed
+        std::uint64_t maxLagNs = 0;      ///< worst blocked lag
         char pad[64];
-    };
-
-    /** A monotone island-local progress counter (addTrigger()). */
-    struct Trigger
-    {
-        std::size_t island;
-        TriggerCount count;
-        /** Last value folded into trigSum_ (owned by i's executor). */
-        std::uint64_t lastSeen = 0;
     };
 
     /** One worker's shard of the ready queue (jobs > 1). */
@@ -401,9 +338,6 @@ class ShardedKernel
     /** Advance island @p i as far as the channel clocks allow. */
     Step stepIsland(unsigned worker, std::size_t i, Time round_limit);
 
-    /** Fold island @p i's trigger counters into trigSum_ (its executor). */
-    void noteTriggers(Island& is);
-
     /** Enqueue a now-runnable island on @p worker's ready shard. */
     void pushReady(unsigned worker, std::uint32_t island);
 
@@ -420,13 +354,6 @@ class ShardedKernel
 
     /** Park a blocked island and close the block-vs-wake race. */
     void blockIsland(unsigned worker, std::uint32_t island);
-
-    /** Advance the drain token a bounded number of visits; true when it
-     * proved the round tail empty and set roundAbort_. */
-    bool tryTokenPass();
-
-    /** Sequential (jobs = 1) drain probe: nothing pending <= @p t. */
-    bool allQuietBelow(Time t) const;
 
     /** Safe horizon of island @p i: min in-neighbor clock + lookahead. */
     Time safeHorizon(const Island& is) const;
@@ -462,8 +389,6 @@ class ShardedKernel
 
     Time lookahead_;
     unsigned jobs_;
-    unsigned windowsPerRound_ = 16;
-    bool windowsPinned_ = false;  ///< setWindowsPerRound disables adaptation
     std::deque<Island> islands_;
     std::vector<BarrierAgent*> agents_;
     Time now_;
@@ -477,30 +402,10 @@ class ShardedKernel
 
     std::vector<std::size_t> logicalOf_;
 
-    /** @{ Stats (coordinator-written or per-island under claim). */
+    /** @{ Stats (coordinator-written or per-island by its executor). */
     std::uint64_t rounds_ = 0;
     std::atomic<std::uint64_t> steals_{0};
-    std::uint64_t triggerExits_ = 0;   ///< coordinator-written
     std::uint64_t roundsSkipped_ = 0;  ///< coordinator-written
-    std::atomic<std::uint64_t> drainAborts_{0};
-    /** @} */
-
-    /** @{ Trigger machinery. lastSeen lives in Trigger (per executor);
-     * the sum and fire flag are the only cross-worker state. */
-    std::vector<Trigger> triggers_;
-    std::atomic<std::uint64_t> trigSum_{0};
-    std::uint64_t trigTarget_ = 0;
-    std::atomic<bool> trigArmed_{false};
-    std::atomic<bool> trigFired_{false};
-    /** @} */
-
-    /** @{ Drain token (jobs > 1). One holder at a time via
-     * tokenBusy_; pos/clean are handed between holders under it. */
-    std::atomic<bool> tokenBusy_{false};
-    std::uint32_t tokenPos_ = 0;
-    std::uint32_t tokenClean_ = 0;
-    std::atomic<bool> roundAbort_{false};
-    std::uint64_t seqWindowsRound_ = 0;  ///< jobs = 1 drain-probe gate
     /** @} */
 
     /** Ready-queue shards (one per worker, sized when the workers
@@ -513,8 +418,9 @@ class ShardedKernel
      * epoch_, participates as worker 0, then waits for every worker to
      * park (outstanding_ == 0). Workers wake on epoch_, execute islands
      * until all islands report roundDone (doneCount_ == islandCount),
-     * then park. Claims give the cross-worker happens-before when an
-     * island migrates between workers.
+     * then park. When an island migrates between workers, the
+     * Blocked -> Ready CAS and the shard mutexes give the cross-worker
+     * happens-before.
      */
     std::vector<Worker> workers_;  ///< sized when the workers start
     std::atomic<std::uint64_t> epoch_{0};

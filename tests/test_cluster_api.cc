@@ -96,6 +96,16 @@ TEST(TablePrinterCsv, MirrorsRowsWhenEnvSet)
     std::remove(path);
 }
 
+TEST(TablePrinterCsvDeathTest, UnwritableEnvPathExits)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ::setenv("IBSIM_CSV", "/nonexistent-dir/x.csv", 1);
+    EXPECT_EXIT({ pitfall::TablePrinter table({"a"}); },
+                ::testing::ExitedWithCode(2),
+                "IBSIM_CSV: cannot open '/nonexistent-dir/x.csv'");
+    ::unsetenv("IBSIM_CSV");
+}
+
 TEST(TablePrinterCsv, NoEnvNoFile)
 {
     const char* path = "/tmp/ibsim_csv_test2.csv";

@@ -428,6 +428,32 @@ TEST(CliInput, SuiteRejectsMalformedJobsEnv)
     }
 }
 
+TEST(CliInput, UnwritableOutputExitsBeforeAnyTrial)
+{
+    // Used to drop every row silently and exit 0, so a gate reading the
+    // file saw nothing to check.
+    const std::string bad = "/nonexistent-dir/x.out";
+    const std::pair<std::string, std::string> cases[] = {
+        {IBSIM_CLI_PATH " fig4 --quick --json " + bad, "--json"},
+        {IBSIM_CLI_PATH " fig4 --quick --csv " + bad, "--csv"},
+        {"IBSIM_JSON=" + bad + " " IBSIM_CLI_PATH " fig4 --quick",
+         "IBSIM_JSON"},
+        {"IBSIM_JSON=/dev/null IBSIM_CSV=" + bad +
+             " " IBSIM_CLI_PATH " fig4 --quick",
+         "IBSIM_CSV"},
+    };
+    for (const auto& [command, what] : cases) {
+        const auto [code, output] = runCommand(command);
+        EXPECT_EQ(code, 2) << command << "\n" << output;
+        EXPECT_NE(output.find(what + ": cannot open '" + bad + "'"),
+                  std::string::npos)
+            << command << "\n" << output;
+        // No trial ran: the fig4 table never started.
+        EXPECT_EQ(output.find("Fig. 4"), std::string::npos)
+            << command << "\n" << output;
+    }
+}
+
 TEST(CliInput, ExploreFlagsNeedTheSubcommand)
 {
     expectRejected(IBSIM_CLI_PATH " --ops 2", "unknown option: --ops");

@@ -16,6 +16,9 @@ the threshold defaults to a generous 25% and only the named nanosecond
 metrics are compared — counts, violation totals and derived rates are
 trend data, not gates.
 
+A fresh file with no rows fails: the bench that should have written it
+wrote nothing, and an empty comparison would otherwise read as a pass.
+
 Fresh cells with no baseline row fail soft-but-loud: each is printed as a
 WARN line and the check exits nonzero so CI surfaces them, without
 claiming a perf regression. Pass --allow-new when the new cells are
@@ -171,6 +174,9 @@ def main():
 
     baseline = latest_by_key(load_rows(args.baseline))
     fresh = latest_by_key(load_rows(args.fresh))
+    if not fresh:
+        print(f"FAIL: {args.fresh} has no rows: nothing to check")
+        return 1
 
     compared = 0
     unmatched = []  # fresh cells with no baseline row
