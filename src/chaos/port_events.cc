@@ -28,9 +28,6 @@ PortEventDriver::start()
                 chains_.push_back(Chain{self, peer, island,
                                         topology_.makeSchedule(a, b),
                                         &fabric_.islandEvents(island), 0});
-                // Annotate the port (gates nothing; observability only).
-                if (fabric_.portState(self) == net::PortState::Up)
-                    fabric_.setPortState(self, net::PortState::Flapping);
             }
         }
     }

@@ -31,15 +31,12 @@ namespace net {
 
 /**
  * Administrative state of a port (IBA PortState, reduced to what the
- * simulation distinguishes). `Flapping` is an annotation meaning "this
- * port's links carry an active flap schedule"; it gates nothing — only
- * `Down` stops traffic.
+ * simulation distinguishes): only `Down` stops traffic.
  */
 enum class PortState : std::uint8_t
 {
     Up,
     Down,
-    Flapping,
 };
 
 /**

@@ -136,32 +136,6 @@ struct FloodQuirkConfig
 
     /** Upper bound on the load multiplier (bounds one refresh's cost). */
     double maxServiceFactor = 100.0;
-
-    /**
-     * Mechanistic update-failure trigger (DESIGN.md section 14): when
-     * true, a resolution's prompt updates fail for its stale waiters
-     * when the fault overlapped at least contentionThreshold
-     * MMU-notifier windows on the same region — the page-status queue
-     * loses the race against concurrent invalidation traffic — instead
-     * of the fanout/staleness conjecture above. Off by default so every
-     * existing golden stands; the fanout draw remains the documented
-     * paper-facing model.
-     */
-    bool notifierContention = false;
-
-    /** Overlapping windows needed to fail the prompt update. */
-    std::uint32_t contentionThreshold = 1;
-
-    /**
-     * Pre-fix slow-queue accounting: a waiter that went stale twice
-     * (page remapped after an invalidation mid-flood) was pushed into
-     * the slow queue again, unregisterWaiter() purged only the first
-     * copy, and serviceFired() burned rate-limited service slots
-     * refreshing keys whose waiters were already flushed or destroyed
-     * — staleCount() over-reported and the flood drain stretched.
-     * Kept as a flag-flip regression switch; off everywhere.
-     */
-    bool staleQueueDeadKeyBug = false;
 };
 
 } // namespace odp

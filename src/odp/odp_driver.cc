@@ -89,10 +89,10 @@ OdpDriver::raiseFault(TranslationTable& table, std::uint64_t vaddr,
     ++stats_.faultsRaised;
     const Time latency = drawFaultLatency();
     const Time resolve_at = events_.now() + latency;
-    Entry& entry = pages_.enter(key, PageState::NotPresent,
-                                PageState::Faulting);
+    // NotPresent -> Faulting is a legal edge: enter() never refuses it.
+    Entry& entry = *pages_.enter(key, PageState::NotPresent,
+                                 PageState::Faulting);
     entry.resolveAt = resolve_at;
-    entry.windowsOverlapped = openWindowsOn(&table);
     if (on_resolved)
         entry.callbacks.push_back(std::move(on_resolved));
     const std::uint64_t epoch = ++entry.faultEpoch;
@@ -164,16 +164,15 @@ OdpDriver::completeFault(TranslationTable& table, std::uint64_t page_idx,
                 "page fault resolved page=" +
                     std::to_string(page_idx));
 
-    const std::uint32_t contention = entry->windowsOverlapped;
     auto callbacks = std::move(entry->callbacks);
     pages_.leave(key, PageState::Present);
 
     const auto extra = expandHugeMapping(table, page_idx);
 
     if (resolutionObserver_) {
-        resolutionObserver_(table, page_idx, contention);
+        resolutionObserver_(table, page_idx);
         for (std::uint64_t p : extra)
-            resolutionObserver_(table, p, 0);
+            resolutionObserver_(table, p);
     }
     for (auto& cb : callbacks)
         cb();
@@ -247,13 +246,12 @@ OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
         // translations stay blocked for the whole window. The host frame
         // is only released at invalidate_end.
         const bool was_mapped = table.invalidatePage(vaddr);
-        Entry& fresh = pages_.enter(key,
-                                    was_mapped ? PageState::Present
-                                               : PageState::NotPresent,
-                                    PageState::Invalidating);
+        Entry& fresh = *pages_.enter(key,
+                                     was_mapped ? PageState::Present
+                                                : PageState::NotPresent,
+                                     PageState::Invalidating);
         fresh.windowEndAt = end_at;
         const std::uint64_t wepoch = ++fresh.windowEpoch;
-        openWindow(&table);
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start page=" + std::to_string(page_idx));
@@ -270,7 +268,6 @@ OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
         pages_.transition(*entry, PageState::FaultingInvalidated);
         entry->windowEndAt = end_at;
         const std::uint64_t wepoch = ++entry->windowEpoch;
-        openWindow(&table);
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start dooms in-flight fault page=" +
@@ -317,7 +314,6 @@ OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
     // invalidate_end: the quiesce is complete and the kernel takes the
     // host frame back.
     memory_.releasePage(vaddr);
-    closeWindow(&table);
     IBSIM_TRACE(traceOdp, events_.now(),
                 "page invalidated page=" + std::to_string(page_idx));
 
@@ -328,7 +324,6 @@ OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
         pages_.transition(*entry, PageState::Faulting);
         const Time latency = drawFaultLatency();
         entry->resolveAt = events_.now() + latency;
-        entry->windowsOverlapped = openWindowsOn(&table);
         const std::uint64_t epoch = ++entry->faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "page fault retries page=" + std::to_string(page_idx) +
@@ -346,7 +341,6 @@ OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
         pages_.transition(*entry, PageState::Faulting);
         entry->refault = false;
         entry->resolveAt = events_.now() + entry->refaultLatency;
-        entry->windowsOverlapped = openWindowsOn(&table);
         const std::uint64_t epoch = ++entry->faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "queued fault starts page=" + std::to_string(page_idx));
@@ -403,7 +397,7 @@ OdpDriver::prefetchSweep(TranslationTable& table, std::uint64_t first,
         table.mapPage(va);
         ++stats_.prefetchedPages;
         if (resolutionObserver_)
-            resolutionObserver_(table, p, 0);
+            resolutionObserver_(table, p);
     }
 }
 
@@ -426,31 +420,6 @@ OdpDriver::maybeAutoPrefetch(TranslationTable& table,
     ++stats_.autoPrefetches;
     prefetch(table, (page_idx + 1) * mem::pageSize,
              timing_.prefetchWidth * mem::pageSize);
-}
-
-std::uint32_t
-OdpDriver::openWindowsOn(const TranslationTable* table) const
-{
-    auto it = openWindows_.find(table);
-    return it == openWindows_.end() ? 0 : it->second;
-}
-
-void
-OdpDriver::openWindow(const TranslationTable* table)
-{
-    ++openWindows_[table];
-    pages_.noteWindowOpened(table);
-}
-
-void
-OdpDriver::closeWindow(const TranslationTable* table)
-{
-    auto it = openWindows_.find(table);
-    assert(it != openWindows_.end() && it->second > 0);
-    if (it == openWindows_.end())
-        return;
-    if (--it->second == 0)
-        openWindows_.erase(it);
 }
 
 } // namespace odp

@@ -77,15 +77,9 @@ class OdpDriver
      */
     using ResolveCallback = EventQueue::Callback;
 
-    /**
-     * Observer of page resolutions (the status board). The third argument
-     * is the number of notifier windows that overlapped the fault's
-     * lifetime on the same table (0 for prefetch-resolved pages) — the
-     * contention signal behind FloodQuirkConfig::notifierContention.
-     */
+    /** Observer of page resolutions (the status board). */
     using ResolutionObserver =
-        std::function<void(TranslationTable&, std::uint64_t page,
-                           std::uint32_t contention)>;
+        std::function<void(TranslationTable&, std::uint64_t page)>;
 
     OdpDriver(EventQueue& events, Rng& rng, mem::AddressSpace& memory,
               FaultTiming timing);
@@ -204,19 +198,11 @@ class OdpDriver
     std::vector<std::uint64_t> expandHugeMapping(TranslationTable& table,
                                                  std::uint64_t page_idx);
 
-    /** Open notifier windows on @p table right now. */
-    std::uint32_t openWindowsOn(const TranslationTable* table) const;
-
-    void openWindow(const TranslationTable* table);
-    void closeWindow(const TranslationTable* table);
-
     EventQueue& events_;
     Rng& rng_;
     mem::AddressSpace& memory_;
     FaultTiming timing_;
     OdpPageTable pages_;
-    /** Open notifier windows per table (contention accounting). */
-    std::map<const TranslationTable*, std::uint32_t> openWindows_;
     /** Per-table sequential-fault detector (PrefetchPolicy). */
     struct SeqState
     {

@@ -39,17 +39,8 @@ PageStatusBoard::unregisterWaiter(const TranslationTable* table,
     auto it = waiters_.find(key);
     if (it == waiters_.end())
         return;
-    if (it->second.stale) {
-        if (config_.staleQueueDeadKeyBug) {
-            // Pre-fix purge: only the first queued copy goes, so a
-            // waiter that went stale twice leaves a dead key behind.
-            auto q = std::find(slowQueue_.begin(), slowQueue_.end(), key);
-            if (q != slowQueue_.end())
-                slowQueue_.erase(q);
-        } else {
-            purgeFromSlowQueue(key);
-        }
-    }
+    if (it->second.stale)
+        purgeFromSlowQueue(key);
     waiters_.erase(it);
 }
 
@@ -69,8 +60,7 @@ PageStatusBoard::fresh(const TranslationTable* table, std::uint64_t page_idx,
 
 void
 PageStatusBoard::onPageMapped(const TranslationTable& table,
-                              std::uint64_t page_idx,
-                              std::uint32_t contention)
+                              std::uint64_t page_idx)
 {
     // Collect the waiters of this page. Keys sort by (table, page, qpn) so
     // an equal_range-style scan over the map works.
@@ -83,16 +73,8 @@ PageStatusBoard::onPageMapped(const TranslationTable& table,
         page_waiters.push_back(it->first);
     }
 
-    const bool over_fanout =
-        config_.enabled && page_waiters.size() > config_.updateFanout;
-    // Mechanistic trigger (notifierContention): the prompt update loses
-    // the race when the fault resolved under concurrent invalidation
-    // traffic on the region, regardless of fanout.
     const bool fail_updates =
-        config_.notifierContention
-            ? (config_.enabled &&
-               contention >= config_.contentionThreshold)
-            : over_fanout;
+        config_.enabled && page_waiters.size() > config_.updateFanout;
     const Time stale_cutoff = events_.now() - config_.staleThreshold;
 
     for (const Key& key : page_waiters) {
@@ -100,7 +82,7 @@ PageStatusBoard::onPageMapped(const TranslationTable& table,
         if (fail_updates && w.since < stale_cutoff) {
             // Update failure: this QP was already mid-retransmission and
             // missed the broadcast; only the slow path refreshes it.
-            if (config_.staleQueueDeadKeyBug || !w.stale) {
+            if (!w.stale) {
                 ++stats_.updateFailures;
                 w.stale = true;
                 slowQueue_.push_back(key);
@@ -111,7 +93,7 @@ PageStatusBoard::onPageMapped(const TranslationTable& table,
                             " page=" + std::to_string(page_idx));
         } else {
             ++stats_.promptUpdates;
-            if (!config_.staleQueueDeadKeyBug && w.stale)
+            if (w.stale)
                 purgeFromSlowQueue(key);
             waiters_.erase(key);
         }
@@ -140,32 +122,20 @@ PageStatusBoard::serviceFired()
 
     // LIFO service: the most recent failures refresh first, so the
     // earliest operations finish last (paper Fig. 11a: the *first* ~30
-    // operations stayed unaware the longest).
-    if (config_.staleQueueDeadKeyBug) {
-        // Pre-fix behavior: a dead key (waiter already flushed or
-        // destroyed) burns this rate-limited service slot anyway.
+    // operations stayed unaware the longest). Dead keys (waiter already
+    // flushed or destroyed) are skipped without burning a service slot.
+    while (!slowQueue_.empty()) {
         const Key key = slowQueue_.back();
         slowQueue_.pop_back();
-        waiters_.erase(key);
+        auto it = waiters_.find(key);
+        if (it == waiters_.end() || !it->second.stale)
+            continue;
+        waiters_.erase(it);
         ++stats_.slowRefreshes;
         IBSIM_TRACE(traceFlood, events_.now(),
                     "slow refresh landed qpn=" +
                         std::to_string(std::get<2>(key)));
-    } else {
-        // Skip dead keys without burning a service slot on them.
-        while (!slowQueue_.empty()) {
-            const Key key = slowQueue_.back();
-            slowQueue_.pop_back();
-            auto it = waiters_.find(key);
-            if (it == waiters_.end() || !it->second.stale)
-                continue;
-            waiters_.erase(it);
-            ++stats_.slowRefreshes;
-            IBSIM_TRACE(traceFlood, events_.now(),
-                        "slow refresh landed qpn=" +
-                            std::to_string(std::get<2>(key)));
-            break;
-        }
+        break;
     }
 
     if (!slowQueue_.empty()) {

@@ -69,15 +69,8 @@ class PageStatusBoard
     bool fresh(const TranslationTable* table, std::uint64_t page_idx,
                std::uint32_t qpn) const;
 
-    /**
-     * Driver observer: the page's translation was just installed.
-     * @p contention is the number of MMU-notifier windows that overlapped
-     * the fault on the same table (0 for prefetch-resolved pages); it
-     * drives the mechanistic update-failure trigger when
-     * FloodQuirkConfig::notifierContention is set.
-     */
-    void onPageMapped(const TranslationTable& table, std::uint64_t page_idx,
-                      std::uint32_t contention = 0);
+    /** Driver observer: the page's translation was just installed. */
+    void onPageMapped(const TranslationTable& table, std::uint64_t page_idx);
 
     /** Waiters currently stale (update failed, slow refresh pending). */
     std::size_t staleCount() const { return slowQueue_.size(); }
@@ -101,7 +94,7 @@ class PageStatusBoard
     /** Kick the slow-refresh service if it is idle. */
     void scheduleService(Time lead);
 
-    /** Remove every queued copy of @p key (post-fix accounting). */
+    /** Remove every queued copy of @p key. */
     void purgeFromSlowQueue(const Key& key);
 
     /** Serve one slow refresh from the queue. */

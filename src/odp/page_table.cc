@@ -74,31 +74,40 @@ OdpPageTable::state(const Key& key, bool mapped) const
     return mapped ? PageState::Present : PageState::NotPresent;
 }
 
-OdpPageTable::Entry&
+bool
+OdpPageTable::admit(PageState from, PageState to, bool from_steady,
+                    bool to_steady)
+{
+    const auto steady = [](PageState s) {
+        return s == PageState::NotPresent || s == PageState::Present;
+    };
+    const bool legal = pageTransitionLegal(from, to) &&
+                       steady(from) == from_steady &&
+                       steady(to) == to_steady;
+    assert(legal && "illegal page transition");
+    if (!legal)
+        ++stats_.illegalTransitionsBlocked;
+    return legal;
+}
+
+OdpPageTable::Entry*
 OdpPageTable::enter(const Key& key, PageState from, PageState to)
 {
-    assert((from == PageState::NotPresent || from == PageState::Present) &&
-           "transient states already have an entry");
-    assert(pageTransitionLegal(from, to) && "illegal page transition");
-    if (!pageTransitionLegal(from, to))
-        ++stats_.illegalTransitionsBlocked;
+    if (!admit(from, to, /*from_steady=*/true, /*to_steady=*/false))
+        return nullptr;
     auto [it, inserted] = entries_.try_emplace(key);
     assert(inserted && "page already transient");
     (void)inserted;
     it->second.state = to;
     ++stats_.transitions;
-    return it->second;
+    return &it->second;
 }
 
 void
 OdpPageTable::transition(Entry& entry, PageState to)
 {
-    assert(pageTransitionLegal(entry.state, to) &&
-           "illegal page transition");
-    if (!pageTransitionLegal(entry.state, to)) {
-        ++stats_.illegalTransitionsBlocked;
+    if (!admit(entry.state, to, /*from_steady=*/false, /*to_steady=*/false))
         return;
-    }
     entry.state = to;
     ++stats_.transitions;
 }
@@ -108,10 +117,10 @@ OdpPageTable::leave(const Key& key, PageState to)
 {
     auto it = entries_.find(key);
     assert(it != entries_.end() && "leaving a page with no entry");
-    assert(pageTransitionLegal(it->second.state, to) &&
-           "illegal page transition");
-    assert((to == PageState::Present || to == PageState::NotPresent) &&
-           "leave() only retires entries");
+    if (it == entries_.end() ||
+        !admit(it->second.state, to, /*from_steady=*/false,
+               /*to_steady=*/true))
+        return;
     ++stats_.transitions;
     entries_.erase(it);
 }
@@ -124,17 +133,6 @@ OdpPageTable::transientPages(const TranslationTable* table) const
          it != entries_.end() && it->first.first == table; ++it)
         ++count;
     return count;
-}
-
-void
-OdpPageTable::noteWindowOpened(const TranslationTable* table)
-{
-    for (auto it = entries_.lower_bound({table, 0});
-         it != entries_.end() && it->first.first == table; ++it) {
-        if (it->second.state == PageState::Faulting ||
-            it->second.state == PageState::FaultingInvalidated)
-            ++it->second.windowsOverlapped;
-    }
 }
 
 } // namespace odp

@@ -17,10 +17,11 @@
  *
  * The map only stores entries for pages in a transient state (Faulting,
  * Invalidating, FaultingInvalidated); Present and NotPresent are derived
- * from the RNIC translation table. Transitions are checked against the
- * legal-edge table above, so an impossible interleaving asserts instead
- * of silently corrupting page state — the structural guarantee behind
- * the fault/invalidate/prefetch race fixes.
+ * from the RNIC translation table. Every transition is checked against
+ * the legal-edge table above, so an impossible interleaving asserts (or,
+ * with NDEBUG, is refused and counted) instead of silently corrupting
+ * page state — the structural guarantee behind the
+ * fault/invalidate/prefetch race fixes.
  */
 
 #ifndef IBSIM_ODP_PAGE_TABLE_HH
@@ -63,6 +64,7 @@ bool pageTransitionLegal(PageState from, PageState to);
 struct PageTableStats
 {
     std::uint64_t transitions = 0;
+    /** Edges refused by the legality check (only reachable with NDEBUG). */
     std::uint64_t illegalTransitionsBlocked = 0;
 };
 
@@ -102,13 +104,6 @@ class OdpPageTable
 
         /** Latency drawn for the fault queued behind the window. */
         Time refaultLatency;
-
-        /**
-         * Notifier windows that overlapped this fault's lifetime on the
-         * same table — the contention signal behind the mechanistic
-         * flood-quirk trigger (FloodQuirkConfig::notifierContention).
-         */
-        std::uint32_t windowsOverlapped = 0;
     };
 
     /** Entry for the page, or nullptr when Present / NotPresent. */
@@ -122,13 +117,15 @@ class OdpPageTable
     PageState state(const Key& key, bool mapped) const;
 
     /**
-     * Create the entry for a page entering @p to from Present/NotPresent
-     * (@p from). Asserts the edge is legal and the page had no entry.
+     * Create the entry for a page entering transient state @p to from
+     * Present/NotPresent (@p from). Asserts the page had no entry.
+     * Returns nullptr when the edge is refused.
      */
-    Entry& enter(const Key& key, PageState from, PageState to);
+    Entry* enter(const Key& key, PageState from, PageState to);
 
     /**
-     * Move an existing entry along the @p to edge. Asserts legality.
+     * Move an existing entry along the @p to edge into another transient
+     * state.
      */
     void transition(Entry& entry, PageState to);
 
@@ -144,18 +141,21 @@ class OdpPageTable
     /** All transient entries, for observability. */
     std::size_t size() const { return entries_.size(); }
 
-    /**
-     * Bump the overlap counter of every in-flight fault on @p table —
-     * called when a notifier window opens.
-     */
-    void noteWindowOpened(const TranslationTable* table);
-
     const PageTableStats& stats() const { return stats_; }
 
     /** Iteration support (tests / observability). */
     const std::map<Key, Entry>& entries() const { return entries_; }
 
   private:
+    /**
+     * The one legality check behind enter/transition/leave: @p from ->
+     * @p to must be a legal edge whose ends are steady (Present or
+     * NotPresent) exactly where the entry point expects. Asserts on an
+     * illegal edge; with NDEBUG counts it as blocked and returns false.
+     */
+    bool admit(PageState from, PageState to, bool from_steady,
+               bool to_steady);
+
     std::map<Key, Entry> entries_;
     PageTableStats stats_;
 };

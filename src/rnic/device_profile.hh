@@ -113,42 +113,13 @@ struct DeviceProfile
     /**
      * Depth of the responder's atomic replay cache (the IBA "atomic
      * response resources"): how many recent atomic results are retained
-     * to answer duplicate requests without re-executing. Requesters keep
-     * their in-flight window at or below this, so a retransmitted atomic
-     * always finds its record.
+     * to answer duplicate requests without re-executing. Nothing ties a
+     * requester's window to this depth: it is bounded only by
+     * QpConfig::maxInflight PSNs (default 128) and QpConfig::maxRdAtomic
+     * (default 0, unlimited). A duplicate whose record has been evicted
+     * gets no response.
      */
     std::size_t atomicReplayDepth = 128;
-
-    /**
-     * @{ Resurrectable historical defects, kept behind switches so the
-     * chaos oracle's regression tests can flip one on and assert the
-     * corresponding invariant family catches the old behaviour
-     * (tests/test_chaos.cc). All off in every shipped profile.
-     */
-
-    /**
-     * Pre-fix atomic replay-cache accounting: a duplicate-PSN insert
-     * overwrites the map entry but pushes a second eviction-order entry,
-     * so eviction later erases a live record early and the cache drifts
-     * past its accounted capacity (caught by invariant A1).
-     */
-    bool atomicCacheAccountingBug = false;
-
-    /**
-     * Broken responder that re-executes duplicate atomics against memory
-     * instead of answering from the replay cache — the exactly-once
-     * violation invariant A1 exists to catch.
-     */
-    bool atomicReexecuteBug = false;
-
-    /**
-     * Pre-fix UD drop accounting: datagrams discarded at the responder
-     * (no RECV posted, truncation, ODP-cold buffer) fall through
-     * silently instead of counting QpStats::udDrops (caught by
-     * invariant U3).
-     */
-    bool udDropAccountingBug = false;
-    /** @} */
 
     /**
      * @{ Error/recovery switches (DESIGN.md §13). Both default off: a QP

@@ -87,14 +87,6 @@ RcResponder::onRequest(const net::Packet& pkt)
             sendAck(pkt.psn, /*replayed=*/true);
             break;
           case net::Opcode::AtomicRequest: {
-            if (rnic_.profile().atomicReexecuteBug) {
-                // Deliberately broken mode (oracle regression tests): the
-                // duplicate runs against memory again, so the requester
-                // sees a different original value the second time.
-                sendAtomicResponse(pkt.psn, applyAtomic(pkt),
-                                   /*replayed=*/true);
-                break;
-            }
             auto cached = atomicCache_.find(pkt.psn);
             if (cached != atomicCache_.end()) {
                 sendAtomicResponse(pkt.psn, cached->second,
@@ -133,24 +125,20 @@ RcResponder::onUdRequest(const net::Packet& pkt)
     if (pkt.op != net::Opcode::Send)
         return;
     ++qp_.stats.udDeliveredSends;
-    const bool countDrops = !rnic_.profile().udDropAccountingBug;
     if (qp_.recvQueue.empty()) {
-        if (countDrops)
-            ++qp_.stats.udDrops;
+        ++qp_.stats.udDrops;
         return;
     }
     RecvWqe& rq = qp_.recvQueue.front();
     if (pkt.length > rq.length) {
-        if (countDrops)
-            ++qp_.stats.udDrops;
+        ++qp_.stats.udDrops;
         return;
     }
     verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
     if (mr && mr->odp() && !mr->table().mappedRange(rq.addr, pkt.length)) {
         rnic_.driver().raiseFault(
             mr->table(), mr->table().firstUnmapped(rq.addr, pkt.length));
-        if (countDrops)
-            ++qp_.stats.udDrops;
+        ++qp_.stats.udDrops;
         return;
     }
     rnic_.memory().write(rq.addr, pkt.payload);
@@ -423,11 +411,10 @@ RcResponder::cacheAtomicResult(std::uint32_t psn, std::uint64_t old_value)
     atomicCache_[psn] = old_value;
     // A reused PSN (24-bit wrap, or a reconnect resetting the stream)
     // must refresh the existing record in place. Pushing a second order
-    // entry for it — the pre-fix behaviour kept behind the
-    // atomicCacheAccountingBug switch — makes eviction erase the live
-    // map record early and lets the deque drift past the capacity the
-    // map is accounted against.
-    if (fresh || rnic_.profile().atomicCacheAccountingBug)
+    // entry for it would make eviction erase the live map record early
+    // and let the ring drift past the capacity the map is accounted
+    // against.
+    if (fresh)
         atomicCacheOrder_.push_back(psn);
     if (atomicCacheOrder_.size() > rnic_.profile().atomicReplayDepth) {
         atomicCache_.erase(atomicCacheOrder_.front());

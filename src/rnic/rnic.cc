@@ -25,9 +25,8 @@ Rnic::Rnic(EventQueue& events, Rng& rng, net::Fabric& fabric,
 {
     fabric_.attach(lid_, *this);
     driver_.setResolutionObserver(
-        [this](odp::TranslationTable& table, std::uint64_t page,
-               std::uint32_t contention) {
-            board_.onPageMapped(table, page, contention);
+        [this](odp::TranslationTable& table, std::uint64_t page) {
+            board_.onPageMapped(table, page);
         });
 }
 

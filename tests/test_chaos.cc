@@ -813,9 +813,10 @@ TEST(ChaosSwrel, CleanDeliveryPassesTheOracle)
 
 // ---------------------------------------------------------------------
 // Atomics under chaos: the A* invariant families and the replay-cache
-// accounting fix. The flag-flip tests re-enable the pre-fix behaviour
-// through DeviceProfile regression switches and require the oracle to
-// catch exactly what the fix removed.
+// accounting fix. The mutation tests reproduce each fixed defect's
+// symptom on the wire (raw injected packets, a test-local FaultStage,
+// or a QpContext field written by hand) and require the oracle to catch
+// it, while the fixed code stays clean.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -874,17 +875,17 @@ TEST(ChaosAtomics, ReplayCacheAccountingBugIsCaughtByOracle)
 {
     // The pre-fix responder pushed a second eviction-order entry when a
     // duplicate-PSN insert overwrote an existing cache record, so a later
-    // insert evicted a record the PSN window still required. Drive the
-    // exact sequence with the cache squeezed to two records: execute
-    // psn=0, re-execute it after a PSN reset (the reconnect/PSN-reuse
-    // scenario that makes duplicate inserts possible at all), insert
-    // psn=1, then replay psn=0 from the requester's timeout path. The
-    // buggy responder is silent (record evicted) and A1 fires; the fixed
-    // one answers from the cache and A1 stays quiet.
-    for (const bool bug : {false, true}) {
+    // insert evicted a record the PSN window still required. With the
+    // cache squeezed to two records, the fixed half drives that exact
+    // sequence: execute psn=0, re-execute it after a PSN reset (the
+    // reconnect/PSN-reuse scenario that makes duplicate inserts possible
+    // at all), insert psn=1, then replay psn=0 from the requester's
+    // timeout path; the cache answers and A1 stays quiet. The lost half
+    // reproduces the defect's symptom: three fresh inserts evict psn=0's
+    // record before its replay, the responder is silent, and A1 fires.
+    for (const bool lost : {false, true}) {
         auto profile = rnic::DeviceProfile::connectX4();
         profile.atomicReplayDepth = 2;
-        profile.atomicCacheAccountingBug = bug;
         Cluster cluster(profile, 2, 13);
         Node& a = cluster.node(0);
         Node& b = cluster.node(1);
@@ -909,16 +910,23 @@ TEST(ChaosAtomics, ReplayCacheAccountingBugIsCaughtByOracle)
             cluster.advance(Time::us(50));
         };
 
-        inject(0, false);                 // fresh: cached as psn=0
-        bqp.context().expectedPsn = 0;    // PSN reuse after reconnect
-        inject(0, false);                 // duplicate insert of psn=0
-        inject(1, false);                 // squeezes the 2-deep cache
-        inject(0, true);                  // replay: MUST answer from cache
+        if (lost) {
+            inject(0, false);               // fresh: cached as psn=0
+            inject(1, false);
+            inject(2, false);               // evicts psn=0's record
+            inject(0, true);                // replay: no record to answer
+        } else {
+            inject(0, false);               // fresh: cached as psn=0
+            bqp.context().expectedPsn = 0;  // PSN reuse after reconnect
+            inject(0, false);               // duplicate insert of psn=0
+            inject(1, false);               // squeezes the 2-deep cache
+            inject(0, true);                // replay: MUST answer from cache
+        }
         cluster.advance(Time::ms(1));
         monitor.finalCheck();
 
-        EXPECT_EQ(hasViolation(monitor, "atomic-replay-lost"), bug)
-            << "accounting bug flag " << bug << "\n"
+        EXPECT_EQ(hasViolation(monitor, "atomic-replay-lost"), lost)
+            << "record lost " << lost << "\n"
             << monitor.report();
         // add=0 keeps every answer identical: the value family must not
         // fire in either mode.
@@ -926,15 +934,50 @@ TEST(ChaosAtomics, ReplayCacheAccountingBugIsCaughtByOracle)
     }
 }
 
+namespace {
+
+/**
+ * What a responder that re-executes a duplicate FETCH_ADD puts on the
+ * wire: every replayed atomic answer carries the post-update value
+ * (original + @p add) instead of the cached original. chaosFlags stay 0,
+ * so the oracle still attributes the answer to its PSN.
+ */
+class ReexecutedAnswerStage : public chaos::FaultStage
+{
+  public:
+    explicit ReexecutedAnswerStage(std::uint64_t add) : add_(add) {}
+
+    const char* name() const override { return "reexecuted-answer"; }
+
+    void
+    apply(std::vector<net::FaultHook::Delivery>& deliveries, Time, Rng&,
+          chaos::InjectorStats&) override
+    {
+        for (auto& d : deliveries) {
+            if (d.pkt.op != net::Opcode::AtomicResponse || !d.pkt.replayed)
+                continue;
+            std::uint64_t value = 0;
+            std::memcpy(&value, d.pkt.payload.data(), 8);
+            value += add_;
+            std::memcpy(d.pkt.payload.data(), &value, 8);
+        }
+    }
+
+  private:
+    std::uint64_t add_;
+};
+
+} // namespace
+
 TEST(ChaosAtomics, ReexecutingResponderIsCaughtByValueInvariant)
 {
     // A responder that re-executes a duplicate atomic instead of serving
     // the replay cache returns the *new* value — the classic
-    // lost-idempotence bug A1's value family exists to catch.
-    for (const bool bug : {false, true}) {
-        auto profile = rnic::DeviceProfile::connectX4();
-        profile.atomicReexecuteBug = bug;
-        Cluster cluster(profile, 2, 23);
+    // lost-idempotence bug A1's value family exists to catch. The
+    // reexecuting half rewrites the replayed answer on the wire the way
+    // such a responder would.
+    for (const bool reexecute : {false, true}) {
+        Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 23);
         Node& a = cluster.node(0);
         Node& b = cluster.node(1);
         auto& acq = a.createCq();
@@ -948,6 +991,13 @@ TEST(ChaosAtomics, ReexecutingResponderIsCaughtByValueInvariant)
         auto& amr =
             a.registerMemory(land, 4096, verbs::AccessFlags::pinned());
         write64(b, counter, 100);
+
+        chaos::FaultInjector injector(23);
+        if (reexecute) {
+            injector.addStage(
+                std::make_unique<ReexecutedAnswerStage>(/*add=*/5));
+            cluster.fabric().setFaultHook(&injector);
+        }
 
         chaos::InvariantMonitor monitor(cluster.fabric());
         monitor.watch(b.rnic(), bqp.context());
@@ -964,13 +1014,13 @@ TEST(ChaosAtomics, ReexecutingResponderIsCaughtByValueInvariant)
         cluster.advance(Time::ms(1));
         monitor.finalCheck();
 
-        EXPECT_EQ(hasViolation(monitor, "atomic-replay-value"), bug)
+        EXPECT_EQ(hasViolation(monitor, "atomic-replay-value"), reexecute)
             << monitor.report();
         EXPECT_FALSE(hasViolation(monitor, "atomic-replay-lost"))
             << monitor.report();
-        // Exactly-once on the memory side: the fixed responder leaves
-        // the counter at one application.
-        EXPECT_EQ(read64(b, counter), bug ? 110u : 105u);
+        // Exactly-once on the memory side: the responder applied the
+        // add once; only the replayed answer was rewritten.
+        EXPECT_EQ(read64(b, counter), 105u);
     }
 }
 
@@ -1193,12 +1243,11 @@ TEST(ChaosUd, UnknownLidDatagramCountsUnroutedDrop)
 TEST(ChaosUd, SilentDropAccountingBugIsCaughtByOracle)
 {
     // Seven datagrams into four RECVs: three drops the responder must
-    // count. The buggy responder drops without counting, breaking the
-    // delivered == received + counted-drops conservation U3 checks.
-    for (const bool bug : {false, true}) {
-        auto profile = rnic::DeviceProfile::connectX4();
-        profile.udDropAccountingBug = bug;
-        Cluster cluster(profile, 2, 11);
+    // count. The pre-fix responder dropped without counting, breaking the
+    // delivered == received + counted-drops conservation U3 checks; the
+    // silent half reproduces that by zeroing the drop counter.
+    for (const bool silent : {false, true}) {
+        Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 11);
         Node& a = cluster.node(0);
         Node& b = cluster.node(1);
         auto& acq = a.createCq();
@@ -1229,15 +1278,19 @@ TEST(ChaosUd, SilentDropAccountingBugIsCaughtByOracle)
             cluster.advance(Time::us(20));
         }
         cluster.advance(Time::ms(1));
-        monitor.finalCheck();
 
         EXPECT_EQ(bqp.stats().udDeliveredSends, 7u);
-        EXPECT_EQ(bqp.stats().udDrops, bug ? 0u : 3u);
+        EXPECT_EQ(bqp.stats().udDrops, 3u);
         EXPECT_EQ(bcq.totalCompletions(), 4u);  // per-packet completion
-        EXPECT_EQ(hasViolation(monitor, "ud-silent-drop"), bug)
+        if (silent)
+            bqp.context().stats.udDrops = 0;
+        monitor.finalCheck();
+
+        EXPECT_EQ(hasViolation(monitor, "ud-silent-drop"), silent)
             << monitor.report();
-        if (!bug)
+        if (!silent) {
             EXPECT_TRUE(monitor.clean()) << monitor.report();
+        }
     }
 }
 

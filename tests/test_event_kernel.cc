@@ -270,8 +270,9 @@ TEST(ShardedKernel, WindowedRunMatchesTimestampOrderPerIsland)
         for (std::size_t i = 1; i < trace.size(); ++i) {
             EXPECT_LE(trace[i - 1].first, trace[i].first);
             // Equal timestamps keep insertion order (tags ascend).
-            if (trace[i - 1].first == trace[i].first)
+            if (trace[i - 1].first == trace[i].first) {
                 EXPECT_LT(trace[i - 1].second, trace[i].second);
+            }
         }
     }
 }

@@ -302,7 +302,7 @@ TEST_F(DriverFixture, ResolutionObserverFires)
     OdpDriver driver(events, rng, memory, timing);
     std::uint64_t observed_page = 0;
     driver.setResolutionObserver(
-        [&](TranslationTable&, std::uint64_t page, std::uint32_t) {
+        [&](TranslationTable&, std::uint64_t page) {
             observed_page = page;
         });
     driver.raiseFault(table, 5 * pageSize);

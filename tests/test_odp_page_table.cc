@@ -3,10 +3,10 @@
  * Deterministic unit suite for the ODP per-page state machine
  * (DESIGN.md section 14): every legal transition including
  * FaultingInvalidated, the MMU-notifier two-phase invalidation windows,
- * huge-page mapping, prefetch policies, the mechanistic flood-quirk
- * trigger, and the regressions for the three historical races (stale
+ * huge-page mapping, prefetch policies, the legality check at every
+ * entry point, and the regressions for the three historical races (stale
  * invalidate clobber, prefetch double-population, and the slow-queue dead
- * keys as a flag-flip).
+ * keys).
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +50,36 @@ TEST(OdpPageTable, LegalEdgeTable)
 
     EXPECT_STREQ(pageStateName(S::FaultingInvalidated),
                  "FaultingInvalidated");
+}
+
+// enter(), transition() and leave() share one legality check: an illegal
+// edge asserts, and with NDEBUG it is refused, counted and changes nothing.
+TEST(OdpPageTable, IllegalEdgesAreRefusedAtEveryEntryPoint)
+{
+    using S = PageState;
+    OdpPageTable pages;
+    const OdpPageTable::Key key{nullptr, 7};
+    const OdpPageTable::Key other{nullptr, 8};
+    ASSERT_NE(pages.enter(key, S::NotPresent, S::Faulting), nullptr);
+
+    EXPECT_DEBUG_DEATH(pages.enter(other, S::Present, S::Faulting),
+                       "illegal page transition");
+    EXPECT_DEBUG_DEATH(pages.transition(*pages.find(key), S::Invalidating),
+                       "illegal page transition");
+    EXPECT_DEBUG_DEATH(pages.leave(key, S::NotPresent),
+                       "illegal page transition");
+#ifdef NDEBUG
+    EXPECT_EQ(pages.stats().illegalTransitionsBlocked, 3u);
+#else
+    EXPECT_EQ(pages.stats().illegalTransitionsBlocked, 0u);
+#endif
+    EXPECT_EQ(pages.stats().transitions, 1u);
+    EXPECT_EQ(pages.find(other), nullptr);
+    EXPECT_EQ(pages.state(key, /*mapped=*/false), S::Faulting);
+
+    pages.leave(key, S::Present);
+    EXPECT_EQ(pages.size(), 0u);
+    EXPECT_EQ(pages.stats().transitions, 2u);
 }
 
 namespace {
@@ -246,9 +276,7 @@ TEST_F(PageMachineFixture, PrefetchFaultDoublePopulationFixed)
 
     int observed = 0;
     driver.setResolutionObserver(
-        [&](TranslationTable&, std::uint64_t, std::uint32_t) {
-            ++observed;
-        });
+        [&](TranslationTable&, std::uint64_t) { ++observed; });
 
     const std::uint64_t va = 7 * pageSize;
     driver.raiseFault(t, va);       // resolves ~500us
@@ -364,104 +392,38 @@ TEST_F(PageMachineFixture, SequentialDetectNeedsConsecutiveFaults)
     EXPECT_FALSE(table.mappedPage(41 * pageSize));
 }
 
-TEST_F(PageMachineFixture, WindowContentionReachesObserver)
-{
-    OdpDriver driver(events, rng, memory, timing);
-    std::uint32_t contention = 99;
-    driver.setResolutionObserver(
-        [&](TranslationTable&, std::uint64_t page, std::uint32_t c) {
-            if (page == 5)
-                contention = c;
-        });
-
-    table.mapPage(9 * pageSize);
-    driver.raiseFault(table, 5 * pageSize);
-    // A notifier window opens elsewhere on the same table mid-fault: the
-    // resolution must report one overlapped window to the status board.
-    events.schedule(Time::us(100), [&] {
-        driver.invalidate(table, 9 * pageSize);
-    });
-    events.run();
-    EXPECT_EQ(contention, 1u);
-}
-
 // ---------------------------------------------------------------------
-// Status board: mechanistic flood-quirk trigger + the slow-queue
-// dead-key satellite fix.
+// Status board: the slow-queue dead-key fix.
 // ---------------------------------------------------------------------
 
-TEST(OdpPageTable, NotifierContentionTriggersUpdateFailure)
-{
-    EventQueue events;
-    Rng rng{7};
-    FloodQuirkConfig cfg;
-    cfg.notifierContention = true;
-    cfg.contentionThreshold = 1;
-    cfg.staleThreshold = Time::us(10);
-    PageStatusBoard board(events, rng, cfg);
-    TranslationTable table{/*odp=*/true};
-
-    // One waiter per page: far below the fanout knee, so only the
-    // contention signal can fail the update.
-    board.registerWaiter(&table, 3, 11);
-    board.registerWaiter(&table, 4, 12);
-    events.schedule(Time::us(100), [&] {
-        board.onPageMapped(table, 3, /*contention=*/0);
-        board.onPageMapped(table, 4, /*contention=*/1);
-    });
-    events.schedule(Time::us(150), [&] {
-        EXPECT_EQ(board.stats().promptUpdates, 1u);
-        EXPECT_EQ(board.stats().updateFailures, 1u);
-        EXPECT_EQ(board.staleCount(), 1u);
-        EXPECT_FALSE(board.fresh(&table, 4, 12));
-        EXPECT_TRUE(board.fresh(&table, 3, 11));
-    });
-    events.run();
-}
-
-// Satellite regression: a waiter that went stale twice was queued twice,
+// Regression: a waiter that went stale twice was queued twice,
 // unregisterWaiter() purged only the first copy, and serviceFired()
 // burned a rate-limited slot on the dead key — staleCount over-reported.
 TEST(OdpPageTable, SlowQueueDeadKeyAccountingFlagFlip)
 {
-    for (const bool bug : {true, false}) {
-        EventQueue events;
-        Rng rng{7};
-        FloodQuirkConfig cfg;
-        cfg.updateFanout = 0; // every resolution is over-fanout
-        cfg.staleThreshold = Time::us(10);
-        cfg.staleQueueDeadKeyBug = bug;
-        PageStatusBoard board(events, rng, cfg);
-        TranslationTable table{/*odp=*/true};
+    EventQueue events;
+    Rng rng{7};
+    FloodQuirkConfig cfg;
+    cfg.updateFanout = 0; // every resolution is over-fanout
+    cfg.staleThreshold = Time::us(10);
+    PageStatusBoard board(events, rng, cfg);
+    TranslationTable table{/*odp=*/true};
 
-        board.registerWaiter(&table, 3, 11);
-        // Two resolutions after the waiter went stale: the pre-fix board
-        // queues it twice.
-        events.schedule(Time::us(100),
-                        [&] { board.onPageMapped(table, 3); });
-        events.schedule(Time::us(200),
-                        [&] { board.onPageMapped(table, 3); });
-        // The QP is flushed before the slow service fires.
-        events.schedule(Time::us(300),
-                        [&] { board.unregisterWaiter(&table, 3, 11); });
-        events.schedule(Time::us(400), [&] {
-            if (bug) {
-                EXPECT_EQ(board.staleCount(), 1u); // dead key left behind
-            } else {
-                EXPECT_EQ(board.staleCount(), 0u);
-            }
-            EXPECT_EQ(board.waiterCount(), 0u);
-        });
-        events.run();
-
-        if (bug) {
-            EXPECT_EQ(board.stats().updateFailures, 2u);
-            // The dead key burned a service slot.
-            EXPECT_EQ(board.stats().slowRefreshes, 1u);
-        } else {
-            EXPECT_EQ(board.stats().updateFailures, 1u);
-            EXPECT_EQ(board.stats().slowRefreshes, 0u);
-        }
+    board.registerWaiter(&table, 3, 11);
+    // Two resolutions after the waiter went stale: the second must not
+    // queue it again.
+    events.schedule(Time::us(100), [&] { board.onPageMapped(table, 3); });
+    events.schedule(Time::us(200), [&] { board.onPageMapped(table, 3); });
+    // The QP is flushed before the slow service fires.
+    events.schedule(Time::us(300),
+                    [&] { board.unregisterWaiter(&table, 3, 11); });
+    events.schedule(Time::us(400), [&] {
         EXPECT_EQ(board.staleCount(), 0u);
-    }
+        EXPECT_EQ(board.waiterCount(), 0u);
+    });
+    events.run();
+
+    EXPECT_EQ(board.stats().updateFailures, 1u);
+    EXPECT_EQ(board.stats().slowRefreshes, 0u);
+    EXPECT_EQ(board.staleCount(), 0u);
 }
