@@ -101,10 +101,10 @@ struct PingAgent : ShardedKernel::BarrierAgent
         : kernel_(kernel), partner_(std::move(partner)),
           workIters_(work_iters), in_(kernel.islandCount())
     {
-        kernel.addBarrierAgent(this);
+        kernel.setBarrierAgent(this);
     }
 
-    ~PingAgent() { kernel_.removeBarrierAgent(this); }
+    ~PingAgent() { kernel_.setBarrierAgent(nullptr); }
 
     /** Bounce one message from @p from to its partner island. */
     void
@@ -119,7 +119,7 @@ struct PingAgent : ShardedKernel::BarrierAgent
     }
 
     std::uint64_t
-    flushInbound(std::size_t island, Time /*now*/, Time horizon) override
+    flushInbound(std::size_t island, Time horizon) override
     {
         std::vector<Msg> batch;
         in_[island].drainUpTo(

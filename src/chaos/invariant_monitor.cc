@@ -148,22 +148,19 @@ Violation::str() const
 InvariantMonitor::InvariantMonitor(net::Fabric& fabric) : fabric_(fabric)
 {
     shards_.resize(fabric_.islandCount());
-    for (Shard& shard : shards_)
-        shard.out.resize(shards_.size());
-    if (fabric_.kernel() != nullptr)
-        fabric_.kernel()->addBarrierAgent(this);
     fabricTap_ = fabric_.addTap([this](const net::Packet& pkt, bool dropped) {
         onEgress(pkt, dropped);
     });
+    ingressTap_ = fabric_.addIngressTap(
+        [this](const net::Packet& pkt) { onIngress(pkt); });
 }
 
 InvariantMonitor::~InvariantMonitor()
 {
     // Every tap captures this: traffic after the monitor is gone must
     // not call into it.
-    if (fabric_.kernel() != nullptr)
-        fabric_.kernel()->removeBarrierAgent(this);
     fabric_.removeTap(fabricTap_);
+    fabric_.removeIngressTap(ingressTap_);
     for (const auto& [rnic, taps] : rnicTaps_) {
         rnic->removeSendPostTap(taps.first);
         rnic->removeRecvPostTap(taps.second);
@@ -280,7 +277,8 @@ InvariantMonitor::onEgress(const net::Packet& pkt, bool dropped)
     // Everything below mutates only the executing island's shard — the
     // source flow of every non-injected packet lives on that island
     // (fabric routing), injected packets only touch the hash and the
-    // source-flow attribution flag. The two remote-flow checks defer.
+    // source-flow attribution flag. The two destination-flow checks run
+    // at ingress (onIngress).
     Shard& shard = egressShard();
     ++shard.packetsObserved;
     shard.hash = mix(shard.hash, static_cast<std::uint64_t>(pkt.op));
@@ -338,9 +336,9 @@ InvariantMonitor::onEgress(const net::Packet& pkt, bool dropped)
         return;
 
     if (isRequestOpcode(pkt.op))
-        onRequestEgress(shard, pkt, dropped);
+        onRequestEgress(shard, pkt);
     else
-        onResponseEgress(shard, pkt, dropped);
+        onResponseEgress(shard, pkt);
 }
 
 void
@@ -364,125 +362,83 @@ InvariantMonitor::syncEpoch(FlowState& st)
 }
 
 void
-InvariantMonitor::onRequestEgress(Shard& shard, const net::Packet& pkt,
-                                  bool dropped)
+InvariantMonitor::onRequestEgress(Shard& shard, const net::Packet& pkt)
 {
     const Time now = fabric_.islandEvents(fabric_.egressIsland()).now();
     FlowState* st = flow(pkt.srcLid, pkt.srcQpn);
-    if (st != nullptr && st->qp != nullptr) {
-        syncEpoch(*st);
-        const rnic::QpContext& qp = *st->qp;
-        // A READ reserves [psn, psn+segCount) with one wire packet; all
-        // other requests occupy one PSN per packet.
-        const std::uint32_t span =
-            pkt.op == net::Opcode::ReadRequest ? pkt.segCount : 1;
-        const std::uint32_t last = (pkt.psn + span - 1) & 0xffffff;
+    if (st == nullptr || st->qp == nullptr)
+        return;
+    syncEpoch(*st);
+    const rnic::QpContext& qp = *st->qp;
+    // A READ reserves [psn, psn+segCount) with one wire packet; all
+    // other requests occupy one PSN per packet.
+    const std::uint32_t span =
+        pkt.op == net::Opcode::ReadRequest ? pkt.segCount : 1;
+    const std::uint32_t last = (pkt.psn + span - 1) & 0xffffff;
 
-        // Service-type verb/fire-and-forget contracts (V1/U1/V3): judged
-        // before the late-attach gate because they hold for every packet
-        // the flow ever emits, whenever we started watching.
-        const verbs::Transport transport = qp.config.transport;
-        if (transport == verbs::Transport::Ud) {
-            if (pkt.op != net::Opcode::Send) {
-                emit(shard, "ud-verb", now, pkt.srcLid, pkt.srcQpn,
-                     std::string(net::opcodeName(pkt.op)) +
-                         " emitted by a UD flow (SEND only)");
-            }
-            if (pkt.retransmission) {
-                emit(shard, "ud-no-retransmit", now, pkt.srcLid, pkt.srcQpn,
-                     "UD datagram psn=" + std::to_string(pkt.psn) +
-                         " marked as a retransmission");
-            }
-        } else if (transport == verbs::Transport::Uc) {
-            if (pkt.op != net::Opcode::Send &&
-                pkt.op != net::Opcode::WriteRequest) {
-                emit(shard, "uc-verb", now, pkt.srcLid, pkt.srcQpn,
-                     std::string(net::opcodeName(pkt.op)) +
-                         " emitted by a UC flow (SEND/WRITE only)");
-            }
-            if (pkt.retransmission) {
-                emit(shard, "uc-no-retransmit", now, pkt.srcLid, pkt.srcQpn,
-                     "UC psn=" + std::to_string(pkt.psn) +
-                         " marked as a retransmission");
-            }
+    // Service-type verb/fire-and-forget contracts (V1/U1/V3): judged
+    // before the late-attach gate because they hold for every packet
+    // the flow ever emits, whenever we started watching.
+    const verbs::Transport transport = qp.config.transport;
+    if (transport == verbs::Transport::Ud) {
+        if (pkt.op != net::Opcode::Send) {
+            emit(shard, "ud-verb", now, pkt.srcLid, pkt.srcQpn,
+                 std::string(net::opcodeName(pkt.op)) +
+                     " emitted by a UD flow (SEND only)");
         }
-
-        // Late attach: PSNs below the attach snapshot were posted before
-        // we were watching, so their first (fresh) transmission is not
-        // ours to judge.
-        if (st->lateAttach && rnic::psnDiff(pkt.psn, st->attachPsn) < 0)
-            return;
-        if (!pkt.retransmission) {
-            for (std::uint32_t i = 0; i < span; ++i) {
-                const std::uint32_t p = (pkt.psn + i) & 0xffffff;
-                if (!st->freshSeen.insert(p)) {
-                    emit(shard, "fresh-once", now, pkt.srcLid, pkt.srcQpn,
-                         "fresh " + std::string(net::opcodeName(pkt.op)) +
-                             " reuses psn=" + std::to_string(p));
-                }
-            }
-            if (rnic::psnDiff(last, qp.nextPsn) >= 0) {
-                emit(shard, "fresh-posted", now, pkt.srcLid, pkt.srcQpn,
-                     "fresh psn=" + std::to_string(pkt.psn) +
-                         " beyond posted range (nextPsn=" +
-                         std::to_string(qp.nextPsn) + ")");
-            }
-        } else if (transport == verbs::Transport::Rc) {
-            if (rnic::psnDiff(last, qp.nextPsn) >= 0) {
-                emit(shard, "retrans-posted", now, pkt.srcLid, pkt.srcQpn,
-                     "retransmitted psn=" + std::to_string(pkt.psn) +
-                         " beyond posted range (nextPsn=" +
-                         std::to_string(qp.nextPsn) + ")");
-            }
-            if (!qp.outstanding.empty() &&
-                rnic::psnDiff(pkt.psn, qp.outstanding.front().psn) < 0) {
-                emit(shard, "retrans-window", now, pkt.srcLid, pkt.srcQpn,
-                     "retransmitted psn=" + std::to_string(pkt.psn) +
-                         " below go-back-N window head=" +
-                         std::to_string(qp.outstanding.front().psn));
-            }
+        if (pkt.retransmission) {
+            emit(shard, "ud-no-retransmit", now, pkt.srcLid, pkt.srcQpn,
+                 "UD datagram psn=" + std::to_string(pkt.psn) +
+                     " marked as a retransmission");
+        }
+    } else if (transport == verbs::Transport::Uc) {
+        if (pkt.op != net::Opcode::Send &&
+            pkt.op != net::Opcode::WriteRequest) {
+            emit(shard, "uc-verb", now, pkt.srcLid, pkt.srcQpn,
+                 std::string(net::opcodeName(pkt.op)) +
+                     " emitted by a UC flow (SEND/WRITE only)");
+        }
+        if (pkt.retransmission) {
+            emit(shard, "uc-no-retransmit", now, pkt.srcLid, pkt.srcQpn,
+                 "UC psn=" + std::to_string(pkt.psn) +
+                     " marked as a retransmission");
         }
     }
 
-    // A1 bookkeeping: a duplicate atomic delivered inside the responder's
-    // executed range MUST be answered from the replay cache — silence
-    // means the cache evicted a record the PSN window still required.
-    // Judged on egress-time responder state (expectedPsn only advances,
-    // so "already executed" here still holds at delivery). Excluded:
-    // packets that never arrive (dropped), dammed exchanges (lost by the
-    // quirk before the responder sees them), and error-state responders.
-    // A responder on another island is judged at the next window barrier
-    // instead — still before the request's delivery, so the same
-    // only-advances argument applies.
-    if (pkt.op == net::Opcode::AtomicRequest && !dropped && !pkt.dammed) {
-        const std::size_t dstIsland = fabric_.islandOf(pkt.dstLid);
-        if (dstIsland != fabric_.egressIsland()) {
-            shard.out[dstIsland].push(
-                (now + fabric_.kernel()->lookahead()).toNs(),
-                {now, pkt.wireId, 0, pkt.op, pkt.dstLid, pkt.dstQpn,
-                 pkt.psn, pkt.epoch});
-        } else {
-            judgeAtomicMustAnswer(pkt.dstLid, pkt.dstQpn, pkt.psn,
-                                  pkt.epoch);
+    // Late attach: PSNs below the attach snapshot were posted before
+    // we were watching, so their first (fresh) transmission is not
+    // ours to judge.
+    if (st->lateAttach && rnic::psnDiff(pkt.psn, st->attachPsn) < 0)
+        return;
+    if (!pkt.retransmission) {
+        for (std::uint32_t i = 0; i < span; ++i) {
+            const std::uint32_t p = (pkt.psn + i) & 0xffffff;
+            if (!st->freshSeen.insert(p)) {
+                emit(shard, "fresh-once", now, pkt.srcLid, pkt.srcQpn,
+                     "fresh " + std::string(net::opcodeName(pkt.op)) +
+                         " reuses psn=" + std::to_string(p));
+            }
         }
-    }
-}
-
-void
-InvariantMonitor::judgeAtomicMustAnswer(std::uint16_t dst_lid,
-                                        std::uint32_t dst_qpn,
-                                        std::uint32_t psn,
-                                        std::uint16_t epoch)
-{
-    FlowState* resp = flow(dst_lid, dst_qpn);
-    if (resp != nullptr && resp->qp != nullptr &&
-        resp->qp->config.transport == verbs::Transport::Rc &&
-        !resp->qp->errorState &&
-        resp->qp->resetEpoch == epoch &&
-        rnic::psnDiff(psn, resp->qp->expectedPsn) < 0) {
-        if (resp->atomics == nullptr)
-            resp->atomics = std::make_unique<AtomicLedger>();
-        ++entryForPsn(resp->atomics->dups, psn).first->mustAnswer;
+        if (rnic::psnDiff(last, qp.nextPsn) >= 0) {
+            emit(shard, "fresh-posted", now, pkt.srcLid, pkt.srcQpn,
+                 "fresh psn=" + std::to_string(pkt.psn) +
+                     " beyond posted range (nextPsn=" +
+                     std::to_string(qp.nextPsn) + ")");
+        }
+    } else if (transport == verbs::Transport::Rc) {
+        if (rnic::psnDiff(last, qp.nextPsn) >= 0) {
+            emit(shard, "retrans-posted", now, pkt.srcLid, pkt.srcQpn,
+                 "retransmitted psn=" + std::to_string(pkt.psn) +
+                     " beyond posted range (nextPsn=" +
+                     std::to_string(qp.nextPsn) + ")");
+        }
+        if (!qp.outstanding.empty() &&
+            rnic::psnDiff(pkt.psn, qp.outstanding.front().psn) < 0) {
+            emit(shard, "retrans-window", now, pkt.srcLid, pkt.srcQpn,
+                 "retransmitted psn=" + std::to_string(pkt.psn) +
+                     " below go-back-N window head=" +
+                     std::to_string(qp.outstanding.front().psn));
+        }
     }
 }
 
@@ -496,128 +452,131 @@ InvariantMonitor::creditAtomicAnswer(FlowState& st, std::uint32_t psn)
 }
 
 void
-InvariantMonitor::onResponseEgress(Shard& shard, const net::Packet& pkt,
-                                   bool /*dropped*/)
+InvariantMonitor::onResponseEgress(Shard& shard, const net::Packet& pkt)
 {
     const Time now = fabric_.islandEvents(fabric_.egressIsland()).now();
 
     // Responder-role checks, judged against the emitting (source) flow.
     FlowState* rs = flow(pkt.srcLid, pkt.srcQpn);
-    if (rs != nullptr && rs->qp != nullptr) {
-        syncEpoch(*rs);
-        const verbs::Transport transport = rs->qp->config.transport;
-        if (transport == verbs::Transport::Ud ||
-            transport == verbs::Transport::Uc) {
-            // V2: no ACK/NAK/response machinery exists for UD/UC.
-            emit(shard,
-                 transport == verbs::Transport::Ud ? "ud-one-way"
-                                                   : "uc-one-way",
-                 now, pkt.srcLid, pkt.srcQpn,
-                 std::string(net::opcodeName(pkt.op)) +
-                     " emitted by a one-way flow");
-        } else {
-            if (pkt.op == net::Opcode::AtomicResponse) {
-                // A1 value consistency: every answer for one PSN carries
-                // the same original value; a re-executing responder
-                // returns the post-update value instead.
-                if (rs->atomics == nullptr)
-                    rs->atomics = std::make_unique<AtomicLedger>();
-                auto [pinned, first] =
-                    entryForPsn(rs->atomics->payloads, pkt.psn);
-                if (first) {
-                    pinned->payload = pkt.payload;
-                } else if (pinned->payload != pkt.payload) {
-                    emit(shard, "atomic-replay-value", now, pkt.srcLid,
-                         pkt.srcQpn,
-                         "atomic psn=" + std::to_string(pkt.psn) +
-                             " answered with a different value than its "
-                             "first response (responder re-executed)");
-                }
-                creditAtomicAnswer(*rs, pkt.psn);
-            } else if (pkt.op == net::Opcode::RnrNak ||
-                       (pkt.op == net::Opcode::Nak &&
-                        pkt.nak == net::NakCode::RemoteAccessError)) {
-                // A duplicate atomic answered with RNR or an access NAK
-                // is answered, not lost (PSN-sequence NAKs reference
-                // expectedPsn, never the duplicate, so they don't count).
-                creditAtomicAnswer(*rs, pkt.psn);
+    if (rs == nullptr || rs->qp == nullptr)
+        return;
+    syncEpoch(*rs);
+    const verbs::Transport transport = rs->qp->config.transport;
+    if (transport == verbs::Transport::Ud ||
+        transport == verbs::Transport::Uc) {
+        // V2: no ACK/NAK/response machinery exists for UD/UC.
+        emit(shard,
+             transport == verbs::Transport::Ud ? "ud-one-way"
+                                               : "uc-one-way",
+             now, pkt.srcLid, pkt.srcQpn,
+             std::string(net::opcodeName(pkt.op)) +
+                 " emitted by a one-way flow");
+    } else {
+        if (pkt.op == net::Opcode::AtomicResponse) {
+            // A1 value consistency: every answer for one PSN carries
+            // the same original value; a re-executing responder
+            // returns the post-update value instead.
+            if (rs->atomics == nullptr)
+                rs->atomics = std::make_unique<AtomicLedger>();
+            auto [pinned, first] =
+                entryForPsn(rs->atomics->payloads, pkt.psn);
+            if (first) {
+                pinned->payload = pkt.payload;
+            } else if (pinned->payload != pkt.payload) {
+                emit(shard, "atomic-replay-value", now, pkt.srcLid,
+                     pkt.srcQpn,
+                     "atomic psn=" + std::to_string(pkt.psn) +
+                         " answered with a different value than its "
+                         "first response (responder re-executed)");
             }
+            creditAtomicAnswer(*rs, pkt.psn);
+        } else if (pkt.op == net::Opcode::RnrNak ||
+                   (pkt.op == net::Opcode::Nak &&
+                    pkt.nak == net::NakCode::RemoteAccessError)) {
+            // A duplicate atomic answered with RNR or an access NAK
+            // is answered, not lost (PSN-sequence NAKs reference
+            // expectedPsn, never the duplicate, so they don't count).
+            creditAtomicAnswer(*rs, pkt.psn);
+        }
 
-            // A2: fresh (non-replayed) executions leave the responder in
-            // expectedPsn order, so an atomic's response PSN exceeds
-            // every earlier fresh data response and no fresh READ data
-            // follows at or below an answered atomic's PSN. Replay-cache
-            // re-serves are exempt: they answer old PSNs by design.
-            if (!pkt.replayed) {
-                if (pkt.op == net::Opcode::AtomicResponse) {
-                    if (rs->anyFreshData &&
-                        rnic::psnDiff(pkt.psn, rs->lastFreshDataPsn) <= 0) {
-                        emit(shard, "atomic-serialization", now, pkt.srcLid,
-                             pkt.srcQpn,
-                             "fresh atomic response psn=" +
-                                 std::to_string(pkt.psn) +
-                                 " does not serialize after data response "
-                                 "psn=" +
-                                 std::to_string(rs->lastFreshDataPsn));
-                    }
-                    rs->anyFreshData = true;
-                    rs->lastFreshDataPsn = pkt.psn;
-                    rs->anyFreshAtomic = true;
-                    rs->lastFreshAtomicPsn = pkt.psn;
-                } else if (pkt.op == net::Opcode::ReadResponse) {
-                    if (rs->anyFreshAtomic &&
-                        rnic::psnDiff(pkt.psn, rs->lastFreshAtomicPsn) <=
-                            0) {
-                        emit(shard, "atomic-serialization", now, pkt.srcLid,
-                             pkt.srcQpn,
-                             "fresh read response psn=" +
-                                 std::to_string(pkt.psn) +
-                                 " emitted at/below answered atomic psn=" +
-                                 std::to_string(rs->lastFreshAtomicPsn));
-                    }
-                    rs->anyFreshData = true;
-                    rs->lastFreshDataPsn = pkt.psn;
+        // A2: fresh (non-replayed) executions leave the responder in
+        // expectedPsn order, so an atomic's response PSN exceeds
+        // every earlier fresh data response and no fresh READ data
+        // follows at or below an answered atomic's PSN. Replay-cache
+        // re-serves are exempt: they answer old PSNs by design.
+        if (!pkt.replayed) {
+            if (pkt.op == net::Opcode::AtomicResponse) {
+                if (rs->anyFreshData &&
+                    rnic::psnDiff(pkt.psn, rs->lastFreshDataPsn) <= 0) {
+                    emit(shard, "atomic-serialization", now, pkt.srcLid,
+                         pkt.srcQpn,
+                         "fresh atomic response psn=" +
+                             std::to_string(pkt.psn) +
+                             " does not serialize after data response "
+                             "psn=" +
+                             std::to_string(rs->lastFreshDataPsn));
                 }
+                rs->anyFreshData = true;
+                rs->lastFreshDataPsn = pkt.psn;
+                rs->anyFreshAtomic = true;
+                rs->lastFreshAtomicPsn = pkt.psn;
+            } else if (pkt.op == net::Opcode::ReadResponse) {
+                if (rs->anyFreshAtomic &&
+                    rnic::psnDiff(pkt.psn, rs->lastFreshAtomicPsn) <=
+                        0) {
+                    emit(shard, "atomic-serialization", now, pkt.srcLid,
+                         pkt.srcQpn,
+                         "fresh read response psn=" +
+                             std::to_string(pkt.psn) +
+                             " emitted at/below answered atomic psn=" +
+                             std::to_string(rs->lastFreshAtomicPsn));
+                }
+                rs->anyFreshData = true;
+                rs->lastFreshDataPsn = pkt.psn;
             }
         }
     }
-
-    // W4: judge the response against the requester (the destination
-    // flow) it acknowledges. RC only — one-way flows never expect one.
-    // A requester on another island is judged at the next window
-    // barrier: nextPsn only advances and the barrier precedes the
-    // response's arrival, so the barrier-time check is exactly the
-    // invariant's arrival-time meaning.
-    const std::size_t dstIsland = fabric_.islandOf(pkt.dstLid);
-    if (dstIsland != fabric_.egressIsland()) {
-        shard.out[dstIsland].push(
-            (now + fabric_.kernel()->lookahead()).toNs(),
-            {now, pkt.wireId, 1, pkt.op, pkt.dstLid, pkt.dstQpn, pkt.psn,
-             pkt.epoch});
-        return;
-    }
-    judgeAckCoherence(shardOf(pkt.dstLid), now, pkt.op, pkt.dstLid,
-                      pkt.dstQpn, pkt.psn, pkt.epoch);
 }
 
 void
-InvariantMonitor::judgeAckCoherence(Shard& shard, Time at, net::Opcode op,
-                                    std::uint16_t dst_lid,
-                                    std::uint32_t dst_qpn,
-                                    std::uint32_t psn, std::uint16_t epoch)
+InvariantMonitor::onIngress(const net::Packet& pkt)
 {
-    FlowState* st = flow(dst_lid, dst_qpn);
-    if (st == nullptr || st->qp == nullptr ||
-        st->qp->config.transport != verbs::Transport::Rc ||
-        st->qp->resetEpoch != epoch) {
+    // Runs on the destination island before the packet's delivery, so
+    // it reads and writes only destination flows. Same exclusions as
+    // at egress: injected noise and CM re-arm control traffic.
+    if (pkt.chaosFlags != 0 || pkt.op == net::Opcode::CmRearm ||
+        pkt.op == net::Opcode::CmRearmAck) {
         return;
     }
-    if (rnic::psnDiff(psn, st->qp->nextPsn) >= 0) {
-        emit(shard, "ack-coherence", at, dst_lid, dst_qpn,
-             std::string(net::opcodeName(op)) + " references psn=" +
-                 std::to_string(psn) +
+    FlowState* st = flow(pkt.dstLid, pkt.dstQpn);
+    if (st == nullptr || st->qp == nullptr ||
+        st->qp->config.transport != verbs::Transport::Rc ||
+        st->qp->resetEpoch != pkt.epoch) {
+        return;
+    }
+    const rnic::QpContext& qp = *st->qp;
+
+    if (pkt.op == net::Opcode::AtomicRequest) {
+        // A1 bookkeeping: a duplicate atomic delivered inside the
+        // responder's executed range MUST be answered from the replay
+        // cache — silence means the cache evicted a record the PSN window
+        // still required. Excluded: dammed exchanges (lost by the quirk
+        // before the responder sees them) and error-state responders.
+        if (!pkt.dammed && !qp.errorState &&
+            rnic::psnDiff(pkt.psn, qp.expectedPsn) < 0) {
+            if (st->atomics == nullptr)
+                st->atomics = std::make_unique<AtomicLedger>();
+            ++entryForPsn(st->atomics->dups, pkt.psn).first->mustAnswer;
+        }
+    } else if (!isRequestOpcode(pkt.op) &&
+               rnic::psnDiff(pkt.psn, qp.nextPsn) >= 0) {
+        // W4: a response names a PSN its requester posted.
+        emit(shardOf(pkt.dstLid), "ack-coherence", pkt.sentAt, pkt.dstLid,
+             pkt.dstQpn,
+             std::string(net::opcodeName(pkt.op)) + " references psn=" +
+                 std::to_string(pkt.psn) +
                  " never posted by the requester (nextPsn=" +
-                 std::to_string(st->qp->nextPsn) + ")");
+                 std::to_string(qp.nextPsn) + ")");
     }
 }
 
@@ -760,55 +719,6 @@ InvariantMonitor::finalCheck()
             }
         }
     }
-}
-
-std::uint64_t
-InvariantMonitor::flushInbound(std::size_t island, Time now, Time horizon)
-{
-    Shard& dst = shards_[island];
-    std::vector<CrossRecord>& in = dst.inbox;
-    in.clear();
-
-    // Window flushes (now < horizon) drain by the channel key, at +
-    // lookahead: every record covered by the horizon is visible under
-    // the channel-clock protocol, and the shadowed packet cannot have
-    // been delivered yet, so the judgement batch is a pure function of
-    // virtual state. Quiesce flushes (now == horizon) run sequentially
-    // after the workers joined — everything is visible, so judge all
-    // records with at <= now instead of stranding the sub-lookahead
-    // tail of a limit-cut run.
-    const Time lookahead = fabric_.kernel()->lookahead();
-    const std::int64_t threshold = now == horizon
-                                       ? (now + lookahead).toNs()
-                                       : horizon.toNs();
-    // Cross records travel the same declared routes as the packets they
-    // shadow, so only in-neighbor shards can hold work for this island.
-    for (std::uint32_t src_index : fabric_.kernel()->inNeighbors(island)) {
-        shards_[src_index].out[island].drainUpTo(
-            threshold,
-            [lookahead](const CrossRecord& r) {
-                return (r.at + lookahead).toNs();
-            },
-            in);
-    }
-    if (in.empty())
-        return 0;
-
-    // Same canonical order as the fabric's parcel merge: deterministic
-    // whatever the worker count or source-island completion order.
-    std::sort(in.begin(), in.end(),
-              [](const CrossRecord& a, const CrossRecord& b) {
-                  return a.at != b.at ? a.at < b.at : a.wireId < b.wireId;
-              });
-    for (const CrossRecord& rec : in) {
-        if (rec.kind == 0)
-            judgeAtomicMustAnswer(rec.dstLid, rec.dstQpn, rec.psn,
-                                  rec.epoch);
-        else
-            judgeAckCoherence(dst, rec.at, rec.op, rec.dstLid, rec.dstQpn,
-                              rec.psn, rec.epoch);
-    }
-    return in.size();
 }
 
 void

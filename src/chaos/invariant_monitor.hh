@@ -4,13 +4,13 @@
  *
  * The chaos engine (fault_injector.hh) answers "can we provoke this fault
  * class?"; the monitor answers "did the transport stay correct while it
- * happened?". It taps the fabric at egress, the RNIC post paths, and the
- * completion queues, and checks the guarantees the paper's experiments
- * lean on — exactly-once completion per posted WR (Sec. II: RC "guarantees
- * lossless ordered delivery"), go-back-N recovery staying inside the
- * posted PSN window (Fig. 8), ACK/NAK coherence, exactly-once atomics,
- * and the fire-and-forget contracts of UC/UD — emitting structured
- * Violation reports instead of asserting.
+ * happened?". It taps the fabric at egress and ingress, the RNIC post
+ * paths, and the completion queues, and checks the guarantees the
+ * paper's experiments lean on — exactly-once completion per posted WR
+ * (Sec. II: RC "guarantees lossless ordered delivery"), go-back-N
+ * recovery staying inside the posted PSN window (Fig. 8), ACK/NAK
+ * coherence, exactly-once atomics, and the fire-and-forget contracts of
+ * UC/UD — emitting structured Violation reports instead of asserting.
  *
  * Invariants checked (every transport unless noted):
  *  P1 psn-monotonic       a QP's nextPsn never moves backwards across posts
@@ -74,18 +74,30 @@
  * send-exactly-once, which is the "recovery must not re-deliver" rule.
  * CM re-arm handshake packets (CmRearm/CmRearmAck) are hash-mixed but
  * excluded from request/response bookkeeping (they carry control-plane
- * epochs, not transport PSNs), and cross-island deferred checks carry
- * the packet's epoch so a judgement never crosses a reset boundary.
+ * epochs, not transport PSNs), and the ingress checks (W4, A1
+ * must-answer) compare the packet's epoch with the destination QP's, so
+ * a judgement never crosses a reset boundary.
  *
  * Packets carrying chaos provenance flags (duplicated / corrupted /
  * forged — see net::Packet) are recognized as injected noise and excluded
  * from wire bookkeeping, so the oracle judges endpoint behaviour, not the
  * injector's. The egress tap fires synchronously inside Fabric::send(),
  * so wire checks observe the endpoint's emission order even when the
- * injector reorders arrivals. Responder-role checks (A1/A2/U3) likewise
- * key on egress-time responder state: a request observed as a duplicate
- * at egress is still a duplicate at delivery, because expectedPsn only
- * advances.
+ * injector reorders arrivals. The responder-role checks A1-value and A2
+ * key on the emitting responder's egress order; U3 reconciles at
+ * finalCheck().
+ *
+ * The two checks that read the *destination* QP — W4 (the requester's
+ * nextPsn) and A1's must-answer ledger (the responder's expectedPsn) —
+ * run from the fabric's ingress tap, on the destination island, after
+ * the Down-port gate and before the delivery event. Both counters only
+ * advance, so a verdict reached before arrival is the invariant's
+ * arrival-time meaning; W4 reports the packet's egress time (sentAt).
+ * A1 books a duplicate from the responder's state alone. It does not
+ * consult the requester flow's late-attach snapshot (that would be a
+ * cross-island read), and does not need to: the answer is emitted after
+ * arrival, so a monitor watching at arrival sees both the duplicate and
+ * its answer.
  *
  * Multi-node topologies: watchAll(cluster) attaches every QP of every
  * node, whatever its transport — the one-call attach for >2-node meshes
@@ -103,21 +115,15 @@
  * Sharding: the monitor keeps one shard per fabric lane (island). Each
  * shard owns the flows of its island's LIDs, its own violation list and
  * its own FNV hash stream, written only by the worker executing that
- * island — no locks on the hot path. The
- * two checks that read a *remote* flow's live QP state (A1 must-answer
- * reads the responder's expectedPsn, W4 ack-coherence reads the
- * requester's nextPsn) are deferred through cross-island CrossChannels
- * keyed by at + lookahead — the packet they shadow cannot take effect at
- * the destination before then — and evaluated, in (time, wire-id) merge
- * order, by the flush preceding the destination window that covers that
- * key (quiesce flushes judge every lingering record). The channel-clock
- * protocol guarantees all records at or below a window's horizon are
- * visible, so the judgement window is a pure function of virtual state:
- * deterministic at any worker count. Deferral is sound:
- * expectedPsn/nextPsn only advance and the judging flush precedes the
- * shadowed packet's delivery, so the judgement matches the arrival-time
- * meaning of both invariants. With one lane (single-queue mode) no
- * check is ever deferred and traceHash() is the one shard's stream.
+ * island — no locks on the hot path. Egress checks touch the sending
+ * island's shard; ingress checks touch the destination island's, and a
+ * cross-island packet reaches the ingress tap when the destination
+ * drains the fabric's channels, in (arrival, wire-id) order — the same
+ * order at any worker count. A cross-island packet still in flight when
+ * a run stops is judged when it arrives, not at the stop. With one lane
+ * (single-queue mode) every packet reaches the ingress tap inside
+ * send(), right after the egress tap, and traceHash() is the one
+ * shard's stream.
  */
 
 #ifndef IBSIM_CHAOS_INVARIANT_MONITOR_HH
@@ -136,7 +142,6 @@
 #include "rnic/flat_table.hh"
 #include "rnic/qp_context.hh"
 #include "rnic/rnic.hh"
-#include "simcore/cross_channel.hh"
 #include "simcore/tap_list.hh"
 #include "simcore/time.hh"
 
@@ -215,17 +220,17 @@ struct Violation
  * the workload, then consult violations() / report(); call finalCheck()
  * first if the workload is expected to have fully drained.
  */
-class InvariantMonitor : public ShardedKernel::BarrierAgent
+class InvariantMonitor
 {
   public:
     /**
-     * Installs the egress tap on @p fabric. When the fabric is in island
-     * mode the monitor shards its state per island and registers as a
-     * BarrierAgent on the kernel (construct it after every node exists).
+     * Installs the egress and ingress taps on @p fabric. When the fabric
+     * is in island mode the monitor shards its state per island
+     * (construct it after every node exists).
      */
     explicit InvariantMonitor(net::Fabric& fabric);
 
-    ~InvariantMonitor() override;
+    ~InvariantMonitor();
 
     InvariantMonitor(const InvariantMonitor&) = delete;
     InvariantMonitor& operator=(const InvariantMonitor&) = delete;
@@ -288,12 +293,6 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
 
     /** Packets observed at the egress tap. */
     std::uint64_t packetsObserved() const;
-
-    /** BarrierAgent: evaluate deferred cross-island checks for @p island
-     * whose key (at + lookahead) is covered by @p horizon; a quiesce
-     * flush (now == horizon) judges everything with at <= now. */
-    std::uint64_t flushInbound(std::size_t island, Time now,
-                               Time horizon) override;
 
   private:
     /** C1/C2/F1: posts and completions of one wrId on one flow. */
@@ -386,27 +385,8 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
     };
 
     /**
-     * A deferred cross-island check, parked in a (src, dst) channel
-     * until the destination's first window whose horizon covers
-     * at + lookahead. (at, wireId) orders the drain merge — a strict
-     * total order, wire ids are unique.
-     */
-    struct CrossRecord
-    {
-        Time at;               ///< egress time on the source island
-        std::uint64_t wireId;  ///< merge tiebreak
-        std::uint8_t kind;     ///< 0 = A1 must-answer, 1 = W4 coherence
-        net::Opcode op;        ///< W4: opcode for the violation text
-        std::uint16_t dstLid;
-        std::uint32_t dstQpn;
-        std::uint32_t psn;
-        std::uint16_t epoch;   ///< reset epoch the PSN belongs to
-    };
-
-    /**
      * Per-island monitor state: the flows of this island's LIDs, the
-     * island's violation list and hash stream, and its outbound deferred
-     * checks (never used with one lane).
+     * island's violation list and hash stream.
      */
     struct Shard
     {
@@ -421,17 +401,14 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
         std::uint64_t violationCount = 0;
         std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
         std::uint64_t packetsObserved = 0;
-        /** Outbound channels keyed by at + lookahead, one per dst
-         * island (a deque: CrossChannel holds a mutex, must not move). */
-        std::deque<CrossChannel<CrossRecord>> out;
-        std::vector<CrossRecord> inbox;  ///< drain merge scratch
     };
 
     void onEgress(const net::Packet& pkt, bool dropped);
-    void onRequestEgress(Shard& shard, const net::Packet& pkt,
-                         bool dropped);
-    void onResponseEgress(Shard& shard, const net::Packet& pkt,
-                          bool dropped);
+    void onRequestEgress(Shard& shard, const net::Packet& pkt);
+    void onResponseEgress(Shard& shard, const net::Packet& pkt);
+
+    /** W4 and A1 must-answer, on the destination island (see above). */
+    void onIngress(const net::Packet& pkt);
     void onSendPost(std::uint16_t lid, const rnic::QpContext& qp,
                     const rnic::SendWqe& wqe);
     void onRecvPost(std::uint16_t lid, const rnic::QpContext& qp,
@@ -456,18 +433,8 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
      */
     void syncEpoch(FlowState& st);
 
-    /** The A1 must-answer judgement (inline or at a barrier). @p epoch
-     * gates it: stale-epoch records never judge a recovered responder. */
-    void judgeAtomicMustAnswer(std::uint16_t dst_lid, std::uint32_t dst_qpn,
-                               std::uint32_t psn, std::uint16_t epoch);
-
     /** A1: credit an answer to @p psn if it is a recorded duplicate. */
     static void creditAtomicAnswer(FlowState& st, std::uint32_t psn);
-
-    /** The W4 ack-coherence judgement (inline or at a barrier). */
-    void judgeAckCoherence(Shard& shard, Time at, net::Opcode op,
-                           std::uint16_t dst_lid, std::uint32_t dst_qpn,
-                           std::uint32_t psn, std::uint16_t epoch);
 
     static constexpr std::size_t storedCap = 64;
 
@@ -476,6 +443,7 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
      * that they move — sized once). */
     std::deque<Shard> shards_;
     TapId fabricTap_ = 0;
+    TapId ingressTap_ = 0;
     /** Taps installed per RNIC (send post, recv post) and per CQ, taken
      * back by the destructor. Consulted by watch() only. */
     std::map<rnic::Rnic*, std::pair<TapId, TapId>> rnicTaps_;

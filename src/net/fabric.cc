@@ -37,7 +37,7 @@ Fabric::Fabric(ShardedKernel& kernel, LinkConfig config)
         lanes_.emplace_back(&kernel.island(i));
     for (Lane& lane : lanes_)
         lane.out = std::vector<CrossChannel<Parcel>>(lanes_.size());
-    kernel.addBarrierAgent(this);
+    kernel.setBarrierAgent(this);
 }
 
 Fabric::PortRecord&
@@ -80,6 +80,18 @@ void
 Fabric::removeTap(TapId id)
 {
     taps_.remove(id);
+}
+
+TapId
+Fabric::addIngressTap(IngressTap tap)
+{
+    return ingressTaps_.add(std::move(tap));
+}
+
+void
+Fabric::removeIngressTap(TapId id)
+{
+    ingressTaps_.remove(id);
 }
 
 void
@@ -326,6 +338,8 @@ Fabric::finalizeIngress(std::size_t dst_island, Packet&& pkt, Time arrive0,
         ++dst.portEventDrops;
         return;
     }
+    for (const auto& tap : ingressTaps_)
+        tap(pkt);
     PortHandler* handler = rec.handler;
     const Time arrive = std::max(arrive0, rec.ingressFreeAt);
     rec.ingressFreeAt = arrive + serialization;
@@ -351,7 +365,7 @@ Fabric::finalizeIngress(std::size_t dst_island, Packet&& pkt, Time arrive0,
 }
 
 std::uint64_t
-Fabric::flushInbound(std::size_t island, Time /*now*/, Time horizon)
+Fabric::flushInbound(std::size_t island, Time horizon)
 {
     // Drain every parcel whose effect fits below the window horizon.
     // The kernel only passes a horizon at or below the island's safe

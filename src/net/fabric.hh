@@ -100,6 +100,12 @@ struct LinkConfig
 using CaptureTap = std::function<void(const Packet&, bool dropped)>;
 
 /**
+ * Observer invoked on the destination island for every packet that
+ * passes ingress (see Fabric::addIngressTap()).
+ */
+using IngressTap = std::function<void(const Packet&)>;
+
+/**
  * The fabric: LID-addressed delivery with latency and serialization.
  *
  * A fabric is a list of *lanes*, one per ShardedKernel island (a
@@ -135,7 +141,7 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /**
      * A fabric over @p kernel with one lane per existing island (at
-     * least one); registers the fabric as a BarrierAgent.
+     * least one); installs the fabric as the kernel's BarrierAgent.
      */
     explicit Fabric(ShardedKernel& kernel, LinkConfig config = {});
 
@@ -168,6 +174,19 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /** Unregister a tap added by addTap(). */
     void removeTap(TapId id);
+
+    /**
+     * Add an ingress tap. It runs on the destination island, after the
+     * destination port's Down gate and before delivery is scheduled: a
+     * same-lane packet reaches it inside send(), right after the egress
+     * taps; a cross-lane packet reaches it when the destination island
+     * drains its channels, in (arrival, wire-id) order, always before
+     * the delivery event. Packets dropped anywhere never reach it.
+     */
+    TapId addIngressTap(IngressTap tap);
+
+    /** Unregister a tap added by addIngressTap(). */
+    void removeIngressTap(TapId id);
 
     /** @{ Port events and link state (see DESIGN.md §13).
      *
@@ -239,9 +258,6 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /** @{ Lanes and islands (see the class comment). */
 
-    /** The kernel driving the lanes (nullptr for a standalone fabric). */
-    ShardedKernel* kernel() { return kernel_; }
-
     /** Add a kernel island and its lane. Returns the island index. */
     std::size_t addIslandLane();
 
@@ -291,8 +307,7 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /** BarrierAgent: inject parcels for @p island with effect
      * <= @p horizon, in (arrival, wire-id) merge order. */
-    std::uint64_t flushInbound(std::size_t island, Time now,
-                               Time horizon) override;
+    std::uint64_t flushInbound(std::size_t island, Time horizon) override;
 
     /** BarrierAgent: earliest buffered parcel effect for @p island. */
     Time inboundEarliest(std::size_t island) override;
@@ -408,6 +423,8 @@ class Fabric : public ShardedKernel::BarrierAgent
     LinkConfig config_;
     std::vector<PortRecord> ports_;
     TapList<CaptureTap> taps_;
+    TapList<IngressTap> ingressTaps_;
+    /** The kernel driving the lanes (nullptr for a standalone fabric). */
     ShardedKernel* kernel_ = nullptr;
     /** Never empty; a deque keeps Lane addresses stable. */
     std::deque<Lane> lanes_;

@@ -3,13 +3,12 @@
  * A mutex-guarded cross-island channel with a lock-free readiness probe.
  *
  * One CrossChannel sits on every directed (source island, destination
- * island) edge that a BarrierAgent routes work along (the fabric's
- * parcels, the invariant monitor's deferred checks). The producer is the
- * worker currently executing the source island; the consumer is the
- * worker currently executing the destination island — under pairwise
- * channel clocks those run concurrently, so unlike the PR-6 design there
- * is no phase barrier separating writes from drains and the buffer needs
- * a real lock.
+ * island) edge that the kernel's BarrierAgent routes work along (the
+ * fabric's packet parcels). The producer is the worker currently
+ * executing the source island; the consumer is the worker currently
+ * executing the destination island — under pairwise channel clocks those
+ * run concurrently, so no phase barrier separates writes from drains
+ * and the buffer needs a real lock.
  *
  * The lock is cold in practice: minKey caches the smallest key buffered,
  * so a consumer polling for work (inboundEarliest, or a flush whose

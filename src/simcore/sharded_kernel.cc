@@ -130,16 +130,11 @@ ShardedKernel::logicalIslandCount() const
 }
 
 void
-ShardedKernel::addBarrierAgent(BarrierAgent* agent)
+ShardedKernel::setBarrierAgent(BarrierAgent* agent)
 {
-    agents_.push_back(agent);
-}
-
-void
-ShardedKernel::removeBarrierAgent(BarrierAgent* agent)
-{
-    agents_.erase(std::remove(agents_.begin(), agents_.end(), agent),
-                  agents_.end());
+    assert((agent == nullptr || agent_ == nullptr) &&
+           "a kernel has one barrier agent");
+    agent_ = agent;
 }
 
 void
@@ -203,10 +198,7 @@ ShardedKernel::safeHorizon(const Island& is) const
 Time
 ShardedKernel::inboundEarliest(std::size_t i) const
 {
-    Time earliest = Time::max();
-    for (BarrierAgent* agent : agents_)
-        earliest = std::min(earliest, agent->inboundEarliest(i));
-    return earliest;
+    return agent_ != nullptr ? agent_->inboundEarliest(i) : Time::max();
 }
 
 ShardedKernel::Step
@@ -287,10 +279,8 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
             continue;
         }
 
-        std::uint64_t parcels = 0;
-        for (BarrierAgent* agent : agents_)
-            parcels += agent->flushInbound(i, done, runLimit);
-        is.parcels += parcels;
+        if (agent_ != nullptr)
+            is.parcels += agent_->flushInbound(i, runLimit);
         q.run(runLimit);
         q.syncClock(runLimit);
         is.done.store(runLimit.toNs(), std::memory_order_release);
@@ -565,22 +555,6 @@ ShardedKernel::syncClocks(Time t)
         now_ = t;
 }
 
-void
-ShardedKernel::quiesceFlush(Time t)
-{
-    // Sequential, in island order: judge every deferred check that the
-    // run left behind (channel clocks only flush an island's inbox when
-    // it executes, so checks emitted in the final windows linger).
-    // Event-producing parcels with effect <= t cannot exist here — the
-    // conservative horizon flushed them before the owning window ran.
-    for (std::size_t i = 0; i < islands_.size(); ++i) {
-        std::uint64_t parcels = 0;
-        for (BarrierAgent* agent : agents_)
-            parcels += agent->flushInbound(i, t, t);
-        islands_[i].parcels += parcels;
-    }
-}
-
 bool
 ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
                        bool* pred_hit)
@@ -596,17 +570,13 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
         // parked, all clocks agree, channels hold only future work.
         if (pred != nullptr && (*pred)()) {
             *pred_hit = true;
-            quiesceFlush(now_);
             return false;
         }
         const Time earliest = earliestPending();
-        if (earliest == Time::max()) {
-            quiesceFlush(now_);
+        if (earliest == Time::max())
             return true;  // drained
-        }
         if (earliest > limit) {
             syncClocks(limit);
-            quiesceFlush(limit);
             return false;
         }
 
@@ -698,9 +668,9 @@ ShardedKernel::pending() const
     std::size_t total = 0;
     for (const Island& is : islands_)
         total += is.queue->pending();
-    for (std::size_t i = 0; i < islands_.size(); ++i)
-        for (BarrierAgent* agent : agents_)
-            total += agent->inboundPending(i);
+    if (agent_ != nullptr)
+        for (std::size_t i = 0; i < islands_.size(); ++i)
+            total += agent_->inboundPending(i);
     return total;
 }
 

@@ -5,8 +5,8 @@
  * A ShardedKernel partitions a simulation into islands — in the cluster
  * layer one island per node (or per node *plane* when a hot node is
  * split) — each owning a private EventQueue. Cross-island work travels
- * through per-(src, dst) channels that BarrierAgents (the Fabric, the
- * InvariantMonitor) drain in canonical (timestamp, wire-id) order, which
+ * through per-(src, dst) channels that the kernel's one BarrierAgent
+ * (the Fabric) drains in canonical (timestamp, wire-id) order, which
  * makes the execution deterministic for a fixed seed regardless of the
  * worker count.
  *
@@ -86,42 +86,35 @@ class ShardedKernel
 {
   public:
     /**
-     * A component holding cross-island channels (fabric, monitor, ...).
+     * The one component holding the cross-island channels (in a
+     * cluster, the fabric).
      *
-     * flushInbound(i, now, horizon) is called by the worker currently
+     * flushInbound(i, horizon) is called by the worker currently
      * executing island i immediately before each of i's windows, with
-     * `now` = i's channel clock (everything executed so far) and
-     * `horizon` = the window's run limit. The agent must
-     *
-     *  - inject every buffered item whose earliest *effect* (first event
-     *    it schedules) is <= horizon — the channel-clock protocol
-     *    guarantees all such items are already visible — and
-     *  - evaluate every deferred check whose timestamp is <= now (its
-     *    target state can no longer change before the check's meaning),
-     *
-     * both in the canonical (time, wire-id) merge order, and return the
-     * number of items consumed. The kernel additionally issues a
-     * sequential flush with now = horizon = the final synchronized clock
-     * whenever a run quiesces, so deferred checks never outlive a run.
+     * `horizon` = the window's run limit. The agent must inject every
+     * buffered item whose earliest *effect* (first event it schedules)
+     * is <= horizon — the channel-clock protocol guarantees all such
+     * items are already visible — in the canonical (time, wire-id)
+     * merge order, and return the number of items consumed. A quiesced
+     * kernel never holds an item with effect <= its clock: the island
+     * that owns it flushed it before running the window covering it.
      */
     class BarrierAgent
     {
       public:
         virtual ~BarrierAgent() = default;
 
-        /** Drain work queued for @p island up to the given thresholds. */
-        virtual std::uint64_t flushInbound(std::size_t island, Time now,
+        /** Inject items queued for @p island with effect <= horizon. */
+        virtual std::uint64_t flushInbound(std::size_t island,
                                            Time horizon) = 0;
 
         /**
          * Earliest effect time buffered for @p island, Time::max() when
-         * none. Items that schedule events (parcels) must be reported —
-         * the kernel uses this to pick windows and detect drain; purely
-         * advisory items (deferred checks) may be omitted.
+         * none. The kernel uses this to pick windows and detect drain.
          */
         virtual Time inboundEarliest(std::size_t) { return Time::max(); }
 
-        /** Buffered event-producing items for @p island (for pending()). */
+        /** Buffered items for @p island (for pending()). */
         virtual std::size_t inboundPending(std::size_t) { return 0; }
     };
 
@@ -159,8 +152,8 @@ class ShardedKernel
 
     /** @{ The cross-island edge graph driving the channel clocks.
      *
-     * declareEdge(src, dst) records that src can influence dst (packets,
-     * deferred checks); dst then blocks on src's clock. declareDense(i)
+     * declareEdge(src, dst) records that src can influence dst
+     * (packets); dst then blocks on src's clock. declareDense(i)
      * connects i to every island both ways — including islands added
      * *after* the call — the sound fallback for islands whose
      * destinations are not known up front (UD). While no
@@ -175,7 +168,7 @@ class ShardedKernel
 
     /**
      * In-neighbor islands of @p i — the only islands whose channels can
-     * hold work for i, so agents may restrict their per-window channel
+     * hold work for i, so the agent may restrict its per-window channel
      * scans to this list instead of probing every island. Rebuilt when
      * the kernel starts and on quiesced edge declarations; empty before
      * the first run.
@@ -201,9 +194,8 @@ class ShardedKernel
     /** Adaptive round-length cap for predicate-free runs. */
     static constexpr unsigned kMaxAdaptiveWindows = 256;
 
-    /** Register / remove a channel holder (fabric, monitor, ...). */
-    void addBarrierAgent(BarrierAgent* agent);
-    void removeBarrierAgent(BarrierAgent* agent);
+    /** Install the kernel's one channel holder (nullptr removes it). */
+    void setBarrierAgent(BarrierAgent* agent);
 
     /**
      * Run until every island drains (and all channels are empty) or
@@ -358,7 +350,7 @@ class ShardedKernel
     /** Safe horizon of island @p i: min in-neighbor clock + lookahead. */
     Time safeHorizon(const Island& is) const;
 
-    /** Earliest buffered inbound effect for island @p i (all agents). */
+    /** Earliest buffered inbound effect for island @p i. */
     Time inboundEarliest(std::size_t i) const;
 
     void workerLoop(unsigned worker);
@@ -381,16 +373,13 @@ class ShardedKernel
     /** Line every island clock up at @p t (t >= every island's now). */
     void syncClocks(Time t);
 
-    /** Sequential end-of-run flush: judge deferred checks at @p t. */
-    void quiesceFlush(Time t);
-
     /** End of the grid window containing @p t (multiples of lookahead). */
     Time gridEnd(Time t) const;
 
     Time lookahead_;
     unsigned jobs_;
     std::deque<Island> islands_;
-    std::vector<BarrierAgent*> agents_;
+    BarrierAgent* agent_ = nullptr;
     Time now_;
     bool started_ = false;
 

@@ -2,12 +2,13 @@
  * @file
  * Removable observer lists for the simulator's passive taps.
  *
- * Fabric egress, the RNIC post paths and completion queues each fan an
- * event out to a list of observers (the chaos invariant monitor, tests).
- * An observer that captures its own address must unregister before it is
- * destroyed, or the next event calls into freed memory: add() returns a
- * handle that remove() takes back. Iteration visits the observers in
- * registration order. remove() must not run from inside a tap.
+ * Fabric egress and ingress, the RNIC post paths and completion queues
+ * each fan an event out to a list of observers (the chaos invariant
+ * monitor, tests). An observer that captures its own address must
+ * unregister before it is destroyed, or the next event calls into freed
+ * memory: add() returns a handle that remove() takes back. Iteration
+ * visits the observers in registration order. remove() must not run
+ * from inside a tap.
  */
 
 #ifndef IBSIM_SIMCORE_TAP_LIST_HH

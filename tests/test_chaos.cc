@@ -531,6 +531,64 @@ TEST(ChaosOracle, ForgedSecondRecvCompletionIsCaught)
     }
 }
 
+TEST(ChaosOracle, ForgedAckBeyondPostedRangeIsCaught)
+{
+    // W4: every ACK names a PSN its requester posted. A raw ACK beyond
+    // the requester's nextPsn, without chaos provenance, is judged at
+    // the requester's ingress: inside send() on one island, at the
+    // destination's channel drain across islands. Either way the
+    // violation carries the ACK's egress time.
+    for (const unsigned jobs : {0u, 1u, 2u}) {
+        SCOPED_TRACE(jobs);
+        ClusterOptions options;
+        options.sharded = jobs > 0;
+        options.jobs = jobs > 0 ? jobs : 1;
+        Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 5,
+                        net::LinkConfig{}, options);
+        Node& a = cluster.node(0);
+        Node& b = cluster.node(1);
+        verbs::CompletionQueue& acq = a.createCq();
+        auto [aqp, bqp] = cluster.connectRc(a, acq, b, b.createCq());
+        const std::uint64_t src = a.alloc(4096);
+        const std::uint64_t dst = b.alloc(4096);
+        const std::uint32_t lkey =
+            a.registerMemory(src, 4096, verbs::AccessFlags::pinned()).lkey();
+        const std::uint32_t rkey =
+            b.registerMemory(dst, 4096, verbs::AccessFlags::pinned()).rkey();
+
+        chaos::InvariantMonitor monitor(cluster.fabric());
+        monitor.watch(a.rnic(), aqp.context());
+        monitor.watch(b.rnic(), bqp.context());
+
+        // A normal WRITE and its ACK stay clean.
+        aqp.postWrite(src, lkey, dst, rkey, 64, 1);
+        ASSERT_TRUE(cluster.runUntil(
+            [&] { return acq.totalCompletions() >= 1; },
+            cluster.now() + Time::sec(1)));
+        EXPECT_TRUE(monitor.clean()) << monitor.report();
+
+        net::Packet ack;
+        ack.op = net::Opcode::Ack;
+        ack.psn = aqp.context().nextPsn + 3;
+        ack.srcLid = b.lid();
+        ack.srcQpn = bqp.qpn();
+        ack.dstLid = a.lid();
+        ack.dstQpn = aqp.qpn();
+        net::Fabric& fabric = cluster.fabric();
+        const Time sentAt =
+            fabric.islandEvents(fabric.islandOf(b.lid())).now();
+        fabric.send(ack);
+        cluster.advance(Time::us(50));
+
+        ASSERT_EQ(monitor.violationCount(), 1u) << monitor.report();
+        const chaos::Violation& v = monitor.violations()[0];
+        EXPECT_EQ(v.invariant, "ack-coherence");
+        EXPECT_EQ(v.at.toNs(), sentAt.toNs());
+        EXPECT_EQ(v.lid, a.lid());
+        EXPECT_EQ(v.qpn, aqp.qpn());
+    }
+}
+
 TEST(ChaosOracle, LateAttachJudgesOnlyPostAttachWrs)
 {
     OraclePair p;
@@ -883,54 +941,63 @@ TEST(ChaosAtomics, ReplayCacheAccountingBugIsCaughtByOracle)
     // timeout path; the cache answers and A1 stays quiet. The lost half
     // reproduces the defect's symptom: three fresh inserts evict psn=0's
     // record before its replay, the responder is silent, and A1 fires.
-    for (const bool lost : {false, true}) {
-        auto profile = rnic::DeviceProfile::connectX4();
-        profile.atomicReplayDepth = 2;
-        Cluster cluster(profile, 2, 13);
-        Node& a = cluster.node(0);
-        Node& b = cluster.node(1);
-        auto& acq = a.createCq();
-        auto& bcq = b.createCq();
-        auto [aqp, bqp] = cluster.connectRc(a, acq, b, bcq);
+    // Both halves also run with requester and responder on separate
+    // islands, where A1 books the duplicate on the responder's island.
+    for (const bool sharded : {false, true}) {
+        for (const bool lost : {false, true}) {
+            SCOPED_TRACE(sharded ? "sharded" : "single-queue");
+            auto profile = rnic::DeviceProfile::connectX4();
+            profile.atomicReplayDepth = 2;
+            ClusterOptions options;
+            options.sharded = sharded;
+            options.jobs = 2;
+            Cluster cluster(profile, 2, 13, net::LinkConfig{}, options);
+            Node& a = cluster.node(0);
+            Node& b = cluster.node(1);
+            auto& acq = a.createCq();
+            auto& bcq = b.createCq();
+            auto [aqp, bqp] = cluster.connectRc(a, acq, b, bcq);
 
-        const auto counter = b.alloc(4096);
-        auto& bmr =
-            b.registerMemory(counter, 4096, verbs::AccessFlags::pinned());
-        write64(b, counter, 42);
+            const auto counter = b.alloc(4096);
+            auto& bmr =
+                b.registerMemory(counter, 4096, verbs::AccessFlags::pinned());
+            write64(b, counter, 42);
 
-        chaos::InvariantMonitor monitor(cluster.fabric());
-        // Watch the responder role only: the injected requests spoof the
-        // requester's flow, which would otherwise fail its wire checks.
-        monitor.watch(b.rnic(), bqp.context());
+            chaos::InvariantMonitor monitor(cluster.fabric());
+            // Watch the responder role only: the injected requests spoof
+            // the requester's flow, which would otherwise fail its wire
+            // checks.
+            monitor.watch(b.rnic(), bqp.context());
 
-        auto inject = [&](std::uint32_t psn, bool retrans) {
-            cluster.fabric().send(rawFetchAdd(a, aqp, b, bqp, counter,
-                                              bmr.rkey(), psn,
-                                              /*add=*/0, retrans));
-            cluster.advance(Time::us(50));
-        };
+            auto inject = [&](std::uint32_t psn, bool retrans) {
+                cluster.fabric().send(rawFetchAdd(a, aqp, b, bqp, counter,
+                                                  bmr.rkey(), psn,
+                                                  /*add=*/0, retrans));
+                cluster.advance(Time::us(50));
+            };
 
-        if (lost) {
-            inject(0, false);               // fresh: cached as psn=0
-            inject(1, false);
-            inject(2, false);               // evicts psn=0's record
-            inject(0, true);                // replay: no record to answer
-        } else {
-            inject(0, false);               // fresh: cached as psn=0
-            bqp.context().expectedPsn = 0;  // PSN reuse after reconnect
-            inject(0, false);               // duplicate insert of psn=0
-            inject(1, false);               // squeezes the 2-deep cache
-            inject(0, true);                // replay: MUST answer from cache
+            if (lost) {
+                inject(0, false);               // fresh: cached as psn=0
+                inject(1, false);
+                inject(2, false);               // evicts psn=0's record
+                inject(0, true);                // replay: no record
+            } else {
+                inject(0, false);               // fresh: cached as psn=0
+                bqp.context().expectedPsn = 0;  // PSN reuse (reconnect)
+                inject(0, false);               // duplicate insert of psn=0
+                inject(1, false);               // squeezes the 2-deep cache
+                inject(0, true);                // replay: MUST be answered
+            }
+            cluster.advance(Time::ms(1));
+            monitor.finalCheck();
+
+            EXPECT_EQ(hasViolation(monitor, "atomic-replay-lost"), lost)
+                << "record lost " << lost << "\n"
+                << monitor.report();
+            // add=0 keeps every answer identical: the value family must
+            // not fire in either mode.
+            EXPECT_FALSE(hasViolation(monitor, "atomic-replay-value"));
         }
-        cluster.advance(Time::ms(1));
-        monitor.finalCheck();
-
-        EXPECT_EQ(hasViolation(monitor, "atomic-replay-lost"), lost)
-            << "record lost " << lost << "\n"
-            << monitor.report();
-        // add=0 keeps every answer identical: the value family must not
-        // fire in either mode.
-        EXPECT_FALSE(hasViolation(monitor, "atomic-replay-value"));
     }
 }
 

@@ -522,7 +522,7 @@ struct MailboxAgent : ShardedKernel::BarrierAgent
             for (std::size_t j = 0; j < kernel.islandCount(); ++j)
                 row.emplace_back();
         }
-        kernel.addBarrierAgent(this);
+        kernel.setBarrierAgent(this);
     }
 
     void
@@ -533,7 +533,7 @@ struct MailboxAgent : ShardedKernel::BarrierAgent
     }
 
     std::uint64_t
-    flushInbound(std::size_t island, Time /*now*/, Time horizon) override
+    flushInbound(std::size_t island, Time horizon) override
     {
         std::vector<Msg> batch;
         for (auto& row : out_) {
@@ -604,7 +604,7 @@ TEST(ShardedKernel, BarrierAgentDeliversCrossIslandParcels)
         ASSERT_EQ(mail.received_[0].size(), 1u);
         EXPECT_EQ(mail.received_[0][0].second, 100);
         EXPECT_EQ(kernel.kernelStats().channelParcels, 9u);
-        kernel.removeBarrierAgent(&mail);
+        kernel.setBarrierAgent(nullptr);
     }
 }
 
