@@ -408,7 +408,7 @@ registerChaosProbe(exp::Registry& registry)
              // Chaos under parallelism: the same probe on a 64-node
              // mesh driven by the sharded kernel. Every cell runs the
              // SAME seed twice — jobs = 1 (the inline windowed
-             // reference) and jobs = N on the ready-queue scheduler —
+             // reference) and jobs = N, one island block per worker —
              // and seq_match asserts that everything observable about
              // the simulation
              // (virtual duration, drops, flap windows, oracle verdict,

@@ -50,12 +50,10 @@ struct CapacityResult
     std::uint64_t channelParcels = 0;
     std::uint64_t islandEventsMax = 0;
     std::uint64_t islandEventsMin = 0;
-    std::uint64_t steals = 0;
     std::uint64_t maxClockLagNs = 0;
     double busyMean = 0;
     double busyMin = 0;
     std::uint64_t roundsSkipped = 0;
-    std::uint64_t readyDepth = 0;
 };
 
 /**
@@ -185,10 +183,8 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
         result.channelParcels = ks.channelParcels;
         result.islandEventsMax = ks.maxIslandExecuted;
         result.islandEventsMin = ks.minIslandExecuted;
-        result.steals = ks.steals;
         result.maxClockLagNs = ks.maxClockLagNs;
         result.roundsSkipped = ks.roundsSkipped;
-        result.readyDepth = ks.maxReadyQueueDepth;
         if (!ks.workerBusyFraction.empty()) {
             double sum = 0, mn = ks.workerBusyFraction.front();
             for (const double f : ks.workerBusyFraction) {
@@ -215,6 +211,12 @@ registerFloodCapacity(exp::Registry& registry)
              const std::size_t trials = ctx.trials(3, 1);
              const std::size_t opsPerWave = 2;
              constexpr std::size_t pairs = 4;
+             // Read the island-mode axes up front: a bad override
+             // exits before the first trial runs.
+             const std::vector<double> planesAxis =
+                 axisFromEnv("IBSIM_FLOOD_PLANES", {1.0, 4.0}, 1);
+             const std::vector<double> jobsAxis = axisFromEnv(
+                 "IBSIM_FLOOD_JOBS", {1.0, 2.0, 4.0, 8.0}, 1);
 
              // Like simcore_micro, this bench always leaves a
              // machine-readable record for CI trend tracking.
@@ -283,12 +285,8 @@ registerFloodCapacity(exp::Registry& registry)
              exp::Sweep parallel;
              parallel.axis("nodes", {2.0 * parallelPairs}, 0)
                  .axis("qps", {16384.0}, 0)
-                 .axis("planes",
-                       axisFromEnv("IBSIM_FLOOD_PLANES", {1.0, 4.0}), 0)
-                 .axis("jobs",
-                       axisFromEnv("IBSIM_FLOOD_JOBS",
-                                   {1.0, 2.0, 4.0, 8.0}),
-                       0);
+                 .axis("planes", planesAxis, 0)
+                 .axis("jobs", jobsAxis, 0);
 
              auto presult = local.runner("flood_capacity_parallel")
                                 .run(parallel, trials,
@@ -328,15 +326,12 @@ registerFloodCapacity(exp::Registry& registry)
                          .set("island_events_min",
                               static_cast<double>(r.islandEventsMin))
                          .set("imbalance", imbalance)
-                         .set("steals", static_cast<double>(r.steals))
                          .set("max_clock_lag_ns",
                               static_cast<double>(r.maxClockLagNs))
                          .set("busy_mean", r.busyMean)
                          .set("busy_min", r.busyMin)
                          .set("rounds_skipped",
-                              static_cast<double>(r.roundsSkipped))
-                         .set("ready_depth",
-                              static_cast<double>(r.readyDepth));
+                              static_cast<double>(r.roundsSkipped));
                  });
 
              auto psink = local.sink("flood_capacity_parallel");
@@ -351,9 +346,6 @@ registerFloodCapacity(exp::Registry& registry)
                   exp::col("channel_pkts", exp::Stat::Mean, 0,
                            "chan_pkts"),
                   exp::col("imbalance", exp::Stat::Mean, 2, "imbalance"),
-                  exp::col("steals", exp::Stat::Mean, 0, "steals"),
-                  exp::col("ready_depth", exp::Stat::Mean, 0,
-                           "ready_q"),
                   exp::col("max_clock_lag_ns", exp::Stat::Mean, 0,
                            "lag_ns"),
                   exp::col("busy_mean", exp::Stat::Mean, 2, "busy_mean"),
@@ -363,13 +355,13 @@ registerFloodCapacity(exp::Registry& registry)
              psink.note(
                  "One island per node plus per-QP-group client planes "
                  "(planes=4 splits each client\nmachine into 4 islands); "
-                 "pairwise channel clocks, work-stealing scheduler.\n"
-                 "jobs=1 runs the windowed algorithm inline (the "
+                 "pairwise channel clocks, a fixed island block per "
+                 "worker.\njobs=1 runs the windowed algorithm inline (the "
                  "sequential reference); every jobs>1\nrun is "
                  "bit-identical to it.\n"
-                 "steals / lag_ns / busy_* / ready_q are wall-clock "
-                 "scheduler observability,\nnot part of the "
-                 "deterministic surface.");
+                 "lag_ns / busy_* are wall-clock scheduler "
+                 "observability, not part of the\ndeterministic "
+                 "surface.");
          }});
 }
 

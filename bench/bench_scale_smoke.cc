@@ -10,16 +10,14 @@
  * drives a fixed population of ping-pong message pairs across up to
  * 1024 islands — no RNIC, no fabric, just EventQueues, channel clocks
  * and a minimal BarrierAgent — and reports wall-clock ns per executed
- * event: jobs=1 is the inline island scan, jobs>1 the sharded ready
- * queue.
+ * event: jobs=1 scans every island inline, jobs>1 gives each worker a
+ * fixed contiguous block of islands to scan.
  *
  * The pair count does not grow with the topology, so at 1024 islands
- * only a small fraction of islands is runnable in any window — the
- * sparse regime the ready queue exists for: it touches only woken
- * islands instead of walking every island on every worker pass. Idle
+ * only a small fraction of islands is runnable in any window. Idle
  * islands have no declared edges, so their clocks jump to the round
- * limit in one step — their entire cost is whatever the scheduler
- * spends discovering they are done.
+ * limit in one step — their entire cost is the scan that finds them
+ * done, which the blocks split between the workers.
  *
  * islands=1024 is the row the CI gate watches: its jobs=4 cell must
  * beat the jobs=1 reference (speedup_vs_seq >= 1.0 in
@@ -54,8 +52,6 @@ struct ScaleResult
     bool completed = false;
     std::uint64_t rounds = 0;
     std::uint64_t roundsSkipped = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t readyDepth = 0;
 };
 
 /**
@@ -175,7 +171,7 @@ runScaleTrial(std::size_t islands, unsigned jobs, std::uint64_t seed)
     ShardedKernel kernel(Time::us(1), jobs);
     for (std::size_t i = 0; i < islands; ++i)
         kernel.addIsland();
-    // Pairs spread evenly so the ready queue's contiguous seed blocks
+    // Pairs spread evenly so the workers' contiguous island blocks
     // stay balanced; only pair members get edges — idle islands have no
     // in-neighbors (infinite safe horizon, one clock jump per round).
     std::vector<std::size_t> partner(islands, 0);
@@ -219,8 +215,6 @@ runScaleTrial(std::size_t islands, unsigned jobs, std::uint64_t seed)
     const auto ks = kernel.kernelStats();
     result.rounds = ks.barriers;
     result.roundsSkipped = ks.roundsSkipped;
-    result.steals = ks.steals;
-    result.readyDepth = ks.maxReadyQueueDepth;
     return result;
 }
 
@@ -245,10 +239,11 @@ registerScaleSmoke(exp::Registry& registry)
              sweep
                  .axis("islands",
                        axisFromEnv("IBSIM_SCALE_ISLANDS",
-                                   {64.0, 256.0, 1024.0}),
+                                   {64.0, 256.0, 1024.0}, 2),
                        0)
                  .axis("jobs",
-                       axisFromEnv("IBSIM_SCALE_JOBS", {1.0, 4.0}), 0);
+                       axisFromEnv("IBSIM_SCALE_JOBS", {1.0, 4.0}, 1),
+                       0);
 
              auto result = local.runner("scale_smoke").run(
                  sweep, trials,
@@ -270,9 +265,6 @@ registerScaleSmoke(exp::Registry& registry)
                          .set("rounds", static_cast<double>(r.rounds))
                          .set("rounds_skipped",
                               static_cast<double>(r.roundsSkipped))
-                         .set("steals", static_cast<double>(r.steals))
-                         .set("ready_depth",
-                              static_cast<double>(r.readyDepth))
                          .set("completed", r.completed ? 1.0 : 0.0);
                  });
 
@@ -286,8 +278,6 @@ registerScaleSmoke(exp::Registry& registry)
                   exp::col("rounds", exp::Stat::Mean, 0, "rounds"),
                   exp::col("rounds_skipped", exp::Stat::Mean, 0,
                            "skipped"),
-                  exp::col("steals", exp::Stat::Mean, 0, "steals"),
-                  exp::col("ready_depth", exp::Stat::Mean, 0, "ready_q"),
                   exp::col("completed", exp::Stat::Mean, 2,
                            "completed")});
              sink.note(
@@ -295,9 +285,9 @@ registerScaleSmoke(exp::Registry& registry)
                  "ping-ponging a message,\none lookahead per hop with a "
                  "fixed compute grain per event; islands without "
                  "a\npair are idle. jobs=1 scans the islands inline, "
-                 "jobs>1 schedules them through\nthe sharded ready "
-                 "queue. At islands=1024 the rows are the CI "
-                 "scalability\ngate (jobs=4 must beat jobs=1).");
+                 "jobs>1 gives each worker a fixed\nblock of islands. "
+                 "At islands=1024 the rows are the CI scalability "
+                 "gate\n(jobs=4 must beat jobs=1).");
          }});
 }
 

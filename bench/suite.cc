@@ -9,7 +9,8 @@ namespace ibsim {
 namespace bench {
 
 std::vector<double>
-axisFromEnv(const char* name, std::vector<double> fallback)
+axisFromEnv(const char* name, std::vector<double> fallback,
+            unsigned min)
 {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0')
@@ -20,7 +21,7 @@ axisFromEnv(const char* name, std::vector<double> fallback)
     for (;;) {
         const std::size_t comma = list.find(',', begin);
         out.push_back(exp::parseNumber<unsigned>(
-            name, list.substr(begin, comma - begin), 0, 1u << 20));
+            name, list.substr(begin, comma - begin), min, 1u << 20));
         if (comma == std::string::npos)
             return out;
         begin = comma + 1;

@@ -19,12 +19,13 @@ namespace bench {
 
 /**
  * A count-valued sweep axis the environment may override: @p name holds
- * a comma-separated list of non-negative integers (e.g.
+ * a comma-separated list of integers >= @p min (e.g.
  * IBSIM_SCALE_JOBS=1,4). Unset or empty keeps @p fallback; a malformed
- * entry is an error exit (exp::parseNumber).
+ * or too-small entry is an error exit (exp::parseNumber).
  */
 std::vector<double> axisFromEnv(const char* name,
-                                std::vector<double> fallback);
+                                std::vector<double> fallback,
+                                unsigned min);
 
 void registerTable1(exp::Registry& registry);
 void registerFig1(exp::Registry& registry);

@@ -144,16 +144,9 @@ ShardedKernel::rebuildNeighbors()
     for (std::size_t i = 0; i < n; ++i) {
         Island& is = islands_[i];
         is.inNbr.clear();
-        is.outNbr.clear();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-            if (j != i && hasEdge(j, i)) {
-                islands_[i].inNbr.push_back(
-                    static_cast<std::uint32_t>(j));
-                islands_[j].outNbr.push_back(
-                    static_cast<std::uint32_t>(i));
-            }
+            if (j != i && hasEdge(j, i))
+                is.inNbr.push_back(static_cast<std::uint32_t>(j));
         }
     }
 }
@@ -168,7 +161,6 @@ ShardedKernel::startWorkers()
         jobs_, std::max<std::size_t>(1, islands_.size())));
     rebuildNeighbors();
     workers_ = std::vector<Worker>(jobs_);
-    ready_ = std::vector<ReadyShard>(jobs_);
     for (unsigned w = 1; w < jobs_; ++w)
         workers_[w].thread = std::thread([this, w] { workerLoop(w); });
 }
@@ -202,11 +194,10 @@ ShardedKernel::inboundEarliest(std::size_t i) const
 }
 
 ShardedKernel::Step
-ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
+ShardedKernel::stepIsland(std::size_t i, Time round_limit)
 {
     Island& is = islands_[i];
     EventQueue& q = *is.queue;
-    const std::int64_t l = lookahead_.toNs();
     bool advanced = false;
     for (;;) {
         Time done = Time::fromNs(is.done.load(std::memory_order_relaxed));
@@ -214,8 +205,7 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
         if (done >= round_limit) {
             // Degenerate round (limit == the synchronized clock): the
             // island starts already at the round limit.
-            is.roundDone.store(true, std::memory_order_relaxed);
-            doneCount_.fetch_add(1, std::memory_order_release);
+            is.roundDone = true;
             return Step::RoundDone;
         }
 
@@ -236,19 +226,12 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 is.maxLagNs = std::max(
                     is.maxLagNs, static_cast<std::uint64_t>(
                                      (round_limit - safe).toNs()));
-                // Unblocks once the min in-neighbor clock passes
-                // done - L (safeHorizon > done).
-                is.wakeAt.store(done.toNs() - l + 1,
-                                std::memory_order_relaxed);
                 return advanced ? Step::Advanced : Step::Blocked;
             }
             is.done.store(target.toNs(), std::memory_order_release);
-            if (jobs_ > 1)
-                wakeOutNeighbors(worker, i, target.toNs());
             advanced = true;
             if (target == round_limit) {
-                is.roundDone.store(true, std::memory_order_relaxed);
-                doneCount_.fetch_add(1, std::memory_order_release);
+                is.roundDone = true;
                 return Step::RoundDone;
             }
             continue;
@@ -266,15 +249,9 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 is.maxLagNs = std::max(
                     is.maxLagNs,
                     static_cast<std::uint64_t>((runLimit - safe).toNs()));
-                // Unblocks once the window is safe (min in-neighbor
-                // clock >= runLimit - L).
-                is.wakeAt.store(runLimit.toNs() - l,
-                                std::memory_order_relaxed);
                 return advanced ? Step::Advanced : Step::Blocked;
             }
             is.done.store(target.toNs(), std::memory_order_release);
-            if (jobs_ > 1)
-                wakeOutNeighbors(worker, i, target.toNs());
             advanced = true;
             continue;
         }
@@ -284,186 +261,43 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
         q.run(runLimit);
         q.syncClock(runLimit);
         is.done.store(runLimit.toNs(), std::memory_order_release);
-        if (jobs_ > 1)
-            wakeOutNeighbors(worker, i, runLimit.toNs());
         ++is.windows;
         advanced = true;
         if (runLimit == round_limit) {
-            is.roundDone.store(true, std::memory_order_relaxed);
-            doneCount_.fetch_add(1, std::memory_order_release);
+            is.roundDone = true;
             return Step::RoundDone;
         }
     }
 }
 
 void
-ShardedKernel::workerRoundInline()
+ShardedKernel::workerRound(unsigned worker)
 {
     using clock = std::chrono::steady_clock;
     const auto roundStart = clock::now();
     std::uint64_t busy = 0;
     const std::size_t n = islands_.size();
+    const std::size_t first = worker * n / jobs_;
+    const std::size_t last = (worker + 1) * n / jobs_;
 
-    while (doneCount_.load(std::memory_order_acquire) < n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (islands_[i].roundDone.load(std::memory_order_relaxed))
+    std::size_t remaining = last - first;
+    while (remaining > 0) {
+        bool progress = false;
+        for (std::size_t i = first; i < last; ++i) {
+            if (islands_[i].roundDone)
                 continue;
             const auto t0 = clock::now();
-            if (stepIsland(0, i, roundLimit_) != Step::Blocked)
-                busy += elapsedNs(t0, clock::now());
-        }
-    }
-
-    Worker& me = workers_[0];
-    me.busyNs += busy;
-    me.totalNs += elapsedNs(roundStart, clock::now());
-}
-
-void
-ShardedKernel::pushReady(unsigned worker, std::uint32_t island)
-{
-    ReadyShard& shard = ready_[worker];
-    std::lock_guard<std::mutex> lock(shard.m);
-    shard.q.push_back(island);
-    shard.maxDepth = std::max<std::uint64_t>(shard.maxDepth,
-                                             shard.q.size());
-}
-
-bool
-ShardedKernel::popReady(unsigned worker, std::uint32_t& island)
-{
-    {
-        // Own shard: LIFO — the most recently woken island's channel
-        // state is the hottest in this worker's cache.
-        ReadyShard& own = ready_[worker];
-        std::lock_guard<std::mutex> lock(own.m);
-        if (!own.q.empty()) {
-            island = own.q.back();
-            own.q.pop_back();
-            return true;
-        }
-    }
-    // Steal FIFO from the other shards (oldest entry = the one most
-    // likely to have accumulated runnable windows).
-    for (unsigned k = 1; k < jobs_; ++k) {
-        ReadyShard& other = ready_[(worker + k) % jobs_];
-        std::lock_guard<std::mutex> lock(other.m);
-        if (!other.q.empty()) {
-            island = other.q.front();
-            other.q.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-std::int64_t
-ShardedKernel::minInNeighborClockNs(const Island& is) const
-{
-    std::int64_t m = Time::max().toNs();
-    for (std::uint32_t nbr : is.inNbr) {
-        m = std::min(m,
-                     islands_[nbr].done.load(std::memory_order_acquire));
-    }
-    return m;
-}
-
-void
-ShardedKernel::wakeOutNeighbors(unsigned worker, std::size_t i,
-                                std::int64_t clock_ns)
-{
-    // Publisher side of the block-vs-wake handshake: clock store, then
-    // a full fence, then the sched reads — pairs with the blocker's
-    // Blocked store / fence / clock re-read (blockIsland()), so one of
-    // the two sides always observes the other.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    for (std::uint32_t o : islands_[i].outNbr) {
-        Island& t = islands_[o];
-        if (t.sched.load(std::memory_order_relaxed) != kSchedBlocked)
-            continue;
-        if (clock_ns < t.wakeAt.load(std::memory_order_relaxed))
-            continue;  // our clock alone cannot have unblocked it
-        std::uint8_t expect = kSchedBlocked;
-        if (t.sched.compare_exchange_strong(expect, kSchedReady,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-            pushReady(worker, o);
-    }
-}
-
-void
-ShardedKernel::blockIsland(unsigned worker, std::uint32_t island)
-{
-    Island& is = islands_[island];
-    // stepIsland stored wakeAt before returning Blocked.
-    is.sched.store(kSchedBlocked, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Close the lost-wakeup window: a neighbor may have crossed the
-    // threshold between our block decision and the Blocked store.
-    if (minInNeighborClockNs(is) >=
-        is.wakeAt.load(std::memory_order_relaxed)) {
-        std::uint8_t expect = kSchedBlocked;
-        if (is.sched.compare_exchange_strong(expect, kSchedReady,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed))
-            pushReady(worker, island);
-    }
-}
-
-void
-ShardedKernel::workerRoundReady(unsigned worker)
-{
-    using clock = std::chrono::steady_clock;
-    const auto roundStart = clock::now();
-    std::uint64_t busy = 0;
-    const std::size_t n = islands_.size();
-
-    // progress = some pop advanced an island since the last idle
-    // rescan; without it the worker yields before rescanning again
-    // (the rescan itself re-enqueues still-blocked islands, so it must
-    // not count as progress or an idle pair of workers would spin).
-    bool progress = false;
-    for (;;) {
-        std::uint32_t idx;
-        if (popReady(worker, idx)) {
-            // The pop made this worker the island's sole executor until
-            // it parks the island again (Done or Blocked).
-            Island& is = islands_[idx];
-            is.sched.store(kSchedRunning, std::memory_order_relaxed);
-            const auto t0 = clock::now();
-            const Step step = stepIsland(worker, idx, roundLimit_);
-            if (step != Step::Blocked) {
-                busy += elapsedNs(t0, clock::now());
-                progress = true;
-                if (is.lastWorker != kNoWorker && is.lastWorker != worker)
-                    steals_.fetch_add(1, std::memory_order_relaxed);
-                is.lastWorker = worker;
-            }
+            const Step step = stepIsland(i, roundLimit_);
+            if (step == Step::Blocked)
+                continue;
+            busy += elapsedNs(t0, clock::now());
+            progress = true;
             if (step == Step::RoundDone)
-                is.sched.store(kSchedDone, std::memory_order_relaxed);
-            else
-                blockIsland(worker, idx);
-            continue;
+                --remaining;
         }
-        if (doneCount_.load(std::memory_order_acquire) >= n)
-            break;
-        // Idle: the wake-miss safety net — re-enqueue every still-blocked
-        // island (covers dense-island wakes, which are deliberately not
-        // fanned out per publish, and inbound work that arrived below a
-        // stale wake threshold).
+        // A pass that advanced nothing waits on another worker's clocks.
         if (!progress)
             std::this_thread::yield();
-        progress = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            Island& is = islands_[i];
-            if (is.sched.load(std::memory_order_relaxed) != kSchedBlocked)
-                continue;
-            std::uint8_t expect = kSchedBlocked;
-            if (is.sched.compare_exchange_strong(expect, kSchedReady,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed))
-                pushReady(worker, static_cast<std::uint32_t>(i));
-        }
     }
 
     Worker& me = workers_[worker];
@@ -488,7 +322,7 @@ ShardedKernel::workerLoop(unsigned worker)
         ++seen;
         if (exit_.load(std::memory_order_relaxed))
             return;
-        workerRoundReady(worker);
+        workerRound(worker);
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
     }
 }
@@ -499,33 +333,13 @@ ShardedKernel::dispatchRound(Time init_done, Time round_limit)
     roundLimit_ = round_limit;
     for (Island& is : islands_) {
         is.done.store(init_done.toNs(), std::memory_order_relaxed);
-        is.roundDone.store(false, std::memory_order_relaxed);
+        is.roundDone = false;
     }
-    doneCount_.store(0, std::memory_order_relaxed);
-    if (jobs_ <= 1) {
-        workerRoundInline();
-        return;
+    if (jobs_ > 1) {
+        outstanding_.store(jobs_ - 1, std::memory_order_relaxed);
+        epoch_.fetch_add(1, std::memory_order_release);
     }
-    // Seed each worker's shard with a contiguous island block, so the
-    // first pops have affinity (neighboring islands — e.g. the flood
-    // bench's client/server pairs — start on one worker) and workers
-    // fan out before the first steal.
-    const std::size_t n = islands_.size();
-    for (unsigned w = 0; w < jobs_; ++w)
-        ready_[w].q.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        islands_[i].sched.store(kSchedReady, std::memory_order_relaxed);
-        const unsigned owner = static_cast<unsigned>(
-            i * static_cast<std::size_t>(jobs_) / n);
-        ready_[owner].q.push_back(static_cast<std::uint32_t>(i));
-    }
-    for (unsigned w = 0; w < jobs_; ++w) {
-        ready_[w].maxDepth = std::max<std::uint64_t>(
-            ready_[w].maxDepth, ready_[w].q.size());
-    }
-    outstanding_.store(jobs_ - 1, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    workerRoundReady(0);  // the coordinator is worker 0
+    workerRound(0);  // the coordinator is worker 0
     int spins = 0;
     while (outstanding_.load(std::memory_order_acquire) != 0) {
         if (++spins > 256) {
@@ -679,12 +493,7 @@ ShardedKernel::kernelStats() const
 {
     KernelStats s;
     s.barriers = rounds_;
-    s.steals = steals_.load(std::memory_order_relaxed);
     s.roundsSkipped = roundsSkipped_;
-    for (const ReadyShard& shard : ready_) {
-        s.maxReadyQueueDepth =
-            std::max(s.maxReadyQueueDepth, shard.maxDepth);
-    }
 
     // Aggregate per *logical* island: a split node's planes fold into
     // one entry (the machine they model), and logical ids that no

@@ -28,17 +28,19 @@
  * islands run fully asynchronously under the channel-clock constraint;
  * between rounds the kernel quiesces once to check runUntil()
  * predicates, detect drain, and jump over idle gaps to the globally
- * earliest pending work. A round always runs to its limit. With
- * jobs > 1 workers find runnable islands through a sharded *ready
- * queue*: islands enqueue when an in-neighbor clock publish crosses
- * their recorded wake threshold, workers pop LIFO from their own shard
- * and steal FIFO from the others (a steal is a pop by a different
- * worker than the previous one), and a pop is the only way an island
- * changes hands. The queue only decides *who* executes; *what* each
- * island executes per window is schedule-independent, so trace hashes,
- * stats and oracle verdicts are bit-identical at any jobs count.
- * jobs = 1 runs the identical round/window algorithm inline with no
- * threads, scanning the islands in index order — the "sequential"
+ * earliest pending work. A round always runs to its limit. Worker w
+ * owns the fixed island block [w*n/jobs, (w+1)*n/jobs) for the kernel's
+ * lifetime and, each round, scans its block in index order, stepping
+ * every island that is not yet round-done; it yields after a pass that
+ * advanced nothing (it is waiting on another worker's clocks) and
+ * returns once its whole block is round-done. Contiguous blocks keep
+ * neighbouring islands — a client and its server, a node and its
+ * planes — on one worker, so in the cluster workloads nearly every edge
+ * stays inside one block. The block
+ * assignment only decides *who* executes; *what* each island executes
+ * per window is schedule-independent, so trace hashes, stats and oracle
+ * verdicts are bit-identical at any jobs count. jobs = 1 is the
+ * one-block case, run inline with no threads — the "sequential"
  * reference the differential tests compare against.
  *
  * Round length adapts (DESIGN.md §12.c): runUntil() rounds are always
@@ -49,8 +51,8 @@
  *
  * A kernel with exactly one island skips all of the above: run(),
  * runUntil() and advance() call that island's EventQueue directly
- * (predicates are polled after every event, and no worker, ready shard
- * or round ever exists). This is how the cluster's single-queue mode
+ * (predicates are polled after every event, and no worker or round
+ * ever exists). This is how the cluster's single-queue mode
  * runs — one kernel, two partitions.
  *
  * What the kernel deliberately does not do: share any RNG, wire-id
@@ -70,7 +72,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -227,21 +228,21 @@ class ShardedKernel
     /**
      * Sharding observability: round/window counts, channel traffic, the
      * per-logical-island event-count spread (imbalance is what caps the
-     * parallel speedup), and scheduler behaviour. steals, maxClockLagNs,
-     * workerBusyFraction and maxReadyQueueDepth describe the
-     * *schedule*, which is timing-dependent — they are not part of the
-     * deterministic surface the differential tests compare
-     * (roundsSkipped is deterministic).
+     * parallel speedup), and scheduler behaviour. maxClockLagNs and
+     * workerBusyFraction describe the *schedule*, which is
+     * timing-dependent — they are not part of the deterministic surface
+     * the differential tests compare (roundsSkipped is deterministic).
      */
     struct KernelStats
     {
         std::uint64_t barriers = 0;        ///< round quiesce points
         std::uint64_t windows = 0;         ///< island-windows executed
         std::uint64_t channelParcels = 0;  ///< cross-island items flushed
-        std::uint64_t steals = 0;          ///< cross-worker island pops
+        /** Always 0: islands never change workers. Kept because the
+         * perfbench driver still reports it as simcore.steals. */
+        std::uint64_t steals = 0;
         std::uint64_t maxClockLagNs = 0;   ///< worst blocked-island lag
         std::uint64_t roundsSkipped = 0;   ///< quiesces adaptive rounds saved
-        std::uint64_t maxReadyQueueDepth = 0;  ///< deepest ready shard seen
         std::vector<std::uint64_t> executedPerIsland;  ///< logical islands
         std::uint64_t maxIslandExecuted = 0;
         std::uint64_t minIslandExecuted = 0;
@@ -254,50 +255,25 @@ class ShardedKernel
     /** Outcome of one attempt to advance an island inside a round. */
     enum class Step : std::uint8_t { Advanced, Blocked, RoundDone };
 
-    /** "No worker has executed this island yet" (steal detection). */
-    static constexpr std::uint32_t kNoWorker = 0xffffffffu;
-
-    /** @{ Ready-queue scheduling states (Island::sched). An island is
-     * in exactly one ready shard while kSchedReady (enqueue goes
-     * through a Blocked->Ready CAS, so there is a single winner). */
-    static constexpr std::uint8_t kSchedBlocked = 0;  ///< waiting on a wake
-    static constexpr std::uint8_t kSchedReady = 1;    ///< in a ready shard
-    static constexpr std::uint8_t kSchedRunning = 2;  ///< popped, executing
-    static constexpr std::uint8_t kSchedDone = 3;     ///< round finished
-    /** @} */
-
     /**
-     * Per-island execution state. done is the published channel clock.
-     * The plain fields belong to whichever worker popped the island; the
-     * sched hand-offs and the shard mutexes order them when the island
-     * changes hands. Islands sit side by side in islands_; the trailing pad keeps one
-     * island's hot fields off its neighbour's cache lines. (Padding, not
-     * alignas: every single-queue cluster builds a one-island kernel,
-     * and repeated over-aligned allocations fragment the heap.)
+     * Per-island execution state. done is the published channel clock,
+     * read by the workers of the out-neighbors; every other field
+     * belongs to the worker whose block holds the island. Islands sit
+     * side by side in islands_; the trailing pad keeps one island's hot
+     * fields off its neighbour's cache lines. (Padding, not alignas:
+     * every single-queue cluster builds a one-island kernel, and
+     * repeated over-aligned allocations fragment the heap.)
      */
     struct Island
     {
         std::unique_ptr<EventQueue> queue;
         std::atomic<std::int64_t> done{0};
-        std::atomic<bool> roundDone{false};
-        std::atomic<std::uint8_t> sched{kSchedBlocked};  ///< ready-queue state
-        /** Min in-neighbor clock (ns) that would unblock this island. */
-        std::atomic<std::int64_t> wakeAt{0};
-        std::uint32_t lastWorker = kNoWorker;  ///< steal detection
+        bool roundDone = false;
         std::vector<std::uint32_t> inNbr;  ///< in-neighbor island indices
-        std::vector<std::uint32_t> outNbr;  ///< out-neighbor island indices
         std::uint64_t windows = 0;       ///< windows executed
         std::uint64_t parcels = 0;       ///< items flushed
         std::uint64_t maxLagNs = 0;      ///< worst blocked lag
         char pad[64];
-    };
-
-    /** One worker's shard of the ready queue (jobs > 1). */
-    struct alignas(64) ReadyShard
-    {
-        std::mutex m;
-        std::deque<std::uint32_t> q;
-        std::uint64_t maxDepth = 0;  ///< observability (under m)
     };
 
     /** Per-worker wall-clock accounting (observability only). */
@@ -321,31 +297,12 @@ class ShardedKernel
     /** Execute one round up to @p round_limit across all workers. */
     void dispatchRound(Time init_done, Time round_limit);
 
-    /** The jobs = 1 round: scan the islands in order, no threads. */
-    void workerRoundInline();
-
-    /** One worker's ready-queue round (jobs > 1). */
-    void workerRoundReady(unsigned worker);
+    /** One worker's round: scan its island block in order until every
+     * island in it is round-done. */
+    void workerRound(unsigned worker);
 
     /** Advance island @p i as far as the channel clocks allow. */
-    Step stepIsland(unsigned worker, std::size_t i, Time round_limit);
-
-    /** Enqueue a now-runnable island on @p worker's ready shard. */
-    void pushReady(unsigned worker, std::uint32_t island);
-
-    /** Pop from own shard (LIFO) or steal (FIFO). False when empty. */
-    bool popReady(unsigned worker, std::uint32_t& island);
-
-    /** After a clock publish at @p clock_ns: enqueue out-neighbors whose
-     * wake threshold the new clock satisfies (jobs > 1). */
-    void wakeOutNeighbors(unsigned worker, std::size_t i,
-                          std::int64_t clock_ns);
-
-    /** Raw min in-neighbor clock in ns (wake re-check; max when none). */
-    std::int64_t minInNeighborClockNs(const Island& is) const;
-
-    /** Park a blocked island and close the block-vs-wake race. */
-    void blockIsland(unsigned worker, std::uint32_t island);
+    Step stepIsland(std::size_t i, Time round_limit);
 
     /** Safe horizon of island @p i: min in-neighbor clock + lookahead. */
     Time safeHorizon(const Island& is) const;
@@ -393,28 +350,21 @@ class ShardedKernel
 
     /** @{ Stats (coordinator-written or per-island by its executor). */
     std::uint64_t rounds_ = 0;
-    std::atomic<std::uint64_t> steals_{0};
     std::uint64_t roundsSkipped_ = 0;  ///< coordinator-written
     /** @} */
-
-    /** Ready-queue shards (one per worker, sized when the workers
-     * start; never with one island). */
-    std::vector<ReadyShard> ready_;
 
     /**
      * @{ Worker pool protocol. The coordinator resets the per-island
      * round state, publishes the round with a release increment of
      * epoch_, participates as worker 0, then waits for every worker to
-     * park (outstanding_ == 0). Workers wake on epoch_, execute islands
-     * until all islands report roundDone (doneCount_ == islandCount),
-     * then park. When an island migrates between workers, the
-     * Blocked -> Ready CAS and the shard mutexes give the cross-worker
-     * happens-before.
+     * park (outstanding_ == 0). Workers wake on epoch_, step their block
+     * until every island in it reports roundDone, then park. The only
+     * state shared between workers inside a round is the island clocks
+     * (done, release/acquire) and the agent's channels.
      */
     std::vector<Worker> workers_;  ///< sized when the workers start
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<unsigned> outstanding_{0};
-    std::atomic<std::size_t> doneCount_{0};
     std::atomic<bool> exit_{false};
     Time roundLimit_;
     /** @} */

@@ -740,7 +740,8 @@ TEST(ShardedKernel, FloodIsBitIdenticalAcrossWorkerCounts)
     EXPECT_EQ(seq.completions, 4u * 16u * 4u);
     EXPECT_GT(seq.sent, 0u);
 
-    for (const unsigned jobs : {2u, 4u, 8u}) {
+    // 8 islands: jobs = 3 splits them into unequal blocks (2/3/3).
+    for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
         const FloodOutcome par = runMiniFlood(jobs, 404);
         EXPECT_TRUE(par == seq)
             << "jobs=" << jobs << ": hash " << std::hex << par.traceHash
@@ -862,7 +863,9 @@ TEST(ShardedKernel, PlaneSplitFloodIsBitIdenticalAcrossSchedules)
     EXPECT_EQ(seq.violations, 0u);
     EXPECT_EQ(seq.completions, 4u * 8u * 4u);
 
-    for (const unsigned jobs : {2u, 4u}) {
+    // 8 islands: at jobs = 3 the planes and their servers straddle
+    // unequal blocks.
+    for (const unsigned jobs : {2u, 3u, 4u}) {
         const FloodOutcome par = runPlaneSplitFlood(jobs, 909);
         EXPECT_TRUE(par == seq) << "jobs=" << jobs;
     }
@@ -994,7 +997,7 @@ TEST(ShardedKernel, RunUntilStopsAlikeAcrossWorkerCounts)
     for (const std::uint64_t target : {37ull, 8ull * 16ull, 8ull * 39ull}) {
         const CounterRingRun ref = runCounterRing(1, target);
         EXPECT_TRUE(ref.hit) << "target=" << target;
-        for (const unsigned jobs : {2u, 4u}) {
+        for (const unsigned jobs : {2u, 3u, 4u}) {
             const CounterRingRun run = runCounterRing(jobs, target);
             EXPECT_TRUE(run.hit);
             EXPECT_EQ(run.stopNs, ref.stopNs)
@@ -1009,7 +1012,7 @@ TEST(ShardedKernel, RunUntilStopsAlikeAcrossWorkerCounts)
     const CounterRingRun ref = runCounterRing(1, 10000);
     EXPECT_FALSE(ref.hit);
     EXPECT_EQ(ref.executed, 8u * 40u);
-    for (const unsigned jobs : {2u, 4u}) {
+    for (const unsigned jobs : {2u, 3u, 4u}) {
         const CounterRingRun run = runCounterRing(jobs, 10000);
         EXPECT_FALSE(run.hit) << "jobs=" << jobs;
         EXPECT_EQ(run.executed, 8u * 40u) << "jobs=" << jobs;
@@ -1063,7 +1066,8 @@ TEST(ShardedKernel, QuietTailRunsEveryEvent)
     // window: once they retire, the rest of the round is pure
     // null-message leapfrogging with nothing underneath. The round runs
     // that tail to its limit; every event runs and nothing is left.
-    for (const unsigned jobs : {1u, 4u}) {
+    // jobs = 3 splits the 64 islands into unequal blocks.
+    for (const unsigned jobs : {1u, 3u, 4u}) {
         ShardedKernel kernel(Time::us(1), jobs);
         constexpr std::size_t n = 64;
         for (std::size_t i = 0; i < n; ++i)

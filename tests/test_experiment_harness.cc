@@ -478,4 +478,26 @@ TEST(CliInput, ScaleAxisRejectsMalformedEnv)
     expectRejected("IBSIM_JSON=/dev/null IBSIM_SCALE_JOBS=1x "
                    IBSIM_SCALE_SMOKE_PATH " --quick",
                    "IBSIM_SCALE_JOBS: invalid value '1x'");
+    // Below each axis' minimum: 0 islands segfaulted, 1 island printed
+    // completed 0.00, and jobs = 0 / planes = 0 ran as 1 under a 0
+    // label.
+    const struct
+    {
+        const char* var;
+        const char* value;
+        const char* command;
+    } tooSmall[] = {
+        {"IBSIM_SCALE_ISLANDS", "0", IBSIM_SCALE_SMOKE_PATH " --quick"},
+        {"IBSIM_SCALE_ISLANDS", "1", IBSIM_SCALE_SMOKE_PATH " --quick"},
+        {"IBSIM_SCALE_JOBS", "0", IBSIM_SCALE_SMOKE_PATH " --quick"},
+        {"IBSIM_FLOOD_JOBS", "0", IBSIM_CLI_PATH " flood_capacity --quick"},
+        {"IBSIM_FLOOD_PLANES", "0",
+         IBSIM_CLI_PATH " flood_capacity --quick"},
+    };
+    for (const auto& c : tooSmall) {
+        expectRejected(std::string("IBSIM_JSON=/dev/null ") + c.var + "=" +
+                           c.value + " " + c.command,
+                       std::string(c.var) + ": invalid value '" + c.value +
+                           "'");
+    }
 }
