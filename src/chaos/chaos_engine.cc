@@ -189,13 +189,11 @@ ChaosEngine::stormTick(Storm* storm)
         const auto page = static_cast<std::uint64_t>(rng_.uniformInt(
             static_cast<std::int64_t>(storm->firstPage),
             static_cast<std::int64_t>(storm->lastPage)));
-        const std::uint64_t va = page * mem::pageSize;
         // The storm also hits pages mid-transition (Faulting or inside
         // a window), driving the FaultingInvalidated and
         // window-extension paths.
-        if (storm->table->mappedPage(va) ||
-            storm->driver->pageTransient(*storm->table, va)) {
-            storm->driver->invalidate(*storm->table, va);
+        if (storm->table->state(page) != odp::PageState::NotPresent) {
+            storm->driver->invalidate(*storm->table, page * mem::pageSize);
             ++stats_.pagesInvalidated;
         }
     }

@@ -171,12 +171,10 @@ CombinedStormStage::tick(std::size_t idx)
             const auto page = static_cast<std::uint64_t>(t.rng.uniformInt(
                 static_cast<std::int64_t>(t.firstPage),
                 static_cast<std::int64_t>(t.lastPage)));
-            const std::uint64_t va = page * mem::pageSize;
             // Storms also hit pages mid-transition, exercising the
             // doomed-fault and window-extension edges.
-            if (t.table->mappedPage(va) ||
-                t.driver->pageTransient(*t.table, va)) {
-                t.driver->invalidate(*t.table, va);
+            if (t.table->state(page) != odp::PageState::NotPresent) {
+                t.driver->invalidate(*t.table, page * mem::pageSize);
                 ++t.stats.pagesInvalidated;
             }
         }

@@ -47,55 +47,52 @@ OdpDriver::raiseFault(TranslationTable& table, std::uint64_t vaddr,
 {
     assert(table.odp() && "faults only occur on ODP regions");
     const std::uint64_t page_idx = mem::pageOf(vaddr);
-    const Key key{&table, page_idx};
 
-    if (Entry* entry = pages_.find(key)) {
-        switch (entry->state) {
-          case PageState::Faulting:
-          case PageState::FaultingInvalidated:
-            // Fault already in flight for this page: coalesce.
+    PageRecord* record = table.find(page_idx);
+    const PageState state =
+        record == nullptr ? PageState::NotPresent : record->state;
+    if (state == PageState::Present) {
+        // The translation is already installed: nothing to resolve. The
+        // callback still runs from the event loop, never inline.
+        if (on_resolved)
+            events_.schedule(events_.now(), std::move(on_resolved));
+        return events_.now();
+    }
+    if (transientState(state)) {
+        PageWork& work = *record->work;
+        if (state != PageState::Invalidating || work.refault) {
+            // A fault is already in flight for this page, or already
+            // queued behind its notifier window: coalesce.
             ++stats_.faultsCoalesced;
             if (on_resolved)
-                entry->callbacks.push_back(std::move(on_resolved));
-            return entry->resolveAt;
-          case PageState::Invalidating:
-            if (entry->refault) {
-                // A fault already queued behind this window: coalesce.
-                ++stats_.faultsCoalesced;
-                if (on_resolved)
-                    entry->callbacks.push_back(std::move(on_resolved));
-                return entry->resolveAt;
-            }
-            // The notifier window blocks the fault handler (the kernel's
-            // mmu_interval_read_retry loop): the fault only starts
-            // resolving at invalidate_end.
-            ++stats_.faultsRaised;
-            ++stats_.faultsQueuedBehindWindow;
-            entry->refault = true;
-            entry->refaultLatency = drawFaultLatency();
-            entry->resolveAt = entry->windowEndAt + entry->refaultLatency;
-            if (on_resolved)
-                entry->callbacks.push_back(std::move(on_resolved));
-            IBSIM_TRACE(traceOdp, events_.now(),
-                        "page fault queued behind notifier window page=" +
-                            std::to_string(page_idx));
-            return entry->resolveAt;
-          default:
-            assert(false && "transient entry in a steady state");
-            break;
+                work.callbacks.push_back(std::move(on_resolved));
+            return work.resolveAt;
         }
+        // The notifier window blocks the fault handler (the kernel's
+        // mmu_interval_read_retry loop): the fault only starts
+        // resolving at invalidate_end.
+        ++stats_.faultsRaised;
+        ++stats_.faultsQueuedBehindWindow;
+        work.refault = true;
+        work.refaultLatency = drawFaultLatency();
+        work.resolveAt = work.windowEndAt + work.refaultLatency;
+        if (on_resolved)
+            work.callbacks.push_back(std::move(on_resolved));
+        IBSIM_TRACE(traceOdp, events_.now(),
+                    "page fault queued behind notifier window page=" +
+                        std::to_string(page_idx));
+        return work.resolveAt;
     }
 
     ++stats_.faultsRaised;
     const Time latency = drawFaultLatency();
     const Time resolve_at = events_.now() + latency;
-    // NotPresent -> Faulting is a legal edge: enter() never refuses it.
-    Entry& entry = *pages_.enter(key, PageState::NotPresent,
-                                 PageState::Faulting);
-    entry.resolveAt = resolve_at;
+    // NotPresent -> Faulting is a legal edge: move() never refuses it.
+    PageWork& work = *pages_.move(table, page_idx, PageState::Faulting)->work;
+    work.resolveAt = resolve_at;
     if (on_resolved)
-        entry.callbacks.push_back(std::move(on_resolved));
-    const std::uint64_t epoch = ++entry.faultEpoch;
+        work.callbacks.push_back(std::move(on_resolved));
+    const std::uint64_t epoch = ++work.faultEpoch;
 
     IBSIM_TRACE(traceOdp, events_.now(),
                 "page fault raised page=" + std::to_string(page_idx) +
@@ -112,41 +109,40 @@ bool
 OdpDriver::faultInFlight(const TranslationTable& table,
                          std::uint64_t vaddr) const
 {
-    const Entry* entry = pages_.find({&table, mem::pageOf(vaddr)});
-    if (!entry)
+    const PageRecord* record = table.find(mem::pageOf(vaddr));
+    if (record == nullptr)
         return false;
     // A fault queued behind a notifier window counts: callbacks are
     // registered and a resolution is guaranteed to fire.
-    return entry->state == PageState::Faulting ||
-           entry->state == PageState::FaultingInvalidated ||
-           (entry->state == PageState::Invalidating && entry->refault);
+    return record->state == PageState::Faulting ||
+           record->state == PageState::FaultingInvalidated ||
+           (record->state == PageState::Invalidating &&
+            record->work->refault);
 }
 
 PageState
 OdpDriver::pageState(const TranslationTable& table,
                      std::uint64_t vaddr) const
 {
-    const std::uint64_t page_idx = mem::pageOf(vaddr);
-    return pages_.state({&table, page_idx},
-                        table.mappedPage(page_idx * mem::pageSize));
+    return table.state(mem::pageOf(vaddr));
 }
 
 bool
 OdpDriver::pageTransient(const TranslationTable& table,
                          std::uint64_t vaddr) const
 {
-    return pages_.find({&table, mem::pageOf(vaddr)}) != nullptr;
+    return transientState(pageState(table, vaddr));
 }
 
 void
 OdpDriver::completeFault(TranslationTable& table, std::uint64_t page_idx,
                          std::uint64_t epoch)
 {
-    const Key key{&table, page_idx};
-    Entry* entry = pages_.find(key);
-    if (!entry || entry->faultEpoch != epoch)
+    PageRecord* record = table.find(page_idx);
+    if (record == nullptr || !record->work ||
+        record->work->faultEpoch != epoch)
         return; // Superseded: the fault restarted under a newer epoch.
-    if (entry->state != PageState::Faulting) {
+    if (record->state != PageState::Faulting) {
         // invalidate_start doomed this attempt (FaultingInvalidated);
         // invalidate_end will restart it from the top of the handler.
         IBSIM_TRACE(traceOdp, events_.now(),
@@ -155,17 +151,16 @@ OdpDriver::completeFault(TranslationTable& table, std::uint64_t page_idx,
         return;
     }
 
-    const std::uint64_t vaddr = page_idx * mem::pageSize;
-    memory_.populatePage(vaddr);
-    table.mapPage(vaddr);
+    memory_.populatePage(page_idx * mem::pageSize);
     ++stats_.faultsResolved;
 
     IBSIM_TRACE(traceOdp, events_.now(),
                 "page fault resolved page=" +
                     std::to_string(page_idx));
 
-    auto callbacks = std::move(entry->callbacks);
-    pages_.leave(key, PageState::Present);
+    auto callbacks = std::move(record->work->callbacks);
+    // Faulting -> Present installs the translation.
+    pages_.move(table, page_idx, PageState::Present);
 
     const auto extra = expandHugeMapping(table, page_idx);
 
@@ -188,13 +183,11 @@ OdpDriver::expandHugeMapping(TranslationTable& table,
     const std::uint64_t span = timing_.hugePageSpan;
     const std::uint64_t base = page_idx - (page_idx % span);
     for (std::uint64_t p = base; p < base + span; ++p) {
-        if (p == page_idx)
-            continue;
-        const std::uint64_t va = p * mem::pageSize;
         // Pages another fault or an open window owns stay theirs: the
         // huge mapping installs around them, never over them.
-        if (table.mappedPage(va) || pages_.find({&table, p}))
+        if (table.state(p) != PageState::NotPresent)
             continue;
+        const std::uint64_t va = p * mem::pageSize;
         memory_.populatePage(va);
         table.mapPage(va);
         extra.push_back(p);
@@ -212,6 +205,7 @@ OdpDriver::expandHugeMapping(TranslationTable& table,
 void
 OdpDriver::invalidate(TranslationTable& table, std::uint64_t vaddr)
 {
+    assert(table.odp() && "only ODP pages are reclaimed");
     ++stats_.invalidations;
     const std::uint64_t page_idx = mem::pageOf(vaddr);
     if (timing_.hugePages && timing_.hugePageSpan > 1) {
@@ -220,12 +214,7 @@ OdpDriver::invalidate(TranslationTable& table, std::uint64_t vaddr)
         const std::uint64_t span = timing_.hugePageSpan;
         const std::uint64_t base = page_idx - (page_idx % span);
         for (std::uint64_t p = base; p < base + span; ++p) {
-            if (p == page_idx) {
-                invalidateOne(table, p);
-                continue;
-            }
-            const std::uint64_t va = p * mem::pageSize;
-            if (table.mappedPage(va) || pages_.find({&table, p}))
+            if (p == page_idx || table.state(p) != PageState::NotPresent)
                 invalidateOne(table, p);
         }
         return;
@@ -236,38 +225,34 @@ OdpDriver::invalidate(TranslationTable& table, std::uint64_t vaddr)
 void
 OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
 {
-    const Key key{&table, page_idx};
-    const std::uint64_t vaddr = page_idx * mem::pageSize;
     const Time end_at = events_.now() + timing_.invalidateLatency;
 
-    Entry* entry = pages_.find(key);
-    if (!entry) {
+    switch (table.state(page_idx)) {
+      case PageState::NotPresent:
+      case PageState::Present: {
         // invalidate_start: the RNIC translation is flushed NOW — new
         // translations stay blocked for the whole window. The host frame
         // is only released at invalidate_end.
-        const bool was_mapped = table.invalidatePage(vaddr);
-        Entry& fresh = *pages_.enter(key,
-                                     was_mapped ? PageState::Present
-                                                : PageState::NotPresent,
-                                     PageState::Invalidating);
-        fresh.windowEndAt = end_at;
-        const std::uint64_t wepoch = ++fresh.windowEpoch;
+        PageWork& work =
+            *pages_.move(table, page_idx, PageState::Invalidating)->work;
+        work.windowEndAt = end_at;
+        const std::uint64_t wepoch = ++work.windowEpoch;
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start page=" + std::to_string(page_idx));
         events_.schedule(end_at, [this, &table, page_idx, wepoch] {
             invalidateEnd(table, page_idx, wepoch);
         });
-        return;
-    }
-
-    switch (entry->state) {
+        break;
+      }
       case PageState::Faulting: {
         // invalidate_start lands mid-fault: doom the in-flight
         // resolution. The fault restarts at invalidate_end.
-        pages_.transition(*entry, PageState::FaultingInvalidated);
-        entry->windowEndAt = end_at;
-        const std::uint64_t wepoch = ++entry->windowEpoch;
+        PageWork& work =
+            *pages_.move(table, page_idx, PageState::FaultingInvalidated)
+                 ->work;
+        work.windowEndAt = end_at;
+        const std::uint64_t wepoch = ++work.windowEpoch;
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start dooms in-flight fault page=" +
@@ -281,21 +266,19 @@ OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
       case PageState::FaultingInvalidated: {
         // A second invalidation inside an open window extends it; the
         // superseded invalidate_end is discarded via the epoch.
+        PageWork& work = *table.find(page_idx)->work;
         ++stats_.invalidationsCoalesced;
-        if (end_at > entry->windowEndAt) {
-            entry->windowEndAt = end_at;
-            const std::uint64_t wepoch = ++entry->windowEpoch;
-            if (entry->refault)
-                entry->resolveAt = end_at + entry->refaultLatency;
+        if (end_at > work.windowEndAt) {
+            work.windowEndAt = end_at;
+            const std::uint64_t wepoch = ++work.windowEpoch;
+            if (work.refault)
+                work.resolveAt = end_at + work.refaultLatency;
             events_.schedule(end_at, [this, &table, page_idx, wepoch] {
                 invalidateEnd(table, page_idx, wepoch);
             });
         }
         break;
       }
-      default:
-        assert(false && "transient entry in a steady state");
-        break;
     }
 }
 
@@ -303,55 +286,55 @@ void
 OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
                          std::uint64_t window_epoch)
 {
-    const Key key{&table, page_idx};
-    Entry* entry = pages_.find(key);
-    if (!entry || entry->windowEpoch != window_epoch)
+    PageRecord* record = table.find(page_idx);
+    if (record == nullptr || !record->work ||
+        record->work->windowEpoch != window_epoch)
         return; // The window was extended: a newer end event owns it.
-    assert(entry->state == PageState::Invalidating ||
-           entry->state == PageState::FaultingInvalidated);
+    assert(record->state == PageState::Invalidating ||
+           record->state == PageState::FaultingInvalidated);
+    PageWork& work = *record->work;
 
-    const std::uint64_t vaddr = page_idx * mem::pageSize;
     // invalidate_end: the quiesce is complete and the kernel takes the
     // host frame back.
-    memory_.releasePage(vaddr);
+    memory_.releasePage(page_idx * mem::pageSize);
     IBSIM_TRACE(traceOdp, events_.now(),
                 "page invalidated page=" + std::to_string(page_idx));
 
-    if (entry->state == PageState::FaultingInvalidated) {
+    if (record->state == PageState::FaultingInvalidated) {
         // The doomed fault retries from the top of the handler with a
         // fresh latency draw.
         ++stats_.faultRetries;
-        pages_.transition(*entry, PageState::Faulting);
+        pages_.move(table, page_idx, PageState::Faulting);
         const Time latency = drawFaultLatency();
-        entry->resolveAt = events_.now() + latency;
-        const std::uint64_t epoch = ++entry->faultEpoch;
+        work.resolveAt = events_.now() + latency;
+        const std::uint64_t epoch = ++work.faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "page fault retries page=" + std::to_string(page_idx) +
                         " resolves in " + latency.str());
-        events_.schedule(entry->resolveAt,
+        events_.schedule(work.resolveAt,
                          [this, &table, page_idx, epoch] {
                              completeFault(table, page_idx, epoch);
                          });
         return;
     }
 
-    if (entry->refault) {
+    if (work.refault) {
         // The fault that queued behind the window starts resolving now,
         // with the latency drawn when it arrived.
-        pages_.transition(*entry, PageState::Faulting);
-        entry->refault = false;
-        entry->resolveAt = events_.now() + entry->refaultLatency;
-        const std::uint64_t epoch = ++entry->faultEpoch;
+        pages_.move(table, page_idx, PageState::Faulting);
+        work.refault = false;
+        work.resolveAt = events_.now() + work.refaultLatency;
+        const std::uint64_t epoch = ++work.faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "queued fault starts page=" + std::to_string(page_idx));
-        events_.schedule(entry->resolveAt,
+        events_.schedule(work.resolveAt,
                          [this, &table, page_idx, epoch] {
                              completeFault(table, page_idx, epoch);
                          });
         return;
     }
 
-    pages_.leave(key, PageState::NotPresent);
+    pages_.move(table, page_idx, PageState::NotPresent);
 }
 
 void
@@ -367,8 +350,7 @@ OdpDriver::prefetch(TranslationTable& table, std::uint64_t vaddr,
     // a fault or a notifier window owns belong to those paths.
     std::uint64_t fresh = 0;
     for (std::uint64_t p = first; p <= last; ++p) {
-        if (!table.mappedPage(p * mem::pageSize) &&
-            !pages_.find({&table, p}))
+        if (table.state(p) == PageState::NotPresent)
             ++fresh;
     }
     const Time cost = timing_.prefetchLatencyPerPage *
@@ -383,16 +365,17 @@ OdpDriver::prefetchSweep(TranslationTable& table, std::uint64_t first,
                          std::uint64_t last)
 {
     for (std::uint64_t p = first; p <= last; ++p) {
-        const std::uint64_t va = p * mem::pageSize;
-        if (table.mappedPage(va))
+        const PageState state = table.state(p);
+        if (state == PageState::Present)
             continue;
-        if (pages_.find({&table, p})) {
+        if (state != PageState::NotPresent) {
             // A fault owns the page or a notifier window is open: the
             // advise must neither double-populate nor bypass the
             // quiesce. The owning path will finish the page.
             ++stats_.prefetchSkippedBusy;
             continue;
         }
+        const std::uint64_t va = p * mem::pageSize;
         memory_.populatePage(va);
         table.mapPage(va);
         ++stats_.prefetchedPages;
@@ -409,7 +392,7 @@ OdpDriver::maybeAutoPrefetch(TranslationTable& table,
         timing_.prefetchWidth == 0)
         return;
     if (timing_.prefetchPolicy == PrefetchPolicy::SequentialDetect) {
-        SeqState& s = seq_[&table];
+        TranslationTable::PrefetchStream& s = table.prefetchStream();
         const bool sequential = s.valid && page_idx == s.lastPage + 1;
         s.lastPage = page_idx;
         s.valid = true;

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -89,7 +88,8 @@ class OdpDriver
      *
      * @param on_resolved invoked once the translation is installed; may be
      *        empty. Multiple faults on one in-flight page coalesce and all
-     *        callbacks fire at the single resolution.
+     *        callbacks fire at the single resolution. A fault on a Present
+     *        page raises nothing: the callback runs from an event now.
      * @return the virtual time at which the fault will resolve (an
      *         estimate when the fault queued behind a notifier window).
      */
@@ -113,7 +113,7 @@ class OdpDriver
     void prefetch(TranslationTable& table, std::uint64_t vaddr,
                   std::uint64_t len);
 
-    /** State of the page holding @p vaddr (derives Present/NotPresent). */
+    /** State of the page holding @p vaddr. */
     PageState pageState(const TranslationTable& table,
                         std::uint64_t vaddr) const;
 
@@ -126,7 +126,7 @@ class OdpDriver
     bool pageTransient(const TranslationTable& table,
                        std::uint64_t vaddr) const;
 
-    /** The per-page state table (tests / observability). */
+    /** The page-state legality gate and its counters (tests). */
     const OdpPageTable& pageTable() const { return pages_; }
 
     /** Register an observer of page resolutions (the status board). */
@@ -167,9 +167,6 @@ class OdpDriver
     const FaultTiming& timing() const { return timing_; }
 
   private:
-    using Key = OdpPageTable::Key;
-    using Entry = OdpPageTable::Entry;
-
     /** Draw one fault-resolution latency (uniform x congestion x chaos). */
     Time drawFaultLatency();
 
@@ -203,14 +200,6 @@ class OdpDriver
     mem::AddressSpace& memory_;
     FaultTiming timing_;
     OdpPageTable pages_;
-    /** Per-table sequential-fault detector (PrefetchPolicy). */
-    struct SeqState
-    {
-        std::uint64_t lastPage = 0;
-        std::uint32_t streak = 0;
-        bool valid = false;
-    };
-    std::map<const TranslationTable*, SeqState> seq_;
     ResolutionObserver resolutionObserver_;
     std::function<double()> congestionProbe_;
     std::function<double()> latencyChaos_;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "odp/translation_table.hh"
+
 namespace ibsim {
 namespace odp {
 
@@ -51,88 +53,18 @@ pageTransitionLegal(PageState from, PageState to)
     return false;
 }
 
-OdpPageTable::Entry*
-OdpPageTable::find(const Key& key)
+PageRecord*
+OdpPageTable::move(TranslationTable& table, std::uint64_t page,
+                   PageState to)
 {
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-const OdpPageTable::Entry*
-OdpPageTable::find(const Key& key) const
-{
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-PageState
-OdpPageTable::state(const Key& key, bool mapped) const
-{
-    const Entry* entry = find(key);
-    if (entry)
-        return entry->state;
-    return mapped ? PageState::Present : PageState::NotPresent;
-}
-
-bool
-OdpPageTable::admit(PageState from, PageState to, bool from_steady,
-                    bool to_steady)
-{
-    const auto steady = [](PageState s) {
-        return s == PageState::NotPresent || s == PageState::Present;
-    };
-    const bool legal = pageTransitionLegal(from, to) &&
-                       steady(from) == from_steady &&
-                       steady(to) == to_steady;
+    const bool legal = pageTransitionLegal(table.state(page), to);
     assert(legal && "illegal page transition");
-    if (!legal)
+    if (!legal) {
         ++stats_.illegalTransitionsBlocked;
-    return legal;
-}
-
-OdpPageTable::Entry*
-OdpPageTable::enter(const Key& key, PageState from, PageState to)
-{
-    if (!admit(from, to, /*from_steady=*/true, /*to_steady=*/false))
         return nullptr;
-    auto [it, inserted] = entries_.try_emplace(key);
-    assert(inserted && "page already transient");
-    (void)inserted;
-    it->second.state = to;
+    }
     ++stats_.transitions;
-    return &it->second;
-}
-
-void
-OdpPageTable::transition(Entry& entry, PageState to)
-{
-    if (!admit(entry.state, to, /*from_steady=*/false, /*to_steady=*/false))
-        return;
-    entry.state = to;
-    ++stats_.transitions;
-}
-
-void
-OdpPageTable::leave(const Key& key, PageState to)
-{
-    auto it = entries_.find(key);
-    assert(it != entries_.end() && "leaving a page with no entry");
-    if (it == entries_.end() ||
-        !admit(it->second.state, to, /*from_steady=*/false,
-               /*to_steady=*/true))
-        return;
-    ++stats_.transitions;
-    entries_.erase(it);
-}
-
-std::size_t
-OdpPageTable::transientPages(const TranslationTable* table) const
-{
-    std::size_t count = 0;
-    for (auto it = entries_.lower_bound({table, 0});
-         it != entries_.end() && it->first.first == table; ++it)
-        ++count;
-    return count;
+    return table.set(page, to);
 }
 
 } // namespace odp

@@ -2,7 +2,7 @@
  * @file
  * Per-page state machine of the ODP driver (DESIGN.md section 14).
  *
- * Every ODP page the driver is actively working on has an explicit state:
+ * Every ODP page has an explicit state:
  *
  *     NotPresent ──raiseFault──▶ Faulting ──resolve──▶ Present
  *         ▲                        │                      │
@@ -15,12 +15,12 @@
  *                                  ▼            when a fault queued
  *                               Faulting        behind the window)
  *
- * The map only stores entries for pages in a transient state (Faulting,
- * Invalidating, FaultingInvalidated); Present and NotPresent are derived
- * from the RNIC translation table. Every transition is checked against
- * the legal-edge table above, so an impossible interleaving asserts (or,
- * with NDEBUG, is refused and counted) instead of silently corrupting
- * page state — the structural guarantee behind the
+ * The state lives in one place: the PageRecord that the region's
+ * TranslationTable keeps for the page (no record means NotPresent).
+ * OdpPageTable is the gate every edge passes: it checks the edge from the
+ * page's real state against the table above, so an impossible
+ * interleaving asserts (or, with NDEBUG, is refused and counted) instead
+ * of silently corrupting page state — the structural guarantee behind the
  * fault/invalidate/prefetch race fixes.
  */
 
@@ -28,8 +28,7 @@
 #define IBSIM_ODP_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "simcore/event_queue.hh"
@@ -60,6 +59,13 @@ const char* pageStateName(PageState state);
 /** Whether @p from -> @p to is a legal edge of the state machine. */
 bool pageTransitionLegal(PageState from, PageState to);
 
+/** Whether the driver is working on a page in @p state. */
+inline bool
+transientState(PageState state)
+{
+    return state != PageState::NotPresent && state != PageState::Present;
+}
+
 /** Transition counters, exported through OdpDriver::stats(). */
 struct PageTableStats
 {
@@ -68,95 +74,69 @@ struct PageTableStats
     std::uint64_t illegalTransitionsBlocked = 0;
 };
 
+/** What the driver tracks for a page while it is transient. */
+struct PageWork
+{
+    /** Callbacks to fire when the page finally becomes Present. */
+    std::vector<EventQueue::Callback> callbacks;
+
+    /** Scheduled (or estimated) resolution time of the live fault. */
+    Time resolveAt;
+
+    /** Guards scheduled resolve events against superseded attempts. */
+    std::uint64_t faultEpoch = 0;
+
+    /** Guards scheduled invalidate_end events against extensions. */
+    std::uint64_t windowEpoch = 0;
+
+    /** When Invalidating / FaultingInvalidated: invalidate_end time. */
+    Time windowEndAt;
+
+    /** A fault arrived during the notifier window (Invalidating). */
+    bool refault = false;
+
+    /** Latency drawn for the fault queued behind the window. */
+    Time refaultLatency;
+};
+
 /**
- * Storage + transition enforcement for the driver's transient pages.
+ * One ODP page's record in its region's TranslationTable. A Present
+ * page's record is just its state; the work fields exist exactly while
+ * the page is transient, so a new transient episode starts from fresh
+ * epochs.
+ */
+struct PageRecord
+{
+    PageState state = PageState::NotPresent;
+    std::unique_ptr<PageWork> work;
+};
+
+/**
+ * The legality gate for page-state edges.
  *
  * The driver owns the policy (when to schedule what); this class owns the
- * invariant that page state only ever moves along legal edges.
+ * invariant that page state only ever moves along legal edges. It stores
+ * no pages: each region's TranslationTable owns its records.
  */
 class OdpPageTable
 {
   public:
-    using Key = std::pair<const TranslationTable*, std::uint64_t>;
-
-    /** One transient page. */
-    struct Entry
-    {
-        PageState state = PageState::NotPresent;
-
-        /** Callbacks to fire when the page finally becomes Present. */
-        std::vector<EventQueue::Callback> callbacks;
-
-        /** Scheduled (or estimated) resolution time of the live fault. */
-        Time resolveAt;
-
-        /** Guards scheduled resolve events against superseded attempts. */
-        std::uint64_t faultEpoch = 0;
-
-        /** Guards scheduled invalidate_end events against extensions. */
-        std::uint64_t windowEpoch = 0;
-
-        /** When Invalidating / FaultingInvalidated: invalidate_end time. */
-        Time windowEndAt;
-
-        /** A fault arrived during the notifier window (Invalidating). */
-        bool refault = false;
-
-        /** Latency drawn for the fault queued behind the window. */
-        Time refaultLatency;
-    };
-
-    /** Entry for the page, or nullptr when Present / NotPresent. */
-    Entry* find(const Key& key);
-    const Entry* find(const Key& key) const;
-
     /**
-     * Effective state of a page: the entry's state when transient,
-     * otherwise Present/NotPresent per @p mapped.
+     * Move page @p page of @p table from its current state to @p to.
+     * Asserts on an illegal edge; with NDEBUG the edge is refused,
+     * counted and changes nothing.
+     *
+     * @return the page's record after the move; nullptr when the page
+     *         ends NotPresent or the edge is refused. The record lives in
+     *         the table, so the pointer dies with the table's next
+     *         insert.
      */
-    PageState state(const Key& key, bool mapped) const;
-
-    /**
-     * Create the entry for a page entering transient state @p to from
-     * Present/NotPresent (@p from). Asserts the page had no entry.
-     * Returns nullptr when the edge is refused.
-     */
-    Entry* enter(const Key& key, PageState from, PageState to);
-
-    /**
-     * Move an existing entry along the @p to edge into another transient
-     * state.
-     */
-    void transition(Entry& entry, PageState to);
-
-    /**
-     * Retire the entry: the page reached Present (fault resolved) or
-     * NotPresent (invalidate_end with no queued fault).
-     */
-    void leave(const Key& key, PageState to);
-
-    /** Transient entries for @p table (Faulting/Invalidating/...). */
-    std::size_t transientPages(const TranslationTable* table) const;
-
-    /** All transient entries, for observability. */
-    std::size_t size() const { return entries_.size(); }
+    PageRecord* move(TranslationTable& table, std::uint64_t page,
+                     PageState to);
 
     const PageTableStats& stats() const { return stats_; }
 
-    /** Iteration support (tests / observability). */
-    const std::map<Key, Entry>& entries() const { return entries_; }
-
   private:
-    /**
-     * The one legality check behind enter/transition/leave: @p from ->
-     * @p to must be a legal edge whose ends are steady (Present or
-     * NotPresent) exactly where the entry point expects. Asserts on an
-     * illegal edge; with NDEBUG counts it as blocked and returns false.
-     */
-    bool admit(PageState from, PageState to, bool from_steady,
-               bool to_steady);
-
-    std::map<Key, Entry> entries_;
     PageTableStats stats_;
 };
 

@@ -9,7 +9,8 @@
  * power-of-two slot array with linear probing, one array access plus a
  * short scan per lookup, no per-node allocations and no pointer chasing.
  * The chaos invariant monitor keeps its flows ((lid << 32) | qpn) and
- * per-flow wrId ledgers in the same table.
+ * per-flow wrId ledgers in the same table, and each ODP translation
+ * table its page records.
  *
  * Every key value is accepted. The two in-band sentinels (0 marks an
  * empty slot, all-ones a tombstone) are stored out of line, so a wrId of

@@ -737,6 +737,19 @@ RcRequester::flushAll(verbs::WcStatus status)
 }
 
 void
+RcRequester::failPost(const SendWqe& wqe, verbs::WcStatus status)
+{
+    flushAll(verbs::WcStatus::WrFlushErr);
+    verbs::WorkCompletion wc;
+    wc.wrId = wqe.wrId;
+    wc.status = status;
+    wc.opcode = wqe.op;
+    wc.qpn = qp_.qpn;
+    wc.completedAt = rnic_.events().now();
+    qp_.cq->push(wc);
+}
+
+void
 RcRequester::resume()
 {
     pump();

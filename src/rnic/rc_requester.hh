@@ -48,6 +48,12 @@ class RcRequester
     void flushAll(verbs::WcStatus status);
 
     /**
+     * Refuse a WR at post time: the WRs ahead of it flush, it completes
+     * with @p status and the QP moves to error state.
+     */
+    void failPost(const SendWqe& wqe, verbs::WcStatus status);
+
+    /**
      * Recovery re-arm finished (QP back to RTS): restart the send engine
      * for any WRs queued while the CM handshake was in flight.
      */

@@ -148,6 +148,15 @@ Rnic::postSend(QpContext& qp, SendWqe wqe)
     assert(record != nullptr);
     for (const auto& tap : sendPostTaps_)
         tap(qp, wqe);
+    // Every opcode names a local buffer: READ and the atomics land
+    // their result there, SEND and WRITE read their payload from it.
+    // An Error QP flushes the WR before the key is looked at.
+    const verbs::MemoryRegion* mr = findMr(wqe.lkey);
+    if (!qp.errorState &&
+        (mr == nullptr || !mr->contains(wqe.laddr, wqe.length))) {
+        record->requester->failPost(wqe, verbs::WcStatus::LocProtErr);
+        return;
+    }
     record->requester->post(std::move(wqe));
 }
 

@@ -7,13 +7,12 @@ MemoryRegion::MemoryRegion(std::uint32_t key, std::uint64_t addr,
                            std::uint64_t length, AccessFlags access,
                            mem::AddressSpace& memory)
     : key_(key), addr_(addr), length_(length), access_(access),
-      memory_(memory), table_(access.onDemand)
+      memory_(memory), table_(access.onDemand, addr, length)
 {
     if (!access.onDemand) {
         // Pinned registration: the host pages are pinned down and the RNIC
         // translation covers the whole region up front.
         memory_.touch(addr, length);
-        table_.mapRange(addr, length);
     }
 }
 

@@ -39,6 +39,7 @@ wcStatusName(WcStatus status)
       case WcStatus::RnrRetryExcErr: return "RNR_RETRY_EXC_ERR";
       case WcStatus::RemAccessErr: return "REM_ACCESS_ERR";
       case WcStatus::WrFlushErr: return "WR_FLUSH_ERR";
+      case WcStatus::LocProtErr: return "LOC_PROT_ERR";
     }
     return "?";
 }

@@ -55,6 +55,7 @@ enum class WcStatus : std::uint8_t
     RnrRetryExcErr,  ///< IBV_WC_RNR_RETRY_EXC_ERR
     RemAccessErr,    ///< IBV_WC_REM_ACCESS_ERR
     WrFlushErr,      ///< IBV_WC_WR_FLUSH_ERR: flushed after QP error
+    LocProtErr,      ///< IBV_WC_LOC_PROT_ERR: bad local key or range
 };
 
 const char* wrOpcodeName(WrOpcode op);

@@ -47,6 +47,73 @@ TEST(EdgeCases, DeregisteredKeyFailsRemoteAccess)
     EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RemAccessErr);
 }
 
+// A local buffer the lkey does not cover completes the WR with
+// LOC_PROT_ERR at post time and moves the QP to Error, for every opcode
+// with a local buffer; it never reaches the transport engine.
+TEST(EdgeCases, BadLocalKeyOrRangeFailsWithLocalProtectionError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+
+    const auto src = server.alloc(4096);
+    const auto dst = client.alloc(4096);
+    auto& smr = server.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+
+    struct Case
+    {
+        verbs::WrOpcode op;
+        std::uint32_t lkey;
+        std::uint64_t laddr;
+    };
+    const Case cases[] = {
+        {verbs::WrOpcode::Read, 999, dst},
+        {verbs::WrOpcode::Read, cmr.lkey(), dst + 4096 - 32},
+        {verbs::WrOpcode::Write, 999, dst},
+        {verbs::WrOpcode::Write, cmr.lkey(), dst + 4096 - 32},
+        {verbs::WrOpcode::Send, 999, dst},
+        {verbs::WrOpcode::Send, cmr.lkey(), dst + 4096 - 32},
+    };
+    std::uint64_t wr_id = 0;
+    for (const Case& c : cases) {
+        auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+        ++wr_id;
+        switch (c.op) {
+          case verbs::WrOpcode::Read:
+            cqp.postRead(c.laddr, c.lkey, src, smr.rkey(), 64, wr_id);
+            break;
+          case verbs::WrOpcode::Write:
+            cqp.postWrite(c.laddr, c.lkey, src, smr.rkey(), 64, wr_id);
+            break;
+          default:
+            cqp.postSend(c.laddr, c.lkey, 64, wr_id);
+            break;
+        }
+        ASSERT_TRUE(cluster.runUntil(
+            [&] { return ccq.totalCompletions() == 2 * wr_id - 1; },
+            Time::sec(1)));
+        const auto failed = ccq.poll();
+        ASSERT_EQ(failed.size(), 1u) << wr_id;
+        EXPECT_EQ(failed[0].wrId, wr_id);
+        EXPECT_EQ(failed[0].status, verbs::WcStatus::LocProtErr) << wr_id;
+        EXPECT_STREQ(verbs::wcStatusName(failed[0].status), "LOC_PROT_ERR");
+
+        // The QP is in Error: a valid WR now flushes.
+        cqp.postRead(dst, cmr.lkey(), src, smr.rkey(), 64, 100 + wr_id);
+        ASSERT_TRUE(cluster.runUntil(
+            [&] { return ccq.totalCompletions() == 2 * wr_id; },
+            Time::sec(1)));
+        EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::WrFlushErr)
+            << wr_id;
+    }
+    EXPECT_EQ(server.rnic().stats().packetsReceived, 0u);
+}
+
 TEST(EdgeCases, EventQueueCompactionUnderMassCancel)
 {
     EventQueue q;

@@ -241,10 +241,14 @@ TEST(TranslationTableTest, OdpTableTracksPages)
     // Next page still unmapped.
     EXPECT_EQ(t.firstUnmapped(base, 2 * pageSize), base + pageSize);
 
-    t.mapRange(base, 3 * pageSize);
+    t.mapPage(base + pageSize);
+    t.mapPage(base + 2 * pageSize);
     EXPECT_EQ(t.mappedPages(), 3u);
-    EXPECT_TRUE(t.invalidatePage(base + pageSize));
-    EXPECT_FALSE(t.invalidatePage(base + pageSize));  // already gone
+    // invalidate_start flushes the translation.
+    OdpPageTable pages;
+    EXPECT_NE(pages.move(t, pageOf(base + pageSize), PageState::Invalidating),
+              nullptr);
+    EXPECT_FALSE(t.mappedPage(base + pageSize));  // already gone
     EXPECT_EQ(t.firstUnmapped(base, 3 * pageSize), base + pageSize);
 }
 

@@ -52,21 +52,24 @@ TEST(OdpPageTable, LegalEdgeTable)
                  "FaultingInvalidated");
 }
 
-// enter(), transition() and leave() share one legality check: an illegal
-// edge asserts, and with NDEBUG it is refused, counted and changes nothing.
+// Every edge passes one legality check, from the page's real state: an
+// illegal edge asserts, and with NDEBUG it is refused, counted and
+// changes nothing.
 TEST(OdpPageTable, IllegalEdgesAreRefusedAtEveryEntryPoint)
 {
     using S = PageState;
     OdpPageTable pages;
-    const OdpPageTable::Key key{nullptr, 7};
-    const OdpPageTable::Key other{nullptr, 8};
-    ASSERT_NE(pages.enter(key, S::NotPresent, S::Faulting), nullptr);
+    TranslationTable table{/*odp=*/true};
+    const std::uint64_t key = 7;
+    const std::uint64_t other = 8;
+    table.mapPage(other * pageSize);  // Present, installed without a fault
+    ASSERT_NE(pages.move(table, key, S::Faulting), nullptr);
 
-    EXPECT_DEBUG_DEATH(pages.enter(other, S::Present, S::Faulting),
+    EXPECT_DEBUG_DEATH(pages.move(table, other, S::Faulting),
                        "illegal page transition");
-    EXPECT_DEBUG_DEATH(pages.transition(*pages.find(key), S::Invalidating),
+    EXPECT_DEBUG_DEATH(pages.move(table, key, S::Invalidating),
                        "illegal page transition");
-    EXPECT_DEBUG_DEATH(pages.leave(key, S::NotPresent),
+    EXPECT_DEBUG_DEATH(pages.move(table, key, S::NotPresent),
                        "illegal page transition");
 #ifdef NDEBUG
     EXPECT_EQ(pages.stats().illegalTransitionsBlocked, 3u);
@@ -74,11 +77,11 @@ TEST(OdpPageTable, IllegalEdgesAreRefusedAtEveryEntryPoint)
     EXPECT_EQ(pages.stats().illegalTransitionsBlocked, 0u);
 #endif
     EXPECT_EQ(pages.stats().transitions, 1u);
-    EXPECT_EQ(pages.find(other), nullptr);
-    EXPECT_EQ(pages.state(key, /*mapped=*/false), S::Faulting);
+    EXPECT_EQ(table.state(other), S::Present);
+    EXPECT_EQ(table.state(key), S::Faulting);
 
-    pages.leave(key, S::Present);
-    EXPECT_EQ(pages.size(), 0u);
+    pages.move(table, key, S::Present);
+    EXPECT_EQ(table.state(key), S::Present);
     EXPECT_EQ(pages.stats().transitions, 2u);
 }
 
@@ -118,6 +121,78 @@ TEST_F(PageMachineFixture, FaultWalksNotPresentFaultingPresent)
     EXPECT_TRUE(table.mappedPage(va));
     EXPECT_GE(driver.pageTable().stats().transitions, 2u);
     EXPECT_EQ(driver.pageTable().stats().illegalTransitionsBlocked, 0u);
+}
+
+// A fault on a Present page has nothing to resolve: it opens no
+// record, counts no fault and runs its callback from an event now.
+TEST_F(PageMachineFixture, FaultOnPresentPageRaisesNothing)
+{
+    OdpDriver driver(events, rng, memory, timing);
+    const std::uint64_t va = 7 * pageSize;
+    driver.raiseFault(table, va);
+    events.run();
+    ASSERT_TRUE(table.mappedPage(va));
+
+    const Time now = events.now();
+    int callbacks = 0;
+    EXPECT_EQ(driver.raiseFault(table, va, [&] { ++callbacks; }), now);
+    EXPECT_EQ(callbacks, 0);  // never inline
+    EXPECT_EQ(driver.pageState(table, va), PageState::Present);
+    EXPECT_TRUE(table.mappedPage(va));
+    EXPECT_FALSE(driver.faultInFlight(table, va));
+
+    events.run();
+    EXPECT_EQ(callbacks, 1);
+    EXPECT_EQ(events.now(), now);
+    EXPECT_EQ(driver.stats().faultsRaised, 1u);
+    EXPECT_EQ(driver.stats().faultsResolved, 1u);
+}
+
+// pageState, mappedPage, faultInFlight and pageTransient read one record,
+// so they agree on pages mid-fault, inside a notifier window and in a
+// doomed fault's retry.
+TEST_F(PageMachineFixture, QueriesAgreeOnTransientPages)
+{
+    using S = PageState;
+    OdpDriver driver(events, rng, memory, timing);
+    const auto agree = [&](std::uint64_t page, S state, bool in_flight) {
+        const std::uint64_t va = page * pageSize;
+        EXPECT_EQ(driver.pageState(table, va), state) << page;
+        EXPECT_EQ(table.mappedPage(va), state == S::Present) << page;
+        EXPECT_EQ(driver.pageTransient(table, va), transientState(state))
+            << page;
+        EXPECT_EQ(driver.faultInFlight(table, va), in_flight) << page;
+    };
+
+    driver.raiseFault(table, 8 * pageSize);
+    events.run();
+    agree(8, S::Present, false);
+
+    driver.raiseFault(table, 7 * pageSize);
+    driver.raiseFault(table, 9 * pageSize);
+    driver.invalidate(table, 8 * pageSize);
+    driver.invalidate(table, 9 * pageSize);
+    agree(7, S::Faulting, true);
+    agree(8, S::Invalidating, false);
+    agree(9, S::FaultingInvalidated, true);
+
+    // A fault inside page 8's window queues behind it.
+    driver.raiseFault(table, 8 * pageSize);
+    agree(8, S::Invalidating, true);
+
+    // Past the 30us windows: page 9's doomed fault retries and page 8's
+    // queued fault starts resolving.
+    events.schedule(events.now() + Time::us(40), [&] {
+        agree(7, S::Faulting, true);
+        agree(8, S::Faulting, true);
+        agree(9, S::Faulting, true);
+    });
+    events.run();
+    for (std::uint64_t page = 7; page <= 9; ++page)
+        agree(page, S::Present, false);
+    EXPECT_EQ(driver.stats().faultRetries, 1u);
+    EXPECT_EQ(driver.stats().faultsQueuedBehindWindow, 1u);
+    EXPECT_EQ(table.mappedPages(), 3u);
 }
 
 TEST_F(PageMachineFixture, InvalidateStartFlushesTranslationImmediately)
