@@ -185,18 +185,9 @@ ChaosEngine::startInvalidationStorm(odp::OdpDriver& driver,
 void
 ChaosEngine::stormTick(Storm* storm)
 {
-    for (std::size_t i = 0; i < storm->pagesPerBurst; ++i) {
-        const auto page = static_cast<std::uint64_t>(rng_.uniformInt(
-            static_cast<std::int64_t>(storm->firstPage),
-            static_cast<std::int64_t>(storm->lastPage)));
-        // The storm also hits pages mid-transition (Faulting or inside
-        // a window), driving the FaultingInvalidated and
-        // window-extension paths.
-        if (storm->table->state(page) != odp::PageState::NotPresent) {
-            storm->driver->invalidate(*storm->table, page * mem::pageSize);
-            ++stats_.pagesInvalidated;
-        }
-    }
+    stats_.pagesInvalidated +=
+        invalidateBurst(*storm->driver, *storm->table, storm->firstPage,
+                        storm->lastPage, storm->pagesPerBurst, rng_);
     ++stats_.stormBursts;
     if (--storm->burstsLeft > 0) {
         storm->driver->events().scheduleAfter(

@@ -6,6 +6,24 @@
 namespace ibsim {
 namespace chaos {
 
+std::size_t
+invalidateBurst(odp::OdpDriver& driver, odp::TranslationTable& table,
+                std::uint64_t first, std::uint64_t last, std::size_t pages,
+                Rng& rng)
+{
+    std::size_t invalidated = 0;
+    for (std::size_t i = 0; i < pages; ++i) {
+        const auto page = static_cast<std::uint64_t>(
+            rng.uniformInt(static_cast<std::int64_t>(first),
+                           static_cast<std::int64_t>(last)));
+        if (table.state(page) != odp::PageState::NotPresent) {
+            driver.invalidate(table, page * mem::pageSize);
+            ++invalidated;
+        }
+    }
+    return invalidated;
+}
+
 PortEventDriver::PortEventDriver(net::Fabric& fabric, Topology& topology)
     : fabric_(fabric), topology_(topology)
 {}
@@ -167,17 +185,9 @@ CombinedStormStage::tick(std::size_t idx)
             t.squeezed = true;
             ++t.stats.capacityClamps;
         }
-        for (std::size_t i = 0; i < config_.pagesPerBurst; ++i) {
-            const auto page = static_cast<std::uint64_t>(t.rng.uniformInt(
-                static_cast<std::int64_t>(t.firstPage),
-                static_cast<std::int64_t>(t.lastPage)));
-            // Storms also hit pages mid-transition, exercising the
-            // doomed-fault and window-extension edges.
-            if (t.table->state(page) != odp::PageState::NotPresent) {
-                t.driver->invalidate(*t.table, page * mem::pageSize);
-                ++t.stats.pagesInvalidated;
-            }
-        }
+        t.stats.pagesInvalidated +=
+            invalidateBurst(*t.driver, *t.table, t.firstPage, t.lastPage,
+                            config_.pagesPerBurst, t.rng);
     } else if (t.squeezed) {
         t.cq->setCapacity(t.normalCapacity);
         t.squeezed = false;

@@ -122,6 +122,19 @@ struct CombinedStormStats
 };
 
 /**
+ * One invalidation burst: draw @p pages pages of [first, last] from
+ * @p rng and invalidate each one that is not NotPresent. Pages
+ * mid-transition (Faulting, or inside a window) are hit too, driving the
+ * doomed-fault and window-extension edges.
+ *
+ * @return the number of pages invalidated.
+ */
+std::size_t invalidateBurst(odp::OdpDriver& driver,
+                            odp::TranslationTable& table,
+                            std::uint64_t first, std::uint64_t last,
+                            std::size_t pages, Rng& rng);
+
+/**
  * Faults-during-faults: per registered node, a ticker on the node's
  * island queue consults private LinkSchedule replicas of the node's
  * flapping links and, whenever any is inside a down window, invalidates

@@ -92,15 +92,12 @@ OdpDriver::raiseFault(TranslationTable& table, std::uint64_t vaddr,
     work.resolveAt = resolve_at;
     if (on_resolved)
         work.callbacks.push_back(std::move(on_resolved));
-    const std::uint64_t epoch = ++work.faultEpoch;
 
     IBSIM_TRACE(traceOdp, events_.now(),
                 "page fault raised page=" + std::to_string(page_idx) +
                     " resolves in " + latency.str());
 
-    events_.schedule(resolve_at, [this, &table, page_idx, epoch] {
-        completeFault(table, page_idx, epoch);
-    });
+    scheduleResolve(table, page_idx, work);
     maybeAutoPrefetch(table, page_idx);
     return resolve_at;
 }
@@ -120,36 +117,33 @@ OdpDriver::faultInFlight(const TranslationTable& table,
             record->work->refault);
 }
 
-PageState
-OdpDriver::pageState(const TranslationTable& table,
-                     std::uint64_t vaddr) const
+void
+OdpDriver::scheduleResolve(TranslationTable& table, std::uint64_t page_idx,
+                           PageWork& work)
 {
-    return table.state(mem::pageOf(vaddr));
-}
-
-bool
-OdpDriver::pageTransient(const TranslationTable& table,
-                         std::uint64_t vaddr) const
-{
-    return transientState(pageState(table, vaddr));
+    work.resolveEvent =
+        events_.schedule(work.resolveAt, [this, &table, page_idx] {
+            completeFault(table, page_idx);
+        });
 }
 
 void
-OdpDriver::completeFault(TranslationTable& table, std::uint64_t page_idx,
-                         std::uint64_t epoch)
+OdpDriver::scheduleWindowEnd(TranslationTable& table,
+                             std::uint64_t page_idx, PageWork& work)
+{
+    events_.cancel(work.windowEndEvent);
+    work.windowEndEvent =
+        events_.schedule(work.windowEndAt, [this, &table, page_idx] {
+            invalidateEnd(table, page_idx);
+        });
+}
+
+void
+OdpDriver::completeFault(TranslationTable& table, std::uint64_t page_idx)
 {
     PageRecord* record = table.find(page_idx);
-    if (record == nullptr || !record->work ||
-        record->work->faultEpoch != epoch)
-        return; // Superseded: the fault restarted under a newer epoch.
-    if (record->state != PageState::Faulting) {
-        // invalidate_start doomed this attempt (FaultingInvalidated);
-        // invalidate_end will restart it from the top of the handler.
-        IBSIM_TRACE(traceOdp, events_.now(),
-                    "fault resolution discarded by notifier window page=" +
-                        std::to_string(page_idx));
-        return;
-    }
+    // Every other edge out of Faulting cancels this event.
+    assert(record != nullptr && record->state == PageState::Faulting);
 
     memory_.populatePage(page_idx * mem::pageSize);
     ++stats_.faultsResolved;
@@ -236,46 +230,38 @@ OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
         PageWork& work =
             *pages_.move(table, page_idx, PageState::Invalidating)->work;
         work.windowEndAt = end_at;
-        const std::uint64_t wepoch = ++work.windowEpoch;
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start page=" + std::to_string(page_idx));
-        events_.schedule(end_at, [this, &table, page_idx, wepoch] {
-            invalidateEnd(table, page_idx, wepoch);
-        });
+        scheduleWindowEnd(table, page_idx, work);
         break;
       }
       case PageState::Faulting: {
-        // invalidate_start lands mid-fault: doom the in-flight
+        // invalidate_start lands mid-fault: cancel the in-flight
         // resolution. The fault restarts at invalidate_end.
         PageWork& work =
             *pages_.move(table, page_idx, PageState::FaultingInvalidated)
                  ->work;
+        events_.cancel(work.resolveEvent);
         work.windowEndAt = end_at;
-        const std::uint64_t wepoch = ++work.windowEpoch;
         ++stats_.notifierWindows;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "invalidate_start dooms in-flight fault page=" +
                         std::to_string(page_idx));
-        events_.schedule(end_at, [this, &table, page_idx, wepoch] {
-            invalidateEnd(table, page_idx, wepoch);
-        });
+        scheduleWindowEnd(table, page_idx, work);
         break;
       }
       case PageState::Invalidating:
       case PageState::FaultingInvalidated: {
         // A second invalidation inside an open window extends it; the
-        // superseded invalidate_end is discarded via the epoch.
+        // superseded invalidate_end is cancelled.
         PageWork& work = *table.find(page_idx)->work;
         ++stats_.invalidationsCoalesced;
         if (end_at > work.windowEndAt) {
             work.windowEndAt = end_at;
-            const std::uint64_t wepoch = ++work.windowEpoch;
             if (work.refault)
                 work.resolveAt = end_at + work.refaultLatency;
-            events_.schedule(end_at, [this, &table, page_idx, wepoch] {
-                invalidateEnd(table, page_idx, wepoch);
-            });
+            scheduleWindowEnd(table, page_idx, work);
         }
         break;
       }
@@ -283,15 +269,13 @@ OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
 }
 
 void
-OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
-                         std::uint64_t window_epoch)
+OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx)
 {
     PageRecord* record = table.find(page_idx);
-    if (record == nullptr || !record->work ||
-        record->work->windowEpoch != window_epoch)
-        return; // The window was extended: a newer end event owns it.
-    assert(record->state == PageState::Invalidating ||
-           record->state == PageState::FaultingInvalidated);
+    // A window extension cancels the superseded end event.
+    assert(record != nullptr &&
+           (record->state == PageState::Invalidating ||
+            record->state == PageState::FaultingInvalidated));
     PageWork& work = *record->work;
 
     // invalidate_end: the quiesce is complete and the kernel takes the
@@ -307,14 +291,10 @@ OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
         pages_.move(table, page_idx, PageState::Faulting);
         const Time latency = drawFaultLatency();
         work.resolveAt = events_.now() + latency;
-        const std::uint64_t epoch = ++work.faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "page fault retries page=" + std::to_string(page_idx) +
                         " resolves in " + latency.str());
-        events_.schedule(work.resolveAt,
-                         [this, &table, page_idx, epoch] {
-                             completeFault(table, page_idx, epoch);
-                         });
+        scheduleResolve(table, page_idx, work);
         return;
     }
 
@@ -324,13 +304,9 @@ OdpDriver::invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
         pages_.move(table, page_idx, PageState::Faulting);
         work.refault = false;
         work.resolveAt = events_.now() + work.refaultLatency;
-        const std::uint64_t epoch = ++work.faultEpoch;
         IBSIM_TRACE(traceOdp, events_.now(),
                     "queued fault starts page=" + std::to_string(page_idx));
-        events_.schedule(work.resolveAt,
-                         [this, &table, page_idx, epoch] {
-                             completeFault(table, page_idx, epoch);
-                         });
+        scheduleResolve(table, page_idx, work);
         return;
     }
 

@@ -113,19 +113,6 @@ class OdpDriver
     void prefetch(TranslationTable& table, std::uint64_t vaddr,
                   std::uint64_t len);
 
-    /** State of the page holding @p vaddr. */
-    PageState pageState(const TranslationTable& table,
-                        std::uint64_t vaddr) const;
-
-    /**
-     * Whether the page holding @p vaddr is in a transient state
-     * (Faulting / Invalidating / FaultingInvalidated) — i.e. the driver
-     * is actively working on it. Chaos storms use this to target pages
-     * mid-transition, not just mapped ones.
-     */
-    bool pageTransient(const TranslationTable& table,
-                       std::uint64_t vaddr) const;
-
     /** The page-state legality gate and its counters (tests). */
     const OdpPageTable& pageTable() const { return pages_; }
 
@@ -170,18 +157,24 @@ class OdpDriver
     /** Draw one fault-resolution latency (uniform x congestion x chaos). */
     Time drawFaultLatency();
 
-    /** Scheduled resolution of the fault on @p page_idx (epoch-guarded). */
-    void completeFault(TranslationTable& table, std::uint64_t page_idx,
-                       std::uint64_t epoch);
+    /** Schedule completeFault at work.resolveAt and keep its handle. */
+    void scheduleResolve(TranslationTable& table, std::uint64_t page_idx,
+                         PageWork& work);
 
-    /** invalidate_start for one page (state-machine mode). */
+    /** Schedule invalidateEnd at work.windowEndAt, replacing the last. */
+    void scheduleWindowEnd(TranslationTable& table, std::uint64_t page_idx,
+                           PageWork& work);
+
+    /** Resolve a Faulting page (invalidate_start cancels this event). */
+    void completeFault(TranslationTable& table, std::uint64_t page_idx);
+
+    /** invalidate_start for one page. */
     void invalidateOne(TranslationTable& table, std::uint64_t page_idx);
 
-    /** invalidate_end for one page (epoch-guarded against extensions). */
-    void invalidateEnd(TranslationTable& table, std::uint64_t page_idx,
-                       std::uint64_t window_epoch);
+    /** invalidate_end for one page (an extension cancels the old one). */
+    void invalidateEnd(TranslationTable& table, std::uint64_t page_idx);
 
-    /** Scheduled prefetch sweep over [first, last] (state-machine mode). */
+    /** Scheduled prefetch sweep over [first, last]. */
     void prefetchSweep(TranslationTable& table, std::uint64_t first,
                        std::uint64_t last);
 

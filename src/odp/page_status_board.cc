@@ -106,9 +106,8 @@ PageStatusBoard::onPageMapped(const TranslationTable& table,
 void
 PageStatusBoard::scheduleService(Time lead)
 {
-    if (serviceRunning_)
+    if (events_.pending(serviceTimer_))
         return;
-    serviceRunning_ = true;
     serviceTimer_ = events_.scheduleAfter(rng_.jitter(lead, 0.10),
                                           [this] { serviceFired(); });
 }
@@ -116,7 +115,6 @@ PageStatusBoard::scheduleService(Time lead)
 void
 PageStatusBoard::serviceFired()
 {
-    serviceRunning_ = false;
     if (slowQueue_.empty())
         return;
 

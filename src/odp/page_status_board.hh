@@ -107,7 +107,7 @@ class PageStatusBoard
 
     /** LIFO queue of stale waiters awaiting the slow refresh. */
     std::vector<Key> slowQueue_;
-    bool serviceRunning_ = false;
+    /** The slow-refresh service's next run; idle unless pending. */
     EventHandle serviceTimer_;
 
     BoardStats stats_;

@@ -83,11 +83,11 @@ struct PageWork
     /** Scheduled (or estimated) resolution time of the live fault. */
     Time resolveAt;
 
-    /** Guards scheduled resolve events against superseded attempts. */
-    std::uint64_t faultEpoch = 0;
+    /** The pending resolve event while Faulting (cancelled on doom). */
+    EventHandle resolveEvent;
 
-    /** Guards scheduled invalidate_end events against extensions. */
-    std::uint64_t windowEpoch = 0;
+    /** The pending invalidate_end event (cancelled on extension). */
+    EventHandle windowEndEvent;
 
     /** When Invalidating / FaultingInvalidated: invalidate_end time. */
     Time windowEndAt;
@@ -102,8 +102,8 @@ struct PageWork
 /**
  * One ODP page's record in its region's TranslationTable. A Present
  * page's record is just its state; the work fields exist exactly while
- * the page is transient, so a new transient episode starts from fresh
- * epochs.
+ * the page is transient. An episode's scheduled events end with it: each
+ * runs or is cancelled before the page leaves its transient state.
  */
 struct PageRecord
 {

@@ -168,9 +168,6 @@ struct QpContext
     std::uint32_t retryCount = 0;     ///< consecutive transport timeouts
     std::uint32_t rnrCount = 0;       ///< RNR NAKs outstanding against budget
     EventHandle retransmitTimer;
-    bool timerArmed = false;
-
-    bool inRnrWait = false;
     EventHandle rnrTimer;
 
     /**
@@ -190,7 +187,6 @@ struct QpContext
      */
     std::uint32_t sendCursor = 0;
 
-    bool clientRexmitActive = false;
     EventHandle clientRexmitTimer;
 
     bool errorState = false;
@@ -218,7 +214,6 @@ struct QpContext
 
     /** @{ CM re-arm handshake retry timer. */
     EventHandle cmTimer;
-    bool cmTimerArmed = false;
     std::uint8_t cmRetries = 0;
     /** @} */
 
@@ -233,14 +228,6 @@ struct QpContext
 
     /** Whether the requester currently has work in flight. */
     bool active() const { return !outstanding.empty(); }
-
-    /**
-     * Whether the send engine is paused (pending retransmission): inside
-     * an RNR wait or a client-side fault gap. New posts queue while
-     * paused and go out with the next retransmission burst, as observed
-     * in the paper's Fig. 5 captures.
-     */
-    bool paused() const { return inRnrWait || clientRexmitActive; }
 };
 
 } // namespace rnic

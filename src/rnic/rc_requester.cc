@@ -23,6 +23,18 @@ RcRequester::RcRequester(Rnic& rnic, QpContext& qp) : rnic_(rnic), qp_(qp)
 {
 }
 
+bool
+RcRequester::inRnrWait() const
+{
+    return rnic_.events().pending(qp_.rnrTimer);
+}
+
+bool
+RcRequester::paused() const
+{
+    return inRnrWait() || rnic_.events().pending(qp_.clientRexmitTimer);
+}
+
 void
 RcRequester::post(SendWqe wqe)
 {
@@ -115,7 +127,7 @@ RcRequester::post(SendWqe wqe)
     // silently lost until timeout or PSN-sequence-error recovery
     // (DESIGN.md #4). Each pending period poisons at most
     // dammingCapacity requests.
-    if (qp_.paused() && qp_.dammingEpisode &&
+    if (paused() && qp_.dammingEpisode &&
         rnic_.profile().dammingQuirk && qp_.episodeDamsLeft > 0) {
         wqe.dammed = true;
         --qp_.episodeDamsLeft;
@@ -135,21 +147,19 @@ RcRequester::post(SendWqe wqe)
         const std::uint64_t unmapped =
             mr->table().firstUnmapped(stored.laddr, stored.length);
         if (unmapped != 0) {
-            raiseLocalFaults(stored);
+            raiseLocalFaults(stored, *mr);
             return;  // transmission deferred to fault resolution
         }
     }
 
     (void)stored;
-    if (!qp_.paused())
+    if (!paused())
         pump();
 }
 
 void
-RcRequester::raiseLocalFaults(SendWqe& wqe)
+RcRequester::raiseLocalFaults(SendWqe& wqe, verbs::MemoryRegion& mr)
 {
-    verbs::MemoryRegion* mr = rnic_.findMr(wqe.lkey);
-    assert(mr && "blocked WQE references an unknown lkey");
     wqe.blockedOnLocalFault = true;
     const std::uint32_t psn = wqe.psn;
     const std::uint32_t counter = faultCounters_.acquire();
@@ -157,11 +167,11 @@ RcRequester::raiseLocalFaults(SendWqe& wqe)
     const std::uint64_t last = mem::pageOf(wqe.laddr + wqe.length - 1);
     for (std::uint64_t p = first; p <= last; ++p) {
         const std::uint64_t va = p * mem::pageSize;
-        if (mr->table().mappedPage(va))
+        if (mr.table().mappedPage(va))
             continue;
         ++faultCounters_.at(counter);
         rnic_.driver().raiseFault(
-            mr->table(), va, [this, psn, counter] {
+            mr.table(), va, [this, psn, counter] {
                 if (--faultCounters_.at(counter) > 0)
                     return;
                 faultCounters_.release(counter);
@@ -190,12 +200,17 @@ RcRequester::onLocalFaultsResolved(std::uint32_t psn)
         // translations are gone — re-fault instead of reading through
         // stale entries.
         verbs::MemoryRegion* mr = rnic_.findMr(w.lkey);
-        if (mr && mr->table().firstUnmapped(w.laddr, w.length) != 0) {
-            raiseLocalFaults(w);
+        if (mr == nullptr) {
+            // The source MR was deregistered while the batch resolved.
+            failWqe(psn, verbs::WcStatus::LocProtErr);
+            return;
+        }
+        if (mr->table().firstUnmapped(w.laddr, w.length) != 0) {
+            raiseLocalFaults(w, *mr);
             return;
         }
         w.blockedOnLocalFault = false;
-        if (qp_.state == QpState::Rts && !qp_.paused() &&
+        if (qp_.state == QpState::Rts && !paused() &&
             w.transmissions == 0) {
             transmit(w);
         }
@@ -209,7 +224,7 @@ RcRequester::pump()
     // Only an RTS queue transmits: Error flushes at post time, and a QP
     // mid-recovery (Reset/Init/RTR) queues posts until the CM handshake
     // lands and resume() restarts the engine.
-    if (qp_.state != QpState::Rts || qp_.paused())
+    if (qp_.state != QpState::Rts || paused())
         return;
     while (!qp_.outstanding.empty()) {
         const std::uint32_t head_psn = qp_.outstanding.front().psn;
@@ -349,7 +364,7 @@ RcRequester::transmit(SendWqe& wqe)
             ++qp_.stats.retransmissions;
         rnic_.sendPacket(std::move(pkt), qp_);
     }
-    if (!qp_.timerArmed && !qp_.inRnrWait)
+    if (!rnic_.events().pending(qp_.retransmitTimer) && !inRnrWait())
         armTimer();
 }
 
@@ -365,28 +380,17 @@ RcRequester::armTimer()
                   static_cast<double>(
                       rnic_.activeQpCount() > 0 ? rnic_.activeQpCount() - 1
                                                 : 0);
-    disarmTimer();
+    rnic_.events().cancel(qp_.retransmitTimer);
     qp_.retransmitTimer = rnic_.events().scheduleAfter(
         detection * load, [this] { timeoutFired(); });
-    qp_.timerArmed = true;
-}
-
-void
-RcRequester::disarmTimer()
-{
-    if (qp_.timerArmed) {
-        rnic_.events().cancel(qp_.retransmitTimer);
-        qp_.timerArmed = false;
-    }
 }
 
 void
 RcRequester::timeoutFired()
 {
-    qp_.timerArmed = false;
     if (qp_.errorState || qp_.outstanding.empty())
         return;
-    if (qp_.inRnrWait)
+    if (inRnrWait())
         return;  // RNR wait owns the QP; its own timer resumes things
 
     ++qp_.retryCount;
@@ -404,10 +408,7 @@ RcRequester::timeoutFired()
     // Timeout-driven recovery clears the dammed mark: the paper's Fig. 5
     // shows the second READ finally completing after the ~500 ms timeout.
     qp_.dammingEpisode = false;
-    if (qp_.clientRexmitActive) {
-        rnic_.events().cancel(qp_.clientRexmitTimer);
-        qp_.clientRexmitActive = false;
-    }
+    rnic_.events().cancel(qp_.clientRexmitTimer);
     rewind(qp_.outstanding.front().psn, /*clear_dammed=*/true);
     pump();
     armTimer();
@@ -416,7 +417,7 @@ RcRequester::timeoutFired()
 void
 RcRequester::enterRnrWait(Time responder_min_delay)
 {
-    if (qp_.inRnrWait)
+    if (inRnrWait())
         return;
 
     ++qp_.rnrCount;
@@ -430,8 +431,7 @@ RcRequester::enterRnrWait(Time responder_min_delay)
     // advertised minimum (measured ~3.5x, Fig. 1).
     const Time wait = rnic_.rng().jitter(
         responder_min_delay * rnic_.profile().rnrWaitMultiplier, 0.08);
-    qp_.inRnrWait = true;
-    disarmTimer();
+    rnic_.events().cancel(qp_.retransmitTimer);
 
     // Each stuck request dams at most once: its first pending period.
     SendWqe& head = qp_.outstanding.front();
@@ -452,7 +452,6 @@ RcRequester::enterRnrWait(Time responder_min_delay)
 void
 RcRequester::rnrWaitFired()
 {
-    qp_.inRnrWait = false;
     qp_.dammingEpisode = false;
     if (qp_.errorState || qp_.outstanding.empty())
         return;
@@ -466,9 +465,8 @@ RcRequester::rnrWaitFired()
 void
 RcRequester::scheduleClientRexmit()
 {
-    if (qp_.clientRexmitActive)
+    if (rnic_.events().pending(qp_.clientRexmitTimer))
         return;
-    qp_.clientRexmitActive = true;
     // Back off under flood load (Sec. VII-B: retransmissions stretch to
     // tens of milliseconds when many QPs are stuck).
     const double load = std::min(
@@ -483,9 +481,8 @@ RcRequester::scheduleClientRexmit()
 void
 RcRequester::clientRexmitFired()
 {
-    qp_.clientRexmitActive = false;
     qp_.dammingEpisode = false;
-    if (qp_.errorState || qp_.outstanding.empty() || qp_.inRnrWait)
+    if (qp_.errorState || qp_.outstanding.empty() || inRnrWait())
         return;
     // Blind retransmission: the client resends regardless of whether the
     // local fault resolved (Fig. 1, client-side ODP). The responder's
@@ -496,11 +493,9 @@ RcRequester::clientRexmitFired()
 }
 
 bool
-RcRequester::readDestinationReady(const SendWqe& wqe, bool register_faults)
+RcRequester::readDestinationReady(const SendWqe& wqe, verbs::MemoryRegion& mr)
 {
-    verbs::MemoryRegion* mr = rnic_.findMr(wqe.lkey);
-    assert(mr && "READ WQE references an unknown lkey");
-    if (!mr->odp())
+    if (!mr.odp())
         return true;
 
     bool ready = true;
@@ -509,15 +504,13 @@ RcRequester::readDestinationReady(const SendWqe& wqe, bool register_faults)
     const std::uint64_t last = mem::pageOf(wqe.laddr + wqe.length - 1);
     for (std::uint64_t p = first; p <= last; ++p) {
         const std::uint64_t va = p * mem::pageSize;
-        if (!mr->table().mappedPage(va)) {
+        if (!mr.table().mappedPage(va)) {
             ready = false;
-            if (register_faults) {
-                if (!rnic_.driver().faultInFlight(mr->table(), va))
-                    fresh_fault = true;
-                rnic_.driver().raiseFault(mr->table(), va);
-                rnic_.board().registerWaiter(&mr->table(), p, qp_.qpn);
-            }
-        } else if (!rnic_.board().fresh(&mr->table(), p, qp_.qpn)) {
+            if (!rnic_.driver().faultInFlight(mr.table(), va))
+                fresh_fault = true;
+            rnic_.driver().raiseFault(mr.table(), va);
+            rnic_.board().registerWaiter(&mr.table(), p, qp_.qpn);
+        } else if (!rnic_.board().fresh(&mr.table(), p, qp_.qpn)) {
             // Page mapped, but this QP's status view is stale (the flood
             // quirk): the response is still unusable.
             ready = false;
@@ -543,7 +536,7 @@ RcRequester::onReadResponse(const net::Packet& pkt)
     if (qp_.errorState || qp_.outstanding.empty())
         return;
 
-    if (qp_.inRnrWait) {
+    if (inRnrWait()) {
         // Responses arriving during an RNR wait are discarded (Sec. IV-A).
         ++qp_.stats.responsesDiscardedRnrWait;
         return;
@@ -558,8 +551,13 @@ RcRequester::onReadResponse(const net::Packet& pkt)
     if (!data_bearing || pkt.psn != expected)
         return;  // stale or out-of-order response: ignored (go-back-N)
 
-    if (!readDestinationReady(head, /*register_faults=*/true)) {
-        verbs::MemoryRegion* mr = rnic_.findMr(head.lkey);
+    verbs::MemoryRegion* mr = rnic_.findMr(head.lkey);
+    if (mr == nullptr) {
+        // The destination MR was deregistered under the WR.
+        flushAll(verbs::WcStatus::LocProtErr);
+        return;
+    }
+    if (!readDestinationReady(head, *mr)) {
         const bool unmapped =
             mr->table().firstUnmapped(head.laddr, head.length) != 0;
         if (unmapped)
@@ -590,7 +588,7 @@ RcRequester::onAck(const net::Packet& pkt)
 {
     if (qp_.errorState)
         return;
-    if (qp_.inRnrWait) {
+    if (inRnrWait()) {
         ++qp_.stats.responsesDiscardedRnrWait;
         return;
     }
@@ -618,10 +616,7 @@ RcRequester::onNak(const net::Packet& pkt)
         // Immediate go-back-N from the responder's expected PSN; this
         // clears the dammed mark and ends any pending period early
         // (Fig. 8: recovery without timeout).
-        if (qp_.inRnrWait) {
-            rnic_.events().cancel(qp_.rnrTimer);
-            qp_.inRnrWait = false;
-        }
+        rnic_.events().cancel(qp_.rnrTimer);
         qp_.dammingEpisode = false;
         rewind(pkt.psn, /*clear_dammed=*/true);
         pump();
@@ -671,11 +666,8 @@ RcRequester::progressMade()
     qp_.retryCount = 0;
     qp_.rnrCount = 0;
     if (qp_.outstanding.empty()) {
-        disarmTimer();
-        if (qp_.clientRexmitActive) {
-            rnic_.events().cancel(qp_.clientRexmitTimer);
-            qp_.clientRexmitActive = false;
-        }
+        rnic_.events().cancel(qp_.retransmitTimer);
+        rnic_.events().cancel(qp_.clientRexmitTimer);
         qp_.dammingEpisode = false;
     } else {
         armTimer();
@@ -686,20 +678,21 @@ RcRequester::progressMade()
 void
 RcRequester::flushAll(verbs::WcStatus status)
 {
-    disarmTimer();
-    if (qp_.inRnrWait) {
-        rnic_.events().cancel(qp_.rnrTimer);
-        qp_.inRnrWait = false;
-    }
-    if (qp_.clientRexmitActive) {
-        rnic_.events().cancel(qp_.clientRexmitTimer);
-        qp_.clientRexmitActive = false;
-    }
+    failWqe(qp_.outstanding.empty() ? qp_.nextPsn
+                                    : qp_.outstanding.front().psn,
+            status);
+}
+
+void
+RcRequester::failWqe(std::uint32_t psn, verbs::WcStatus status)
+{
+    rnic_.events().cancel(qp_.retransmitTimer);
+    rnic_.events().cancel(qp_.rnrTimer);
+    rnic_.events().cancel(qp_.clientRexmitTimer);
     qp_.dammingEpisode = false;
 
     if (!qp_.outstanding.empty())
         rnic_.qpBecameIdle();
-    bool first = true;
     while (!qp_.outstanding.empty()) {
         SendWqe head = qp_.outstanding.front();
         qp_.outstanding.pop_front();
@@ -719,13 +712,12 @@ RcRequester::flushAll(verbs::WcStatus status)
         verbs::WorkCompletion wc;
         wc.wrId = head.wrId;
         // The failing WR carries the real error; the rest flush.
-        wc.status = first ? status : verbs::WcStatus::WrFlushErr;
+        wc.status = head.psn == psn ? status : verbs::WcStatus::WrFlushErr;
         wc.opcode = head.op;
         wc.byteLen = head.length;
         wc.qpn = qp_.qpn;
         wc.completedAt = rnic_.events().now();
         qp_.cq->push(wc);
-        first = false;
     }
 
     qp_.errorState = true;

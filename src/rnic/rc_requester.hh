@@ -19,6 +19,7 @@
 
 #include "net/packet.hh"
 #include "rnic/qp_context.hh"
+#include "verbs/memory_region.hh"
 #include "verbs/types.hh"
 
 namespace ibsim {
@@ -44,7 +45,10 @@ class RcRequester
     void onReadResponse(const net::Packet& pkt);
     /** @} */
 
-    /** Flush everything with @p status and move the QP to error state. */
+    /**
+     * Move the QP to error state: the head WR completes with @p status,
+     * every other outstanding WR with WrFlushErr.
+     */
     void flushAll(verbs::WcStatus status);
 
     /**
@@ -60,21 +64,35 @@ class RcRequester
     void resume();
 
   private:
+    /**
+     * @{ The send engine is paused (pending retransmission) while the
+     * RNR wait or client-side fault gap timer is pending. New posts
+     * queue meanwhile and go out with the next retransmission burst, as
+     * in the paper's Fig. 5 captures.
+     */
+    bool inRnrWait() const;
+    bool paused() const;
+    /** @} */
+
     /** Transmit (or retransmit) one WQE's request packet. */
     void transmit(SendWqe& wqe);
 
-    /**
-     * Raise sender-side faults for every unmapped source page of
-     * @p wqe; the WQE stays blockedOnLocalFault until the batch fans in.
-     */
-    void raiseLocalFaults(SendWqe& wqe);
+    /** flushAll, with the WR at @p psn carrying @p status. */
+    void failWqe(std::uint32_t psn, verbs::WcStatus status);
 
     /**
-     * A sender-side fault batch fanned in for the WQE at @p psn. With
-     * the page state machine on, the source range is re-checked first:
-     * an invalidation that flushed pages while the batch resolved
-     * (the notifier quiesce window) re-raises faults instead of
-     * transmitting stale translations.
+     * Raise sender-side faults for every unmapped source page of
+     * @p wqe in its source region @p mr; the WQE stays
+     * blockedOnLocalFault until the batch fans in.
+     */
+    void raiseLocalFaults(SendWqe& wqe, verbs::MemoryRegion& mr);
+
+    /**
+     * A sender-side fault batch fanned in for the WQE at @p psn. The
+     * source range is re-checked first: an invalidation that flushed
+     * pages while the batch resolved (the notifier quiesce window)
+     * re-raises faults instead of transmitting stale translations, and
+     * a source MR deregistered meanwhile fails the WQE with LocProtErr.
      */
     void onLocalFaultsResolved(std::uint32_t psn);
 
@@ -92,7 +110,6 @@ class RcRequester
 
     /** @{ Local ACK Timeout machinery. */
     void armTimer();
-    void disarmTimer();
     void timeoutFired();
     /** @} */
 
@@ -107,12 +124,12 @@ class RcRequester
     /** @} */
 
     /**
-     * Check the local pages of a READ destination. Returns true when all
-     * pages are mapped and this QP's status view is fresh; otherwise
-     * raises faults / registers waiters (when @p register_faults) and
-     * returns false.
+     * Check the local pages of a READ destination in its region @p mr.
+     * Returns true when all pages are mapped and this QP's status view
+     * is fresh; otherwise raises faults, registers waiters and returns
+     * false.
      */
-    bool readDestinationReady(const SendWqe& wqe, bool register_faults);
+    bool readDestinationReady(const SendWqe& wqe, verbs::MemoryRegion& mr);
 
     /** Complete the head WQE successfully. */
     void completeHead();

@@ -119,14 +119,10 @@ Rnic::destroyQp(std::uint32_t qpn)
     if (record == nullptr)
         return;
     QpContext& qp = *record->ctx;
-    if (qp.timerArmed)
-        events_.cancel(qp.retransmitTimer);
-    if (qp.inRnrWait)
-        events_.cancel(qp.rnrTimer);
-    if (qp.clientRexmitActive)
-        events_.cancel(qp.clientRexmitTimer);
-    if (qp.cmTimerArmed)
-        events_.cancel(qp.cmTimer);
+    events_.cancel(qp.retransmitTimer);
+    events_.cancel(qp.rnrTimer);
+    events_.cancel(qp.clientRexmitTimer);
+    events_.cancel(qp.cmTimer);
     if (qp.active())
         qpBecameIdle();
     record->requester.reset();
@@ -445,20 +441,10 @@ Rnic::sendCmRearm(QpContext& qp)
 void
 Rnic::armCmTimer(QpContext& qp)
 {
-    disarmCmTimer(qp);
+    events_.cancel(qp.cmTimer);
     const std::uint32_t qpn = qp.qpn;
     qp.cmTimer = events_.scheduleAfter(profile_.cmRetryInterval,
                                        [this, qpn] { cmTimerFired(qpn); });
-    qp.cmTimerArmed = true;
-}
-
-void
-Rnic::disarmCmTimer(QpContext& qp)
-{
-    if (qp.cmTimerArmed) {
-        events_.cancel(qp.cmTimer);
-        qp.cmTimerArmed = false;
-    }
 }
 
 void
@@ -468,7 +454,6 @@ Rnic::cmTimerFired(std::uint32_t qpn)
     if (record == nullptr)
         return;
     QpContext& qp = *record->ctx;
-    qp.cmTimerArmed = false;
     if (qp.state != QpState::Init && qp.state != QpState::Rtr)
         return;
     if (++qp.cmRetries > profile_.cmRetryLimit) {
@@ -498,7 +483,7 @@ Rnic::onCmRearm(QpRecord& record, const net::Packet& pkt)
         const bool wasError = qp.state == QpState::Error;
         if (!qp.outstanding.empty())
             record.requester->flushAll(verbs::WcStatus::WrFlushErr);
-        disarmCmTimer(qp);
+        events_.cancel(qp.cmTimer);
         qp.resetEpoch = pkt.epoch;
         qp.nextPsn = 0;
         qp.sendCursor = 0;
@@ -532,7 +517,7 @@ Rnic::onCmRearmAck(QpRecord& record, const net::Packet& pkt)
         return;  // ack for a superseded handshake
     if (qp.state != QpState::Init && qp.state != QpState::Rtr)
         return;  // duplicate ack after recovery completed
-    disarmCmTimer(qp);
+    events_.cancel(qp.cmTimer);
     qp.state = QpState::Rtr;
     finishRecovery(qp);
 }

@@ -248,7 +248,6 @@ class Rnic : public net::PortHandler
                         std::uint32_t qpn, bool redundant);
     void sendCmRearm(QpContext& qp);
     void armCmTimer(QpContext& qp);
-    void disarmCmTimer(QpContext& qp);
     void cmTimerFired(std::uint32_t qpn);
     void onCmRearm(QpRecord& record, const net::Packet& pkt);
     void onCmRearmAck(QpRecord& record, const net::Packet& pkt);

@@ -47,16 +47,9 @@ EventQueue::schedule(Time when, Callback cb)
 bool
 EventQueue::cancel(EventHandle h)
 {
-    if (!h.valid())
+    if (!pending(h))
         return false;
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(h.id_ & 0xffffffffu) - 1;
-    const std::uint32_t gen = static_cast<std::uint32_t>(h.id_ >> 32);
-    if (idx >= pool_.size())
-        return false;
-    Node& n = pool_[idx];
-    if (n.gen != gen || n.state != NodeState::Pending)
-        return false;  // stale handle: executed, cancelled, or reused slot
+    Node& n = pool_[static_cast<std::uint32_t>(h.id_ & 0xffffffffu) - 1];
     n.state = NodeState::Cancelled;
     n.cb.reset();  // release captures eagerly
     --pendingCount_;

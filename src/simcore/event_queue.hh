@@ -103,6 +103,25 @@ class EventQueue
      */
     bool cancel(EventHandle h);
 
+    /**
+     * Whether @p h names an event that is still scheduled: false for
+     * invalid, cancelled or executed handles (an executing event's own
+     * handle already reads false). The one place that knows whether an
+     * event is pending; callers keep handles, never a mirror flag.
+     * Inline: the RC send engine asks on every pump().
+     */
+    bool
+    pending(EventHandle h) const
+    {
+        // A stale handle (executed, cancelled, or its slot reused) fails
+        // the generation or state check.
+        const std::uint32_t idx =
+            static_cast<std::uint32_t>(h.id_ & 0xffffffffu) - 1;
+        const std::uint32_t gen = static_cast<std::uint32_t>(h.id_ >> 32);
+        return h.valid() && idx < pool_.size() && pool_[idx].gen == gen &&
+               pool_[idx].state == NodeState::Pending;
+    }
+
     /** Number of pending (non-cancelled) events. */
     std::size_t pending() const { return pendingCount_; }
 

@@ -114,6 +114,77 @@ TEST(EdgeCases, BadLocalKeyOrRangeFailsWithLocalProtectionError)
     EXPECT_EQ(server.rnic().stats().packetsReceived, 0u);
 }
 
+namespace {
+
+// The client posts a WR, then deregisters its local MR while the WR is
+// outstanding. When the RNIC next touches the local buffer (a READ
+// response landing, an ODP WRITE's source faults resolving) the WR
+// completes with LOC_PROT_ERR and the QP moves to Error, as a bad lkey
+// does at post time. No data moves.
+void
+expectDeregisteredLocalMrFails(verbs::WrOpcode op, verbs::AccessFlags access)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+
+    const auto remote = server.alloc(4096);
+    const auto local = client.alloc(4096);
+    const std::vector<std::uint8_t> pattern(64, 0x5a);
+    server.memory().write(remote, pattern);
+    auto& smr = server.registerMemory(remote, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(local, 4096, access);
+    if (op == verbs::WrOpcode::Read)
+        cqp.postRead(local, cmr.lkey(), remote, smr.rkey(), 64, 1);
+    else
+        cqp.postWrite(local, cmr.lkey(), remote, smr.rkey(), 64, 1);
+    client.deregisterMemory(cmr);
+
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 1; }, Time::sec(1)));
+    const auto failed = ccq.poll();
+    ASSERT_EQ(failed.size(), 1u);
+    EXPECT_EQ(failed[0].wrId, 1u);
+    EXPECT_EQ(failed[0].status, verbs::WcStatus::LocProtErr);
+    if (op == verbs::WrOpcode::Read) {
+        EXPECT_NE(client.memory().read(local, 64), pattern);
+    } else {
+        EXPECT_EQ(server.rnic().stats().packetsReceived, 0u);
+        EXPECT_EQ(server.memory().read(remote, 64), pattern);
+    }
+
+    // The QP is in Error: the next WR flushes.
+    auto& fresh = client.registerMemory(local, 4096, access);
+    cqp.postRead(local, fresh.lkey(), remote, smr.rkey(), 64, 2);
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 2; }, Time::sec(1)));
+    EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::WrFlushErr);
+}
+
+} // namespace
+
+TEST(EdgeCases, ReadIntoDeregisteredPinnedMrFailsWithLocalProtectionError)
+{
+    expectDeregisteredLocalMrFails(verbs::WrOpcode::Read,
+                                   verbs::AccessFlags::pinned());
+}
+
+TEST(EdgeCases, ReadIntoDeregisteredOdpMrFailsWithLocalProtectionError)
+{
+    expectDeregisteredLocalMrFails(verbs::WrOpcode::Read,
+                                   verbs::AccessFlags::odp());
+}
+
+TEST(EdgeCases, OdpWriteFromDeregisteredMrFailsWithLocalProtectionError)
+{
+    expectDeregisteredLocalMrFails(verbs::WrOpcode::Write,
+                                   verbs::AccessFlags::odp());
+}
+
 TEST(EdgeCases, EventQueueCompactionUnderMassCancel)
 {
     EventQueue q;

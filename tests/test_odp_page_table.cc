@@ -109,15 +109,15 @@ TEST_F(PageMachineFixture, FaultWalksNotPresentFaultingPresent)
 {
     OdpDriver driver(events, rng, memory, timing);
     const std::uint64_t va = 7 * pageSize;
-    EXPECT_EQ(driver.pageState(table, va), PageState::NotPresent);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::NotPresent);
 
     driver.raiseFault(table, va);
-    EXPECT_EQ(driver.pageState(table, va), PageState::Faulting);
-    EXPECT_TRUE(driver.pageTransient(table, va));
+    EXPECT_EQ(table.state(pageOf(va)), PageState::Faulting);
+    EXPECT_TRUE(transientState(table.state(pageOf(va))));
 
     events.run();
-    EXPECT_EQ(driver.pageState(table, va), PageState::Present);
-    EXPECT_FALSE(driver.pageTransient(table, va));
+    EXPECT_EQ(table.state(pageOf(va)), PageState::Present);
+    EXPECT_FALSE(transientState(table.state(pageOf(va))));
     EXPECT_TRUE(table.mappedPage(va));
     EXPECT_GE(driver.pageTable().stats().transitions, 2u);
     EXPECT_EQ(driver.pageTable().stats().illegalTransitionsBlocked, 0u);
@@ -137,7 +137,7 @@ TEST_F(PageMachineFixture, FaultOnPresentPageRaisesNothing)
     int callbacks = 0;
     EXPECT_EQ(driver.raiseFault(table, va, [&] { ++callbacks; }), now);
     EXPECT_EQ(callbacks, 0);  // never inline
-    EXPECT_EQ(driver.pageState(table, va), PageState::Present);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::Present);
     EXPECT_TRUE(table.mappedPage(va));
     EXPECT_FALSE(driver.faultInFlight(table, va));
 
@@ -148,7 +148,7 @@ TEST_F(PageMachineFixture, FaultOnPresentPageRaisesNothing)
     EXPECT_EQ(driver.stats().faultsResolved, 1u);
 }
 
-// pageState, mappedPage, faultInFlight and pageTransient read one record,
+// state, mappedPage, faultInFlight and transientState read one record,
 // so they agree on pages mid-fault, inside a notifier window and in a
 // doomed fault's retry.
 TEST_F(PageMachineFixture, QueriesAgreeOnTransientPages)
@@ -157,9 +157,10 @@ TEST_F(PageMachineFixture, QueriesAgreeOnTransientPages)
     OdpDriver driver(events, rng, memory, timing);
     const auto agree = [&](std::uint64_t page, S state, bool in_flight) {
         const std::uint64_t va = page * pageSize;
-        EXPECT_EQ(driver.pageState(table, va), state) << page;
+        EXPECT_EQ(table.state(pageOf(va)), state) << page;
         EXPECT_EQ(table.mappedPage(va), state == S::Present) << page;
-        EXPECT_EQ(driver.pageTransient(table, va), transientState(state))
+        EXPECT_EQ(transientState(table.state(pageOf(va))),
+                  transientState(state))
             << page;
         EXPECT_EQ(driver.faultInFlight(table, va), in_flight) << page;
     };
@@ -209,11 +210,11 @@ TEST_F(PageMachineFixture, InvalidateStartFlushesTranslationImmediately)
     driver.invalidate(table, va);
     EXPECT_FALSE(table.mappedPage(va));
     EXPECT_TRUE(memory.present(va));
-    EXPECT_EQ(driver.pageState(table, va), PageState::Invalidating);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::Invalidating);
 
     events.run();
     EXPECT_FALSE(memory.present(va));
-    EXPECT_EQ(driver.pageState(table, va), PageState::NotPresent);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::NotPresent);
     EXPECT_EQ(driver.stats().notifierWindows, 1u);
 }
 
@@ -224,9 +225,9 @@ TEST_F(PageMachineFixture, InvalidateOfUnmappedPageStillOpensWindow)
     driver.invalidate(table, va);
     // NotPresent -> Invalidating: concurrent faults must serialize
     // behind the window even though there was nothing to unmap.
-    EXPECT_EQ(driver.pageState(table, va), PageState::Invalidating);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::Invalidating);
     events.run();
-    EXPECT_EQ(driver.pageState(table, va), PageState::NotPresent);
+    EXPECT_EQ(table.state(pageOf(va)), PageState::NotPresent);
     EXPECT_EQ(driver.stats().notifierWindows, 1u);
 }
 
@@ -241,7 +242,7 @@ TEST_F(PageMachineFixture, InvalidationMidFaultDoomsAndRetries)
     // resolution (due ~500us) is doomed and must not install a mapping.
     events.schedule(Time::us(100), [&] {
         driver.invalidate(table, va);
-        EXPECT_EQ(driver.pageState(table, va),
+        EXPECT_EQ(table.state(pageOf(va)),
                   PageState::FaultingInvalidated);
     });
     // At 510us — past the original resolveAt — the doomed resolution
@@ -249,7 +250,7 @@ TEST_F(PageMachineFixture, InvalidationMidFaultDoomsAndRetries)
     events.schedule(Time::us(510), [&] {
         EXPECT_FALSE(table.mappedPage(va));
         EXPECT_EQ(callbacks, 0);
-        EXPECT_EQ(driver.pageState(table, va), PageState::Faulting);
+        EXPECT_EQ(table.state(pageOf(va)), PageState::Faulting);
     });
 
     events.run();
@@ -259,6 +260,44 @@ TEST_F(PageMachineFixture, InvalidationMidFaultDoomsAndRetries)
     EXPECT_EQ(driver.stats().faultRetries, 1u);
     EXPECT_EQ(driver.stats().faultsResolved, 1u);
     EXPECT_NEAR(events.now().toUs(), 630.0, 5.0);
+}
+
+// Regression: a doomed fault's resolve event used to stay scheduled and
+// be ignored by an epoch check. The epochs restarted with every transient
+// episode of the page, so the first episode's stale event (due 4000us)
+// completed a later episode's fault (due 5200us) early. invalidate_start
+// now cancels the event.
+TEST_F(PageMachineFixture, StaleResolveEventCannotCompleteLaterEpisode)
+{
+    timing.faultLatencyMin = Time::us(1000);
+    timing.faultLatencyMax = Time::us(1000);
+    OdpDriver driver(events, rng, memory, timing);
+    int draws = 0;
+    driver.setCongestionProbe([&draws] {
+        ++draws;
+        return draws == 1 || draws == 3 ? 4.0 : 1.0;
+    });
+    const std::uint64_t va = 7 * pageSize;
+
+    EXPECT_DOUBLE_EQ(driver.raiseFault(table, va).toUs(), 4000.0);
+    // Dooms the fault; the retry resolves at 40 + 1000us.
+    events.schedule(Time::us(10), [&] { driver.invalidate(table, va); });
+    events.schedule(Time::us(1100), [&] {
+        ASSERT_EQ(table.state(pageOf(va)), PageState::Present);
+        driver.invalidate(table, va);
+    });
+    Time resolved_at;
+    events.schedule(Time::us(1200), [&] {
+        ASSERT_EQ(table.state(pageOf(va)), PageState::NotPresent);
+        const Time due =
+            driver.raiseFault(table, va, [&] { resolved_at = events.now(); });
+        EXPECT_DOUBLE_EQ(due.toUs(), 5200.0);
+    });
+
+    events.run();
+    EXPECT_DOUBLE_EQ(resolved_at.toUs(), 5200.0);
+    EXPECT_EQ(driver.stats().faultsResolved, 2u);
+    EXPECT_EQ(draws, 3);
 }
 
 TEST_F(PageMachineFixture, FaultDuringWindowQueuesBehindIt)
@@ -302,7 +341,7 @@ TEST_F(PageMachineFixture, SecondInvalidationExtendsOpenWindow)
     // host frame.
     events.schedule(events.now() + Time::us(35), [&] {
         EXPECT_TRUE(memory.present(va));
-        EXPECT_EQ(driver.pageState(table, va), PageState::Invalidating);
+        EXPECT_EQ(table.state(pageOf(va)), PageState::Invalidating);
     });
     events.run();
     EXPECT_FALSE(memory.present(va));
@@ -334,7 +373,7 @@ TEST_F(PageMachineFixture, StaleInvalidateClobberFixedByStateMachine)
     EXPECT_TRUE(t.mappedPage(va));
     EXPECT_TRUE(mem.present(va));
     EXPECT_EQ(driver.stats().faultRetries, 1u);
-    EXPECT_EQ(driver.pageState(t, va), PageState::Present);
+    EXPECT_EQ(t.state(pageOf(va)), PageState::Present);
 }
 
 // Regression: the prefetch sweep re-checked mappedPage but not the fault
@@ -373,7 +412,7 @@ TEST_F(PageMachineFixture, PrefetchSkipsOpenWindows)
     events.run();
 
     driver.invalidate(table, va);
-    ASSERT_EQ(driver.pageState(table, va), PageState::Invalidating);
+    ASSERT_EQ(table.state(pageOf(va)), PageState::Invalidating);
     // An advise inside the window must not resurrect the mapping behind
     // invalidate_start's back.
     driver.prefetch(table, va, 1);
