@@ -81,10 +81,9 @@ eventQueueCancel(std::size_t reps)
  * Flood-shaped event churn: the schedule/cancel pattern a message flood
  * imposes on the kernel. Every message on every QP re-arms a ~1 ms
  * retransmission timer (cancelling the previous one — the timer almost
- * never fires) and schedules a near-future delivery. This is the
- * workload the timer wheel exists for: cancels are O(1) and the
- * cancelled far-future timers are reclaimed lazily instead of
- * tombstoning a heap.
+ * never fires) and schedules a near-future delivery. Cancels are O(1):
+ * the cancelled timers stay in the event heap until they reach its top
+ * or a compaction drops them, and their pool slots are then reused.
  */
 double
 eventQueueFlood(std::size_t reps)

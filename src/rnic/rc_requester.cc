@@ -299,6 +299,15 @@ RcRequester::rewind(std::uint32_t psn, bool clear_dammed)
 void
 RcRequester::transmit(SendWqe& wqe)
 {
+    // A WRITE/SEND reads its payload at every (re)transmission: if the
+    // source MR was deregistered while the WR was queued or awaiting a
+    // retransmission, fail it instead of sending the released bytes.
+    if ((wqe.op == verbs::WrOpcode::Send ||
+         wqe.op == verbs::WrOpcode::Write) &&
+        rnic_.findMr(wqe.lkey) == nullptr) {
+        failWqe(wqe.psn, verbs::WcStatus::LocProtErr);
+        return;
+    }
     const bool retransmission = wqe.transmissions > 0;
     if (!retransmission)
         wqe.firstSentAt = rnic_.events().now();

@@ -28,7 +28,7 @@ RcResponder::resetForRecovery()
     parkedPagesLeft_ = 0;
     seqNakSent_ = false;
     sendSegsLanded_ = 0;
-    atomicCache_.clear();
+    atomicCache_ = {};
     atomicCacheOrder_.clear();
 }
 
@@ -87,10 +87,8 @@ RcResponder::onRequest(const net::Packet& pkt)
             sendAck(pkt.psn, /*replayed=*/true);
             break;
           case net::Opcode::AtomicRequest: {
-            auto cached = atomicCache_.find(pkt.psn);
-            if (cached != atomicCache_.end()) {
-                sendAtomicResponse(pkt.psn, cached->second,
-                                   /*replayed=*/true);
+            if (const std::uint64_t* cached = atomicCache_.find(pkt.psn)) {
+                sendAtomicResponse(pkt.psn, *cached, /*replayed=*/true);
             }
             break;
           }
@@ -407,7 +405,7 @@ RcResponder::applyAtomic(const net::Packet& pkt)
 void
 RcResponder::cacheAtomicResult(std::uint32_t psn, std::uint64_t old_value)
 {
-    const bool fresh = atomicCache_.find(psn) == atomicCache_.end();
+    const bool fresh = atomicCache_.find(psn) == nullptr;
     atomicCache_[psn] = old_value;
     // A reused PSN (24-bit wrap, or a reconnect resetting the stream)
     // must refresh the existing record in place. Pushing a second order

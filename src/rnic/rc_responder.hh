@@ -12,10 +12,10 @@
 #ifndef IBSIM_RNIC_RC_RESPONDER_HH
 #define IBSIM_RNIC_RC_RESPONDER_HH
 
-#include <map>
 #include <optional>
 
 #include "net/packet.hh"
+#include "rnic/flat_table.hh"
 #include "rnic/qp_context.hh"
 
 namespace ibsim {
@@ -98,7 +98,7 @@ class RcResponder
      * maintains that correspondence so eviction retires map and ring
      * coherently.
      */
-    std::map<std::uint32_t, std::uint64_t> atomicCache_;
+    FlatKeyMap<std::uint64_t> atomicCache_;
     Ring<std::uint32_t> atomicCacheOrder_;
 
     /** Run an atomic against host memory; returns the original value. */

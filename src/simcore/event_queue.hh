@@ -9,21 +9,18 @@
  * scheduling time, which is how retransmission timers are disarmed.
  *
  * Internals (see DESIGN.md, "Event kernel internals"): events live in a
- * generation-counted node pool and are indexed by a hierarchical timer
- * wheel (4 levels x 64 slots, 256 ns level-0 ticks, ~4.3 s horizon) for
- * near-future work, with a binary heap as the overflow tier for far-future
- * events (RC transport timeouts). A small (time, seq) "due" heap merges
- * wheel slots, overflow arrivals and same-window schedules so that
- * execution order is exactly the order the old single-heap kernel
- * produced. schedule() and cancel() are O(1) and allocation-free in steady
- * state; callbacks with captures up to Callback's inline capacity never
- * touch the allocator.
+ * generation-counted node pool and are ordered by one binary min-heap of
+ * (when, seq, index) entries, so execution order is exactly (time,
+ * insertion order). cancel() is O(1): it marks the node, and the entry is
+ * freed when it reaches the top or when cancelled entries dominate the
+ * heap and it is compacted. schedule() is O(log n) and allocation-free in
+ * steady state; callbacks with captures up to Callback's inline capacity
+ * never touch the allocator.
  */
 
 #ifndef IBSIM_SIMCORE_EVENT_QUEUE_HH
 #define IBSIM_SIMCORE_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -68,11 +65,7 @@ class EventQueue
      */
     using Callback = InlineFunction<48>;
 
-    EventQueue()
-    {
-        for (auto& level : slots_)
-            level.fill(nil);
-    }
+    EventQueue() = default;
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -158,8 +151,8 @@ class EventQueue
 
     /**
      * Time of the earliest pending event, or Time::max() when the queue
-     * is empty. Non-const: peeking may cascade wheel slots into the due
-     * heap (the work run() would do anyway). Used by the ShardedKernel
+     * is empty. Non-const: peeking frees cancelled entries off the heap
+     * top (the work run() would do anyway). Used by the ShardedKernel
      * driver to size conservative-lookahead windows.
      */
     Time nextEventTime();
@@ -184,96 +177,73 @@ class EventQueue
     {
         std::size_t poolNodes;      ///< node slots ever allocated
         std::size_t freeNodes;      ///< node slots on the free list
-        std::size_t wheelNodes;     ///< events parked in wheel slots
-        std::size_t dueNodes;       ///< events in the due heap
-        std::size_t overflowNodes;  ///< events in the overflow heap
+        std::size_t heapNodes;      ///< heap entries, cancelled included
         std::uint64_t cancelledTotal;  ///< successful cancel() calls
     };
 
     KernelStats kernelStats() const;
 
   private:
-    /** @{ Wheel geometry. */
-    static constexpr int tickBits = 8;   ///< 256 ns level-0 granularity
-    static constexpr int slotBits = 6;   ///< 64 slots per level
-    static constexpr int levels = 4;     ///< horizon = 256ns << 24 ~ 4.3 s
-    static constexpr std::uint32_t slotsPerLevel = 1u << slotBits;
-    /** @} */
-
     static constexpr std::uint32_t nil = 0xffffffffu;
 
     enum class NodeState : std::uint8_t { Free, Pending, Cancelled };
 
-    /** Where a live node is currently indexed (for cancel accounting). */
-    enum class NodeHome : std::uint8_t { Due, Wheel, Overflow };
-
     struct Node
     {
-        Time when;
-        std::uint64_t seq = 0;
         std::uint32_t gen = 0;
-        std::uint32_t next = nil;  ///< slot chain / free-list link
+        std::uint32_t next = nil;  ///< free-list link
         NodeState state = NodeState::Free;
-        NodeHome home = NodeHome::Due;
         Callback cb;
     };
 
-    /** Ticks (256 ns units) of an absolute time. */
-    static std::uint64_t
-    tickOf(Time t)
+    /**
+     * One heap entry. The ordering key lives inline, so sifting never
+     * reads the node pool; seq is unique, so (when, seq) is a strict
+     * total order and every heap layout pops the same sequence.
+     */
+    struct Entry
     {
-        return static_cast<std::uint64_t>(t.toNs()) >> tickBits;
+        Time when;
+        std::uint64_t seq;
+        std::uint32_t idx;
+    };
+
+    static bool
+    earlier(const Entry& a, const Entry& b)
+    {
+        return a.when < b.when || (a.when == b.when && a.seq < b.seq);
     }
 
     std::uint32_t allocNode();
     void freeNode(std::uint32_t idx);
 
-    /** Strict (when, seq) order between two pool nodes. */
-    bool earlier(std::uint32_t a, std::uint32_t b) const;
-
-    /** @{ Binary min-heaps of node indices ordered by earlier(). */
-    void heapPush(std::vector<std::uint32_t>& heap, std::uint32_t idx);
-    std::uint32_t heapPop(std::vector<std::uint32_t>& heap);
+    /** @{ Binary min-heap on heap_ ordered by earlier(). */
+    void heapPush(const Entry& e);
+    Entry heapPop();
+    void siftDown(std::size_t hole, Entry e);
     /** @} */
 
-    /** File a node under the due heap, a wheel slot or the overflow tier. */
-    void placeNode(std::uint32_t idx);
-
-    /** Drop cancelled overflow entries once they dominate the tier. */
-    void sweepOverflow();
+    /** Drop every cancelled entry and rebuild the heap in O(n). */
+    void compact();
 
     /**
-     * Advance the wheel until the due heap holds the earliest pending
-     * events (cascading upper slots and draining the overflow tier).
+     * Free cancelled entries off the heap top.
      *
-     * @return false when no events remain anywhere.
+     * @return false when no pending event remains.
      */
-    bool refillDue();
+    bool skipCancelled();
 
-    /**
-     * Index of the next pending event, kept on top of the due heap, or
-     * nil when the queue is empty. Skips and reclaims cancelled nodes.
-     */
-    std::uint32_t nextRunnable();
-
-    /** Pop @p idx off the due heap top and execute it. */
-    void executeNode(std::uint32_t idx);
+    /** Pop the heap top and execute it. */
+    void executeTop();
 
     std::vector<Node> pool_;
     std::uint32_t freeHead_ = nil;
-    std::size_t freeCount_ = 0;
 
-    /** @{ The three tiers. */
-    std::array<std::array<std::uint32_t, slotsPerLevel>, levels> slots_{};
-    std::array<std::uint64_t, levels> occupied_{};  ///< slot bitmaps
-    std::size_t wheelCount_ = 0;
-    std::vector<std::uint32_t> due_;
-    std::vector<std::uint32_t> overflow_;
-    std::size_t overflowCancelled_ = 0;
-    /** @} */
-
-    /** Wheel read position in ticks; trails/leads now_ independently. */
-    std::uint64_t wheelTick_ = 0;
+    /**
+     * Pending and cancelled events; cancelled entries number
+     * heap_.size() - pendingCount_.
+     */
+    std::vector<Entry> heap_;
 
     Time now_;
     std::uint64_t nextSeq_ = 1;

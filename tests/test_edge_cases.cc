@@ -185,6 +185,54 @@ TEST(EdgeCases, OdpWriteFromDeregisteredMrFailsWithLocalProtectionError)
                                    verbs::AccessFlags::odp());
 }
 
+// A pinned WRITE queued behind the pipelining window reads its payload
+// only when it is transmitted. If its source MR is deregistered while it
+// waits, the transmission fails the WR with LOC_PROT_ERR and moves the
+// QP to Error; the released bytes never reach the server.
+TEST(EdgeCases, QueuedWriteFromDeregisteredMrFailsWithLocalProtectionError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    verbs::QpConfig config;
+    config.maxInflight = 1;
+    auto cqp = cluster.connectRc(client, ccq, server, scq, config).first;
+
+    const auto remote = server.alloc(4096);
+    const auto first = client.alloc(4096);
+    const auto second = client.alloc(4096);
+    const std::vector<std::uint8_t> zeros(64, 0);
+    client.memory().write(first, std::vector<std::uint8_t>(64, 0x11));
+    client.memory().write(second, std::vector<std::uint8_t>(64, 0x77));
+    auto& smr = server.registerMemory(remote, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& mr1 = client.registerMemory(first, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& mr2 = client.registerMemory(second, 4096,
+                                      verbs::AccessFlags::pinned());
+    cqp.postWrite(first, mr1.lkey(), remote, smr.rkey(), 64, 1);
+    cqp.postWrite(second, mr2.lkey(), remote + 64, smr.rkey(), 64, 2);
+    client.deregisterMemory(mr2);
+
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 2; }, Time::sec(1)));
+    const auto wcs = ccq.poll();
+    ASSERT_EQ(wcs.size(), 2u);
+    EXPECT_EQ(wcs[0].wrId, 1u);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::Success);
+    EXPECT_EQ(wcs[1].wrId, 2u);
+    EXPECT_EQ(wcs[1].status, verbs::WcStatus::LocProtErr);
+    EXPECT_EQ(server.memory().read(remote + 64, 64), zeros);
+
+    // The QP is in Error: the next WR flushes.
+    cqp.postWrite(first, mr1.lkey(), remote, smr.rkey(), 64, 3);
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 3; }, Time::sec(1)));
+    EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::WrFlushErr);
+}
+
 TEST(EdgeCases, EventQueueCompactionUnderMassCancel)
 {
     EventQueue q;

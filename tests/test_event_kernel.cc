@@ -2,12 +2,13 @@
  * @file
  * Differential stress tests of the event kernel.
  *
- * The timer-wheel kernel must execute the exact event sequence — same
- * times, same insertion-order tie-breaks — as a trivially-correct sorted
+ * The event heap must execute the exact event sequence — same times,
+ * same insertion-order tie-breaks — as a trivially-correct sorted
  * reference implementation, under randomized schedule/cancel/advance
- * interleavings whose delays span every tier (due window, all four wheel
- * levels, overflow heap). A second test drives the flood workload shape
- * (mass schedule/cancel churn) and asserts the node pool stays bounded.
+ * interleavings whose delays span nanoseconds to 20 s (so compaction,
+ * cancel-after-execute and far-future timers all occur). A second test
+ * drives the flood workload shape (mass schedule/cancel churn) and
+ * asserts the node pool stays bounded.
  */
 
 #include <gtest/gtest.h>
@@ -117,18 +118,18 @@ class ReferenceQueue
     std::uint64_t nextId_ = 1;
 };
 
-/** A delay spanning due window, every wheel level, and the overflow tier. */
+/** A delay spanning ten orders of magnitude, from 0 ns to 20 s. */
 std::int64_t
-tierSpanningDelay(Rng& rng)
+wideSpreadDelay(Rng& rng)
 {
     const double u = rng.uniform(0, 1);
     if (u < 0.35)
-        return rng.uniformInt(0, 2000);  // due window / wheel level 0
+        return rng.uniformInt(0, 2000);  // same-microsecond work
     if (u < 0.65)
-        return rng.uniformInt(0, 2000000);  // levels 0-1
+        return rng.uniformInt(0, 2000000);  // packet and RNR scale
     if (u < 0.85)
-        return rng.uniformInt(0, 2000000000);  // levels 2-3
-    return rng.uniformInt(0, 20000000000);  // beyond horizon: overflow
+        return rng.uniformInt(0, 2000000000);  // transport timeouts
+    return rng.uniformInt(0, 20000000000);  // seconds-long backoff
 }
 
 } // namespace
@@ -149,7 +150,7 @@ TEST(EventKernelStress, MatchesReferenceUnderRandomInterleaving)
         for (int op = 0; op < 8000; ++op) {
             const double roll = rng.uniform(0, 1);
             if (roll < 0.55) {
-                const std::int64_t when = now + tierSpanningDelay(rng);
+                const std::int64_t when = now + wideSpreadDelay(rng);
                 const std::uint64_t id = ref.schedule(when);
                 EventHandle h = q.schedule(
                     Time::ns(when),
@@ -188,10 +189,10 @@ TEST(EventKernelStress, FloodChurnKeepsPoolBounded)
 {
     // The flood workload shape: every cycle arms a ~1 ms retransmission
     // timer, delivers a packet ~2 us later and cancels the timer. The
-    // cancelled timers are reaped when the wheel sweeps past their slot,
-    // so the pool's high-water mark stays proportional to the number of
-    // events in flight over one timer window — it must not grow with the
-    // number of cycles (the old kernel's cancelled_ set did).
+    // cancelled timers are reaped when they reach the heap top, so the
+    // pool's high-water mark stays proportional to the number of events
+    // in flight over one timer window — it must not grow with the number
+    // of cycles (the old kernel's cancelled_ set did).
     EventQueue q;
     int delivered = 0;
     for (int cycle = 0; cycle < 50000; ++cycle) {

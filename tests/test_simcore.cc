@@ -201,29 +201,28 @@ TEST(EventQueueTest, HandleGenerationsPreventAliasedCancel)
     EXPECT_EQ(later, 1);
 }
 
-TEST(EventQueueTest, CancelledOverflowTimersAreSwept)
+TEST(EventQueueTest, CancelledTimersAreCompacted)
 {
-    // Far-future timers (beyond the ~4.3 s wheel horizon) that get
-    // cancelled must not pin pool slots until their distant expiry.
+    // Far-future timers that get cancelled must not pin pool slots until
+    // their distant expiry: once cancelled entries dominate the heap it
+    // is compacted.
     EventQueue q;
     std::vector<EventHandle> handles;
     handles.reserve(5000);
     for (int i = 0; i < 5000; ++i)
         handles.push_back(q.schedule(Time::sec(100 + i), [] {}));
-    EXPECT_EQ(q.kernelStats().overflowNodes, 5000u);
     for (auto& h : handles)
         EXPECT_TRUE(q.cancel(h));
     const auto stats = q.kernelStats();
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_LE(stats.overflowNodes, 1500u);  // sweeps dropped the bulk
+    EXPECT_LE(stats.heapNodes, 1500u);  // compaction dropped the bulk
     EXPECT_GE(stats.freeNodes, 3500u);
 }
 
-TEST(EventQueueTest, OrderPreservedAcrossTiers)
+TEST(EventQueueTest, OrderPreservedFromNanosecondsToMinutes)
 {
-    // Events land in three different tiers (due heap / wheel levels /
-    // overflow heap) depending on horizon; execution order must still be
-    // exactly (time, insertion order).
+    // Delays from 5 ns to 120 s, interleaved and repeated; execution
+    // order must be exactly (time, insertion order).
     EventQueue q;
     const std::array<std::int64_t, 12> ns = {
         5,            3000,         1000000,      500000000,
@@ -249,14 +248,14 @@ TEST(EventQueueTest, OrderPreservedAcrossTiers)
     EXPECT_EQ(order, expected);
 }
 
-TEST(EventQueueTest, SameTimeFifoAcrossOverflowAndWheel)
+TEST(EventQueueTest, SameTimeFifoForFarAndNearSchedules)
 {
-    // Two events at the same instant, one scheduled while that instant
-    // was beyond the wheel horizon (overflow tier) and one scheduled
-    // later from nearby (wheel tier): insertion order must win.
+    // Two events at the same instant, one scheduled 5 s ahead and one
+    // scheduled 100 ms ahead by an event that ran later: insertion order
+    // must win.
     EventQueue q;
     std::vector<int> order;
-    const Time t = Time::sec(5);  // beyond the ~4.3 s horizon at time 0
+    const Time t = Time::sec(5);
     q.schedule(t, [&] { order.push_back(1); });
     q.schedule(Time::sec(4.9), [&, t] {
         q.schedule(t, [&] { order.push_back(2); });
