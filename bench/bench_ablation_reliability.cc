@@ -63,11 +63,11 @@ runRc(double loss_rate, std::uint64_t seed)
         if (!cluster.runUntil(
                 [&] {
                     return acq.totalCompletions() >= i + 1 ||
-                           aqp.inError();
+                           aqp.context().state == rnic::QpState::Error;
                 },
                 cluster.now() + Time::sec(60)))
             break;
-        if (aqp.inError())
+        if (aqp.context().state == rnic::QpState::Error)
             break;
         cluster.advance(Time::us(10));
     }

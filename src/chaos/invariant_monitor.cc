@@ -562,7 +562,7 @@ InvariantMonitor::onIngress(const net::Packet& pkt)
         // cache — silence means the cache evicted a record the PSN window
         // still required. Excluded: dammed exchanges (lost by the quirk
         // before the responder sees them) and error-state responders.
-        if (!pkt.dammed && !qp.errorState &&
+        if (!pkt.dammed && qp.state != rnic::QpState::Error &&
             rnic::psnDiff(pkt.psn, qp.expectedPsn) < 0) {
             if (st->atomics == nullptr)
                 st->atomics = std::make_unique<AtomicLedger>();

@@ -146,7 +146,7 @@ struct Packet
 
     /**
      * Reset epoch of the sending QP. Incremented each time a QP goes
-     * through the reset->init->RTR->RTS recovery path; receivers discard
+     * through the reset->init->RTS recovery path; receivers discard
      * packets whose epoch does not match their own so stale pre-reset
      * traffic cannot corrupt the re-armed PSN streams. Always 0 for QPs
      * that never entered recovery, so legacy runs are unaffected.

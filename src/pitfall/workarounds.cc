@@ -48,7 +48,7 @@ DummyCommTimer::fire()
 {
     if (!running_)
         return;
-    if (!qp_.inError()) {
+    if (qp_.context().state != rnic::QpState::Error) {
         qp_.postRead(laddr_, lkey_, raddr_, rkey_, /*length=*/8,
                      dummyWrIdBase + posted_);
         ++posted_;

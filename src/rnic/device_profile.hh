@@ -129,7 +129,7 @@ struct DeviceProfile
 
     /**
      * Re-arm Error-state QPs when the path to their peer comes back up
-     * (PathUp/PortUp async event): QP reset -> init -> RTR -> RTS via a
+     * (PathUp/PortUp async event): QP reset -> init -> RTS via a
      * CM-style handshake that re-synchronizes both endpoints' PSN
      * streams under a new reset epoch.
      */

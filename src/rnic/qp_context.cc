@@ -12,18 +12,5 @@ psnDiff(std::uint32_t a, std::uint32_t b)
     return (static_cast<std::int32_t>(d << 8)) >> 8;
 }
 
-const char*
-qpStateName(QpState state)
-{
-    switch (state) {
-      case QpState::Reset: return "RESET";
-      case QpState::Init: return "INIT";
-      case QpState::Rtr: return "RTR";
-      case QpState::Rts: return "RTS";
-      case QpState::Error: return "ERROR";
-    }
-    return "?";
-}
-
 } // namespace rnic
 } // namespace ibsim

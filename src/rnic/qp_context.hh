@@ -37,6 +37,14 @@ psnNext(std::uint32_t psn)
     return (psn + 1) & 0xffffff;
 }
 
+/** PSNs a message of @p length bytes occupies at @p mtu (at least one). */
+constexpr std::uint32_t
+segmentCount(std::uint32_t length, std::uint32_t mtu)
+{
+    const std::uint32_t n = (length + mtu - 1) / mtu;
+    return n == 0 ? 1 : n;
+}
+
 /**
  * A send-side work queue element being processed by the requester.
  */
@@ -129,22 +137,18 @@ struct QpStats
 };
 
 /**
- * QP state machine (ibv_qp_state subset). QPs historically only knew
- * "connected" and "errorState"; the explicit machine exists for the
- * recovery path: Error -> Reset -> Init -> RTR -> RTS re-arms a QP whose
- * retries exhausted while its port was down. `errorState` is kept in
- * sync (state == Error) for the hot paths that branch on a bool.
+ * QP state machine (ibv_qp_state subset, DESIGN.md §13): the one record
+ * of where a QP is in its lifecycle. connectQp lands in Rts; a QP whose
+ * retries exhaust enters Error, and recovery re-arms it through Init
+ * (the CM handshake) back to Rts.
  */
 enum class QpState : std::uint8_t
 {
-    Reset,  ///< created / torn down for recovery
-    Init,   ///< recovery handshake (CM re-arm) in flight
-    Rtr,    ///< responder re-armed, requester not yet
-    Rts,    ///< fully operational (connectQp lands here)
+    Reset,  ///< created, never connected
+    Init,   ///< recovery handshake (CM re-arm) in flight; posts queue
+    Rts,    ///< fully operational
     Error,  ///< retries exhausted; posts flush immediately
 };
-
-const char* qpStateName(QpState state);
 
 /**
  * The state of one RC queue pair.
@@ -156,7 +160,6 @@ struct QpContext
     /** @{ Connection endpoint (set by connect()). */
     std::uint16_t dstLid = 0;
     std::uint32_t dstQpn = 0;
-    bool connected = false;
     /** @} */
 
     verbs::QpConfig config;
@@ -188,13 +191,10 @@ struct QpContext
     std::uint32_t sendCursor = 0;
 
     EventHandle clientRexmitTimer;
-
-    bool errorState = false;
     /** @} */
 
     /** @{ Error/recovery machinery (DESIGN.md §13). */
 
-    /** Explicit QP state; errorState mirrors (state == Error). */
     QpState state = QpState::Reset;
 
     /** The path to dstLid is currently cut (set from PathDown events). */

@@ -38,87 +38,45 @@ RcRequester::paused() const
 void
 RcRequester::post(SendWqe wqe)
 {
-    if (qp_.errorState) {
-        verbs::WorkCompletion wc;
-        wc.wrId = wqe.wrId;
-        wc.status = verbs::WcStatus::WrFlushErr;
-        wc.opcode = wqe.op;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
+    if (qp_.state == QpState::Error) {
+        rnic_.complete(qp_, wqe.wrId, wqe.op, verbs::WcStatus::WrFlushErr);
         return;
     }
 
-    assert(qp_.connected && "QP must be connected before posting");
-
-    if (qp_.config.transport == verbs::Transport::Ud) {
-        // Unreliable Datagram: unconnected; each WR carries its own
-        // destination. SEND only; fire-and-forget; one MTU max.
-        assert(wqe.op == verbs::WrOpcode::Send &&
-               "UD supports SEND only");
-        assert(wqe.length <= rnic_.profile().mtu &&
-               "UD messages are single-datagram");
+    if (qp_.config.transport != verbs::Transport::Rc) {
+        // UC and UD are fire-and-forget: the WR completes as soon as its
+        // one packet leaves, and losses are silent (software must provide
+        // reliability -- Koop et al.). Rnic::postSend admits only the
+        // verbs each carries: SEND and WRITE on UC, single-datagram SENDs
+        // on UD.
         net::Packet pkt;
-        pkt.op = net::Opcode::Send;
+        pkt.op = wqe.op == verbs::WrOpcode::Send ? net::Opcode::Send
+                                                 : net::Opcode::WriteRequest;
         pkt.psn = qp_.nextPsn;
         qp_.nextPsn = psnNext(qp_.nextPsn);
         pkt.length = wqe.length;
         pkt.payload = rnic_.memory().read(wqe.laddr, wqe.length);
-        pkt.srcLid = rnic_.lid();
-        pkt.srcQpn = qp_.qpn;
-        pkt.dstLid = static_cast<std::uint16_t>(wqe.raddr >> 32);
-        pkt.dstQpn = static_cast<std::uint32_t>(wqe.raddr & 0xffffffff);
         ++qp_.stats.requestsSent;
-        rnic_.sendRaw(std::move(pkt));
-
-        verbs::WorkCompletion wc;
-        wc.wrId = wqe.wrId;
-        wc.status = verbs::WcStatus::Success;
-        wc.opcode = wqe.op;
-        wc.byteLen = wqe.length;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
-        ++qp_.stats.completions;
-        return;
-    }
-
-    if (qp_.config.transport == verbs::Transport::Uc) {
-        // Unreliable Connection: SEND/WRITE only, fire-and-forget. The
-        // WR completes as soon as the packet leaves; losses are silent
-        // (software must provide reliability -- Koop et al.).
-        assert((wqe.op == verbs::WrOpcode::Send ||
-                wqe.op == verbs::WrOpcode::Write) &&
-               "UC supports SEND and WRITE only");
-        wqe.psn = qp_.nextPsn;
-        qp_.nextPsn = psnNext(qp_.nextPsn);
-        net::Packet pkt;
-        pkt.op = wqe.op == verbs::WrOpcode::Send
-                     ? net::Opcode::Send
-                     : net::Opcode::WriteRequest;
-        pkt.psn = wqe.psn;
-        pkt.raddr = wqe.raddr;
-        pkt.rkey = wqe.rkey;
-        pkt.length = wqe.length;
-        pkt.payload = rnic_.memory().read(wqe.laddr, wqe.length);
-        ++qp_.stats.requestsSent;
-        rnic_.sendPacket(std::move(pkt), qp_);
-
-        verbs::WorkCompletion wc;
-        wc.wrId = wqe.wrId;
-        wc.status = verbs::WcStatus::Success;
-        wc.opcode = wqe.op;
-        wc.byteLen = wqe.length;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
+        if (qp_.config.transport == verbs::Transport::Ud) {
+            // Unconnected: each WR carries its own destination.
+            pkt.srcLid = rnic_.lid();
+            pkt.srcQpn = qp_.qpn;
+            pkt.dstLid = static_cast<std::uint16_t>(wqe.raddr >> 32);
+            pkt.dstQpn = static_cast<std::uint32_t>(wqe.raddr & 0xffffffff);
+            rnic_.sendRaw(std::move(pkt));
+        } else {
+            pkt.raddr = wqe.raddr;
+            pkt.rkey = wqe.rkey;
+            rnic_.sendPacket(std::move(pkt), qp_);
+        }
+        rnic_.complete(qp_, wqe.wrId, wqe.op, verbs::WcStatus::Success,
+                       wqe.length);
         ++qp_.stats.completions;
         return;
     }
 
     wqe.psn = qp_.nextPsn;
-    wqe.segments = std::max<std::uint32_t>(
-        1, (wqe.length + rnic_.profile().mtu - 1) / rnic_.profile().mtu);
+    wqe.segments = segmentCount(wqe.length, rnic_.profile().mtu);
     qp_.nextPsn = (qp_.nextPsn + wqe.segments) & 0xffffff;
     wqe.postedAt = rnic_.events().now();
 
@@ -152,7 +110,6 @@ RcRequester::post(SendWqe wqe)
         }
     }
 
-    (void)stored;
     if (!paused())
         pump();
 }
@@ -170,12 +127,18 @@ RcRequester::raiseLocalFaults(SendWqe& wqe, verbs::MemoryRegion& mr)
         if (mr.table().mappedPage(va))
             continue;
         ++faultCounters_.at(counter);
+        // The QP may be destroyed before the fault resolves: look its
+        // requester up again by QPN when the callback runs.
         rnic_.driver().raiseFault(
-            mr.table(), va, [this, psn, counter] {
-                if (--faultCounters_.at(counter) > 0)
+            mr.table(), va, [&rnic = rnic_, qpn = qp_.qpn, psn, counter] {
+                Rnic::QpRecord* record = rnic.qpRecord(qpn);
+                if (record == nullptr)
                     return;
-                faultCounters_.release(counter);
-                onLocalFaultsResolved(psn);
+                RcRequester& self = *record->requester;
+                if (--self.faultCounters_.at(counter) > 0)
+                    return;
+                self.faultCounters_.release(counter);
+                self.onLocalFaultsResolved(psn);
             });
     }
     if (faultCounters_.at(counter) == 0) {
@@ -222,8 +185,8 @@ void
 RcRequester::pump()
 {
     // Only an RTS queue transmits: Error flushes at post time, and a QP
-    // mid-recovery (Reset/Init/RTR) queues posts until the CM handshake
-    // lands and resume() restarts the engine.
+    // mid-recovery (Init) queues posts until the CM handshake lands and
+    // the RNIC calls pump() again.
     if (qp_.state != QpState::Rts || paused())
         return;
     while (!qp_.outstanding.empty()) {
@@ -397,7 +360,7 @@ RcRequester::armTimer()
 void
 RcRequester::timeoutFired()
 {
-    if (qp_.errorState || qp_.outstanding.empty())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty())
         return;
     if (inRnrWait())
         return;  // RNR wait owns the QP; its own timer resumes things
@@ -462,7 +425,7 @@ void
 RcRequester::rnrWaitFired()
 {
     qp_.dammingEpisode = false;
-    if (qp_.errorState || qp_.outstanding.empty())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty())
         return;
     // RNR-driven retransmission does NOT clear the dammed mark: Fig. 5
     // shows the retransmitted second READ still losing its exchange.
@@ -491,7 +454,7 @@ void
 RcRequester::clientRexmitFired()
 {
     qp_.dammingEpisode = false;
-    if (qp_.errorState || qp_.outstanding.empty() || inRnrWait())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty() || inRnrWait())
         return;
     // Blind retransmission: the client resends regardless of whether the
     // local fault resolved (Fig. 1, client-side ODP). The responder's
@@ -542,7 +505,7 @@ RcRequester::readDestinationReady(const SendWqe& wqe, verbs::MemoryRegion& mr)
 void
 RcRequester::onReadResponse(const net::Packet& pkt)
 {
-    if (qp_.errorState || qp_.outstanding.empty())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty())
         return;
 
     if (inRnrWait()) {
@@ -595,7 +558,7 @@ RcRequester::onReadResponse(const net::Packet& pkt)
 void
 RcRequester::onAck(const net::Packet& pkt)
 {
-    if (qp_.errorState)
+    if (qp_.state == QpState::Error)
         return;
     if (inRnrWait()) {
         ++qp_.stats.responsesDiscardedRnrWait;
@@ -616,7 +579,7 @@ RcRequester::onAck(const net::Packet& pkt)
 void
 RcRequester::onNak(const net::Packet& pkt)
 {
-    if (qp_.errorState || qp_.outstanding.empty())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty())
         return;
 
     switch (pkt.nak) {
@@ -642,7 +605,7 @@ RcRequester::onNak(const net::Packet& pkt)
 void
 RcRequester::onRnrNak(const net::Packet& pkt)
 {
-    if (qp_.errorState || qp_.outstanding.empty())
+    if (qp_.state == QpState::Error || qp_.outstanding.empty())
         return;
     ++qp_.stats.rnrNaksReceived;
     enterRnrWait(pkt.rnrDelay);
@@ -656,14 +619,8 @@ RcRequester::completeHead()
     if (qp_.outstanding.empty())
         rnic_.qpBecameIdle();
 
-    verbs::WorkCompletion wc;
-    wc.wrId = head.wrId;
-    wc.status = verbs::WcStatus::Success;
-    wc.opcode = head.op;
-    wc.byteLen = head.length;
-    wc.qpn = qp_.qpn;
-    wc.completedAt = rnic_.events().now();
-    qp_.cq->push(wc);
+    rnic_.complete(qp_, head.wrId, head.op, verbs::WcStatus::Success,
+                   head.length);
     ++qp_.stats.completions;
 
     progressMade();
@@ -718,18 +675,12 @@ RcRequester::failWqe(std::uint32_t psn, verbs::WcStatus status)
             }
         }
 
-        verbs::WorkCompletion wc;
-        wc.wrId = head.wrId;
         // The failing WR carries the real error; the rest flush.
-        wc.status = head.psn == psn ? status : verbs::WcStatus::WrFlushErr;
-        wc.opcode = head.op;
-        wc.byteLen = head.length;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
+        rnic_.complete(qp_, head.wrId, head.op,
+                       head.psn == psn ? status : verbs::WcStatus::WrFlushErr,
+                       head.length);
     }
 
-    qp_.errorState = true;
     qp_.state = QpState::Error;
     rnic_.noteQpError(qp_);
     IBSIM_TRACE(traceRc, rnic_.events().now(),
@@ -738,22 +689,12 @@ RcRequester::failWqe(std::uint32_t psn, verbs::WcStatus status)
 }
 
 void
-RcRequester::failPost(const SendWqe& wqe, verbs::WcStatus status)
+RcRequester::failPost(std::uint64_t wr_id, verbs::WrOpcode op,
+                      verbs::WcStatus status)
 {
-    flushAll(verbs::WcStatus::WrFlushErr);
-    verbs::WorkCompletion wc;
-    wc.wrId = wqe.wrId;
-    wc.status = status;
-    wc.opcode = wqe.op;
-    wc.qpn = qp_.qpn;
-    wc.completedAt = rnic_.events().now();
-    qp_.cq->push(wc);
-}
-
-void
-RcRequester::resume()
-{
-    pump();
+    if (qp_.state != QpState::Error)
+        flushAll(verbs::WcStatus::WrFlushErr);
+    rnic_.complete(qp_, wr_id, op, status);
 }
 
 } // namespace rnic

@@ -52,16 +52,18 @@ class RcRequester
     void flushAll(verbs::WcStatus status);
 
     /**
-     * Refuse a WR at post time: the WRs ahead of it flush, it completes
-     * with @p status and the QP moves to error state.
+     * Refuse a WR (send or receive) at post time: the WRs ahead of it
+     * flush, it completes with @p status and the QP moves to error state.
      */
-    void failPost(const SendWqe& wqe, verbs::WcStatus status);
+    void failPost(std::uint64_t wr_id, verbs::WrOpcode op,
+                  verbs::WcStatus status);
 
     /**
-     * Recovery re-arm finished (QP back to RTS): restart the send engine
-     * for any WRs queued while the CM handshake was in flight.
+     * Slide the pipelining window: put requests on the wire, in PSN
+     * order, until maxInflight are outstanding past the head. Recovery
+     * calls it on reaching RTS for the WRs queued meanwhile.
      */
-    void resume();
+    void pump();
 
   private:
     /**
@@ -95,12 +97,6 @@ class RcRequester
      * a source MR deregistered meanwhile fails the WQE with LocProtErr.
      */
     void onLocalFaultsResolved(std::uint32_t psn);
-
-    /**
-     * Slide the pipelining window: put requests on the wire, in PSN
-     * order, until maxInflight are outstanding past the head.
-     */
-    void pump();
 
     /**
      * Go-back-N: rewind the send cursor to @p psn (not before the head)

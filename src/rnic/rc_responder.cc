@@ -35,7 +35,7 @@ RcResponder::resetForRecovery()
 void
 RcResponder::onRequest(const net::Packet& pkt)
 {
-    if (qp_.errorState)
+    if (qp_.state == QpState::Error)
         return;
 
     if (qp_.config.transport == verbs::Transport::Uc) {
@@ -98,19 +98,21 @@ RcResponder::onRequest(const net::Packet& pkt)
         return;
     }
 
-    // In-sequence request.
-    if (execute(pkt, /*duplicate=*/false)) {
-        if (pkt.op == net::Opcode::ReadRequest) {
-            // A READ's reserved range covers all its response packets.
-            const std::uint32_t mtu = rnic_.profile().mtu;
-            const std::uint32_t segments = std::max<std::uint32_t>(
-                1, (pkt.length + mtu - 1) / mtu);
-            qp_.expectedPsn = (qp_.expectedPsn + segments) & 0xffffff;
-        } else {
-            qp_.expectedPsn = psnNext(qp_.expectedPsn);
-        }
-        seqNakSent_ = false;
-    }
+    executeInSequence(pkt);
+}
+
+void
+RcResponder::executeInSequence(const net::Packet& pkt)
+{
+    if (!execute(pkt, /*duplicate=*/false))
+        return;
+    // A READ's reserved range covers all its response packets.
+    const std::uint32_t segments =
+        pkt.op == net::Opcode::ReadRequest
+            ? segmentCount(pkt.length, rnic_.profile().mtu)
+            : 1;
+    qp_.expectedPsn = (qp_.expectedPsn + segments) & 0xffffff;
+    seqNakSent_ = false;
 }
 
 void
@@ -123,35 +125,30 @@ RcResponder::onUdRequest(const net::Packet& pkt)
     if (pkt.op != net::Opcode::Send)
         return;
     ++qp_.stats.udDeliveredSends;
-    if (qp_.recvQueue.empty()) {
+    if (!landUnreliableSend(pkt, /*datagram=*/true))
         ++qp_.stats.udDrops;
-        return;
-    }
+}
+
+bool
+RcResponder::landUnreliableSend(const net::Packet& pkt, bool datagram)
+{
+    if (qp_.recvQueue.empty())
+        return false;
     RecvWqe& rq = qp_.recvQueue.front();
-    if (pkt.length > rq.length) {
-        ++qp_.stats.udDrops;
-        return;
-    }
+    if (pkt.length > rq.length)
+        return false;
     verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
     if (mr && mr->odp() && !mr->table().mappedRange(rq.addr, pkt.length)) {
         rnic_.driver().raiseFault(
             mr->table(), mr->table().firstUnmapped(rq.addr, pkt.length));
-        ++qp_.stats.udDrops;
-        return;
+        return false;
     }
     rnic_.memory().write(rq.addr, pkt.payload);
-
-    verbs::WorkCompletion wc;
-    wc.wrId = rq.wrId;
-    wc.status = verbs::WcStatus::Success;
-    wc.opcode = verbs::WrOpcode::Recv;
-    wc.byteLen = pkt.length;
-    wc.qpn = qp_.qpn;
-    wc.srcLid = pkt.srcLid;
-    wc.srcQpn = pkt.srcQpn;
-    wc.completedAt = rnic_.events().now();
-    qp_.cq->push(wc);
+    rnic_.complete(qp_, rq.wrId, verbs::WrOpcode::Recv,
+                   verbs::WcStatus::Success, pkt.length,
+                   datagram ? pkt.srcLid : 0, datagram ? pkt.srcQpn : 0);
     qp_.recvQueue.pop_front();
+    return true;
 }
 
 void
@@ -180,32 +177,10 @@ RcResponder::onUcRequest(const net::Packet& pkt)
         rnic_.memory().write(pkt.raddr, pkt.payload);
         return;
       }
-      case net::Opcode::Send: {
-        if (qp_.recvQueue.empty())
-            return;  // no RECV posted: silently dropped
-        RecvWqe& rq = qp_.recvQueue.front();
-        if (pkt.length > rq.length)
-            return;
-        verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
-        if (mr && mr->odp() &&
-            !mr->table().mappedRange(rq.addr, pkt.length)) {
-            rnic_.driver().raiseFault(
-                mr->table(),
-                mr->table().firstUnmapped(rq.addr, pkt.length));
-            return;
-        }
-        rnic_.memory().write(rq.addr, pkt.payload);
-        verbs::WorkCompletion wc;
-        wc.wrId = rq.wrId;
-        wc.status = verbs::WcStatus::Success;
-        wc.opcode = verbs::WrOpcode::Recv;
-        wc.byteLen = pkt.length;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
-        qp_.recvQueue.pop_front();
+      case net::Opcode::Send:
+        // No RECV posted, truncation or an ODP-cold buffer: dropped.
+        landUnreliableSend(pkt, /*datagram=*/false);
         return;
-      }
       default:
         return;  // READ/atomics are not part of UC
     }
@@ -243,8 +218,13 @@ RcResponder::pagesReady(const net::Packet& pkt, bool arrange_proactive)
             continue;
         if (arrange) {
             ++parkedPagesLeft_;
-            rnic_.driver().raiseFault(mr->table(), va,
-                                      [this] { proactiveResolve(); });
+            // The QP may be destroyed before the fault resolves: look
+            // its responder up again by QPN when the callback runs.
+            rnic_.driver().raiseFault(
+                mr->table(), va, [&rnic = rnic_, qpn = qp_.qpn] {
+                    if (Rnic::QpRecord* record = rnic.qpRecord(qpn))
+                        record->responder->proactiveResolve();
+                });
         } else {
             rnic_.driver().raiseFault(mr->table(), va);
         }
@@ -257,24 +237,13 @@ RcResponder::proactiveResolve()
 {
     if (--parkedPagesLeft_ > 0)
         return;
-    if (!parked_.has_value() || qp_.errorState)
+    if (!parked_.has_value() || qp_.state == QpState::Error)
         return;
     net::Packet pkt = *parked_;
     parked_.reset();
     // Only serve it if nothing else advanced the stream meanwhile.
-    if (psnDiff(pkt.psn, qp_.expectedPsn) != 0)
-        return;
-    if (execute(pkt, /*duplicate=*/false)) {
-        if (pkt.op == net::Opcode::ReadRequest) {
-            const std::uint32_t mtu = rnic_.profile().mtu;
-            const std::uint32_t segments = std::max<std::uint32_t>(
-                1, (pkt.length + mtu - 1) / mtu);
-            qp_.expectedPsn = (qp_.expectedPsn + segments) & 0xffffff;
-        } else {
-            qp_.expectedPsn = psnNext(qp_.expectedPsn);
-        }
-        seqNakSent_ = false;
-    }
+    if (psnDiff(pkt.psn, qp_.expectedPsn) == 0)
+        executeInSequence(pkt);
 }
 
 bool
@@ -342,7 +311,6 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
             sendAccessNak(pkt.psn);
             return false;
         }
-        (void)0;
         verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
         assert(mr);
         if (mr->odp()) {
@@ -362,15 +330,8 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
             return true;  // more segments of this message to come
         }
         sendSegsLanded_ = 0;
-
-        verbs::WorkCompletion wc;
-        wc.wrId = rq.wrId;
-        wc.status = verbs::WcStatus::Success;
-        wc.opcode = verbs::WrOpcode::Recv;
-        wc.byteLen = pkt.length;
-        wc.qpn = qp_.qpn;
-        wc.completedAt = rnic_.events().now();
-        qp_.cq->push(wc);
+        rnic_.complete(qp_, rq.wrId, verbs::WrOpcode::Recv,
+                       verbs::WcStatus::Success, pkt.length);
         qp_.recvQueue.pop_front();
 
         sendAck(pkt.psn);
@@ -426,8 +387,7 @@ RcResponder::sendReadResponse(const net::Packet& req, bool replayed)
     // The response stream occupies the request's reserved PSN range: one
     // packet per MTU-sized chunk.
     const std::uint32_t mtu = rnic_.profile().mtu;
-    const std::uint32_t segments =
-        std::max<std::uint32_t>(1, (req.length + mtu - 1) / mtu);
+    const std::uint32_t segments = segmentCount(req.length, mtu);
     for (std::uint32_t seg = 0; seg < segments; ++seg) {
         const std::uint32_t off = seg * mtu;
         const std::uint32_t chunk = std::min(mtu, req.length - off);

@@ -35,8 +35,8 @@ class RcResponder
     void onRequest(const net::Packet& pkt);
 
     /**
-     * QP recovery (reset->init->RTR->RTS): discard responder-side state
-     * from the old reset epoch — the parked proactive request, the
+     * Transport reset (Rnic::resetQp): discard responder-side state from
+     * the old reset epoch — the parked proactive request, the
      * one-NAK-per-occurrence latch, partial SEND reassembly and the
      * atomic replay cache all refer to the pre-reset PSN stream.
      */
@@ -49,9 +49,19 @@ class RcResponder
     /** Unreliable Datagram service: unconnected SENDs. */
     void onUdRequest(const net::Packet& pkt);
 
-  public:
+    /**
+     * Land a UC or UD SEND in the head RECV and complete it; false when
+     * it is dropped instead (no RECV, truncation, ODP-cold buffer). A
+     * @p datagram completion names its sender.
+     */
+    bool landUnreliableSend(const net::Packet& pkt, bool datagram);
 
-  private:
+    /**
+     * Execute the request at expectedPsn; when it runs, advance the
+     * expected PSN past it (a READ past its whole response range).
+     */
+    void executeInSequence(const net::Packet& pkt);
+
     /**
      * Try to execute a request. Returns false when execution must wait
      * (server-side fault raised, RNR NAK sent).

@@ -91,14 +91,9 @@ Rnic::connectQp(QpContext& qp, std::uint16_t dst_lid, std::uint32_t dst_qpn)
     fabric_.declareRoute(lid_, dst_lid);
     qp.dstLid = dst_lid;
     qp.dstQpn = dst_qpn;
-    qp.connected = true;
-    qp.nextPsn = 0;
-    qp.sendCursor = 0;
-    qp.expectedPsn = 0;
-    qp.state = QpState::Rts;
-    qp.errorState = false;
     qp.pathDown = false;
     qp.rerouted = false;
+    resetQp(*qpRecord(qp.qpn), qp.resetEpoch, QpState::Rts);
 }
 
 Rnic::QpRecord*
@@ -144,13 +139,26 @@ Rnic::postSend(QpContext& qp, SendWqe wqe)
     assert(record != nullptr);
     for (const auto& tap : sendPostTaps_)
         tap(qp, wqe);
-    // Every opcode names a local buffer: READ and the atomics land
-    // their result there, SEND and WRITE read their payload from it.
-    // An Error QP flushes the WR before the key is looked at.
+    // An Error QP flushes the WR before it is looked at. Otherwise every
+    // opcode names a local buffer (READ and the atomics land their
+    // result there, SEND and WRITE read their payload from it), the QP
+    // must be connected, and the transport must carry the verb: UC has
+    // SEND and WRITE, UD has single-datagram SENDs only.
     const verbs::MemoryRegion* mr = findMr(wqe.lkey);
-    if (!qp.errorState &&
-        (mr == nullptr || !mr->contains(wqe.laddr, wqe.length))) {
-        record->requester->failPost(wqe, verbs::WcStatus::LocProtErr);
+    const verbs::Transport transport = qp.config.transport;
+    verbs::WcStatus refused = verbs::WcStatus::Success;
+    if (mr == nullptr || !mr->contains(wqe.laddr, wqe.length))
+        refused = verbs::WcStatus::LocProtErr;
+    else if (qp.state == QpState::Reset ||
+             (transport != verbs::Transport::Rc &&
+              wqe.op != verbs::WrOpcode::Send &&
+              (transport == verbs::Transport::Ud ||
+               wqe.op != verbs::WrOpcode::Write)))
+        refused = verbs::WcStatus::LocQpOpErr;
+    else if (transport == verbs::Transport::Ud && wqe.length > profile_.mtu)
+        refused = verbs::WcStatus::LocLenErr;
+    if (qp.state != QpState::Error && refused != verbs::WcStatus::Success) {
+        record->requester->failPost(wqe.wrId, wqe.op, refused);
         return;
     }
     record->requester->post(std::move(wqe));
@@ -161,6 +169,14 @@ Rnic::postRecv(QpContext& qp, RecvWqe wqe)
 {
     for (const auto& tap : recvPostTaps_)
         tap(qp, wqe);
+    // The landing buffer is checked at post, as postSend checks its
+    // local buffer: a SEND must never land through a bad lkey.
+    const verbs::MemoryRegion* mr = findMr(wqe.lkey);
+    if (mr == nullptr || !mr->contains(wqe.addr, wqe.length)) {
+        qpRecord(qp.qpn)->requester->failPost(
+            wqe.wrId, verbs::WrOpcode::Recv, verbs::WcStatus::LocProtErr);
+        return;
+    }
     qp.recvQueue.push_back(wqe);
 }
 
@@ -347,7 +363,7 @@ Rnic::portEvent(const net::PortEvent& ev)
                     (down ? " DOWN" : " UP"));
 
     for (auto& record : qps_) {
-        if (record.ctx == nullptr || !record.ctx->connected)
+        if (record.ctx == nullptr || record.ctx->state == QpState::Reset)
             continue;
         QpContext& qp = *record.ctx;
         if (pathScoped && qp.dstLid != ev.peerLid)
@@ -387,6 +403,23 @@ Rnic::portEvent(const net::PortEvent& ev)
 }
 
 void
+Rnic::complete(QpContext& qp, std::uint64_t wr_id, verbs::WrOpcode op,
+               verbs::WcStatus status, std::uint32_t byte_len,
+               std::uint16_t src_lid, std::uint32_t src_qpn)
+{
+    verbs::WorkCompletion wc;
+    wc.wrId = wr_id;
+    wc.status = status;
+    wc.opcode = op;
+    wc.byteLen = byte_len;
+    wc.qpn = qp.qpn;
+    wc.srcLid = src_lid;
+    wc.srcQpn = src_qpn;
+    wc.completedAt = events_.now();
+    qp.cq->push(wc);
+}
+
+void
 Rnic::noteQpError(QpContext& qp)
 {
     ++stats_.qpsEnteredError;
@@ -404,11 +437,23 @@ Rnic::startRecovery(QpContext& qp)
     assert(qp.outstanding.empty() &&
            "Error-state QPs have flushed their send queue");
 
-    // Reset: both directions' transport state restarts under a new
-    // epoch. Posts are accepted from here on (they queue until RTS).
-    qp.state = QpState::Reset;
-    qp.errorState = false;
-    qp.resetEpoch = static_cast<std::uint16_t>(qp.resetEpoch + 1);
+    // Both directions restart under a new epoch, then Init: a CM-style
+    // re-arm handshake with the peer, until the matching-epoch ack
+    // brings the QP to RTS. Posts queue meanwhile.
+    resetQp(*record, static_cast<std::uint16_t>(qp.resetEpoch + 1),
+            QpState::Init);
+    IBSIM_TRACE(traceRnic, events_.now(),
+                "qpn=" + std::to_string(qp.qpn) + " recovery epoch " +
+                    std::to_string(qp.resetEpoch));
+    sendCmRearm(qp);
+    armCmTimer(qp);
+}
+
+void
+Rnic::resetQp(QpRecord& record, std::uint16_t epoch, QpState state)
+{
+    QpContext& qp = *record.ctx;
+    qp.resetEpoch = epoch;
     qp.nextPsn = 0;
     qp.sendCursor = 0;
     qp.expectedPsn = 0;
@@ -417,16 +462,8 @@ Rnic::startRecovery(QpContext& qp)
     qp.dammingEpisode = false;
     qp.episodeDamsLeft = 0;
     qp.cmRetries = 0;
-    record->responder->resetForRecovery();
-
-    // Init: CM-style re-arm handshake with the peer; RTR/RTS follow when
-    // the matching-epoch ack lands.
-    qp.state = QpState::Init;
-    IBSIM_TRACE(traceRnic, events_.now(),
-                "qpn=" + std::to_string(qp.qpn) + " recovery epoch " +
-                    std::to_string(qp.resetEpoch));
-    sendCmRearm(qp);
-    armCmTimer(qp);
+    qp.state = state;
+    record.responder->resetForRecovery();
 }
 
 void
@@ -454,7 +491,7 @@ Rnic::cmTimerFired(std::uint32_t qpn)
     if (record == nullptr)
         return;
     QpContext& qp = *record->ctx;
-    if (qp.state != QpState::Init && qp.state != QpState::Rtr)
+    if (qp.state != QpState::Init)
         return;
     if (++qp.cmRetries > profile_.cmRetryLimit) {
         // Handshake failed (peer dead, or the path never came back):
@@ -484,18 +521,7 @@ Rnic::onCmRearm(QpRecord& record, const net::Packet& pkt)
         if (!qp.outstanding.empty())
             record.requester->flushAll(verbs::WcStatus::WrFlushErr);
         events_.cancel(qp.cmTimer);
-        qp.resetEpoch = pkt.epoch;
-        qp.nextPsn = 0;
-        qp.sendCursor = 0;
-        qp.expectedPsn = 0;
-        qp.retryCount = 0;
-        qp.rnrCount = 0;
-        qp.dammingEpisode = false;
-        qp.episodeDamsLeft = 0;
-        qp.cmRetries = 0;
-        qp.errorState = false;
-        qp.state = QpState::Rts;
-        record.responder->resetForRecovery();
+        resetQp(record, pkt.epoch, QpState::Rts);
         if (wasError) {
             ++stats_.qpsRecovered;
             fireAsyncEvent(verbs::AsyncEventType::QpRecovered, qp.dstLid,
@@ -515,24 +541,17 @@ Rnic::onCmRearmAck(QpRecord& record, const net::Packet& pkt)
     QpContext& qp = *record.ctx;
     if (pkt.epoch != qp.resetEpoch)
         return;  // ack for a superseded handshake
-    if (qp.state != QpState::Init && qp.state != QpState::Rtr)
+    if (qp.state != QpState::Init)
         return;  // duplicate ack after recovery completed
     events_.cancel(qp.cmTimer);
-    qp.state = QpState::Rtr;
-    finishRecovery(qp);
-}
-
-void
-Rnic::finishRecovery(QpContext& qp)
-{
     qp.state = QpState::Rts;
     ++stats_.qpsRecovered;
     IBSIM_TRACE(traceRnic, events_.now(),
                 "qpn=" + std::to_string(qp.qpn) + " recovered (RTS)");
     fireAsyncEvent(verbs::AsyncEventType::QpRecovered, qp.dstLid, qp.qpn,
                    false);
-    QpRecord* record = qpRecord(qp.qpn);
-    record->requester->resume();
+    // Restart the send engine for the WRs queued during the handshake.
+    record.requester->pump();
 }
 
 std::vector<QpContext*>

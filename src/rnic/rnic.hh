@@ -71,7 +71,7 @@ struct RnicStats
     /** QPs that entered the Error state (retry exhaustion / CM failure). */
     std::uint64_t qpsEnteredError = 0;
 
-    /** QPs that completed the reset->init->RTR->RTS re-arm. */
+    /** QPs that completed the reset->init->RTS re-arm. */
     std::uint64_t qpsRecovered = 0;
 
     /** Ingress packets discarded for a stale reset epoch. */
@@ -128,6 +128,25 @@ class Rnic : public net::PortHandler
 
     QpContext* findQp(std::uint32_t qpn);
 
+    /** A QP's state and its two protocol engines. */
+    struct QpRecord
+    {
+        std::unique_ptr<QpContext> ctx;
+        std::unique_ptr<RcRequester> requester;
+        std::unique_ptr<RcResponder> responder;
+    };
+
+    /**
+     * The record for @p qpn, or nullptr. QPNs are assigned sequentially
+     * from firstQpn by this device, so the table is a dense vector
+     * indexed by qpn - firstQpn — the per-packet steering lookup in
+     * receive() is a bounds check plus an array indexing, like the
+     * QP-state tables real RNIC steering caches resolve against.
+     * Destroyed QPs leave a null slot (QPNs are not reused): callbacks
+     * that may outlive their QP look it up here when they run.
+     */
+    QpRecord* qpRecord(std::uint32_t qpn);
+
     /** @{ Work request entry points (called via verbs::QueuePair). */
     void postSend(QpContext& qp, SendWqe wqe);
     void postRecv(QpContext& qp, RecvWqe wqe);
@@ -163,6 +182,15 @@ class Rnic : public net::PortHandler
     /** @} */
 
     /**
+     * Push one completion for @p qp onto its CQ, stamped now. Every
+     * work completion the RC engines produce is built here; @p src_lid
+     * and @p src_qpn name a UD datagram's sender.
+     */
+    void complete(QpContext& qp, std::uint64_t wr_id, verbs::WrOpcode op,
+                  verbs::WcStatus status, std::uint32_t byte_len = 0,
+                  std::uint16_t src_lid = 0, std::uint32_t src_qpn = 0);
+
+    /**
      * A QP just entered the Error state (called by RcRequester::flushAll
      * after the flush completions are pushed). Counts the transition and
      * raises the QpFatal async event.
@@ -171,10 +199,11 @@ class Rnic : public net::PortHandler
 
     /**
      * Begin the DeviceProfile-gated recovery path for an Error-state QP:
-     * reset -> init (CM re-arm handshake with the peer under a new reset
-     * epoch) -> RTR -> RTS. No-op unless the QP is in Error. Normally
-     * triggered by a PathUp event with profile().qpRecoveryOnPortUp set;
-     * public so tests and harnesses can re-arm explicitly.
+     * reset under a new epoch, then Init (CM re-arm handshake with the
+     * peer) until the ack brings it to Rts. No-op unless the QP is in
+     * Error. Normally triggered by a PathUp event with
+     * profile().qpRecoveryOnPortUp set; public so tests and harnesses
+     * can re-arm explicitly.
      */
     void startRecovery(QpContext& qp);
 
@@ -219,23 +248,6 @@ class Rnic : public net::PortHandler
     RnicStats& stats() { return stats_; }
 
   private:
-    struct QpRecord
-    {
-        std::unique_ptr<QpContext> ctx;
-        std::unique_ptr<RcRequester> requester;
-        std::unique_ptr<RcResponder> responder;
-    };
-
-    /**
-     * The record for @p qpn, or nullptr. QPNs are assigned sequentially
-     * from firstQpn by this device, so the table is a dense vector
-     * indexed by qpn - firstQpn — the per-packet steering lookup in
-     * receive() is a bounds check plus an array indexing, like the
-     * QP-state tables real RNIC steering caches resolve against.
-     * Destroyed QPs leave a null slot (QPNs are not reused).
-     */
-    QpRecord* qpRecord(std::uint32_t qpn);
-
     /**
      * Sanity-check an ingress packet that passed the ICRC model. A real
      * HCA silently discards wire garbage; asserting on it would turn
@@ -244,6 +256,15 @@ class Rnic : public net::PortHandler
     bool validPacket(const net::Packet& pkt) const;
 
     /** @{ Error/recovery machinery (DESIGN.md §13). */
+
+    /**
+     * The one transport reset: restart both directions of @p record's
+     * QP under reset epoch @p epoch (PSNs, send cursor, retry and RNR
+     * budgets, damming episode, CM retries, responder state) and move it
+     * to @p state. connectQp, startRecovery and the peer side of a CM
+     * re-arm all go through here.
+     */
+    void resetQp(QpRecord& record, std::uint16_t epoch, QpState state);
     void fireAsyncEvent(verbs::AsyncEventType type, std::uint16_t peer_lid,
                         std::uint32_t qpn, bool redundant);
     void sendCmRearm(QpContext& qp);
@@ -251,7 +272,6 @@ class Rnic : public net::PortHandler
     void cmTimerFired(std::uint32_t qpn);
     void onCmRearm(QpRecord& record, const net::Packet& pkt);
     void onCmRearmAck(QpRecord& record, const net::Packet& pkt);
-    void finishRecovery(QpContext& qp);
     /** @} */
 
     EventQueue& events_;

@@ -84,9 +84,6 @@ class QueuePair
                       std::uint64_t compare, std::uint64_t swap,
                       std::uint64_t wr_id);
 
-    /** Whether the QP is in the error state (after a fatal completion). */
-    bool inError() const { return ctx_->errorState; }
-
     /** Requester work still in flight. */
     std::size_t outstanding() const { return ctx_->outstanding.size(); }
 

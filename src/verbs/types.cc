@@ -40,6 +40,8 @@ wcStatusName(WcStatus status)
       case WcStatus::RemAccessErr: return "REM_ACCESS_ERR";
       case WcStatus::WrFlushErr: return "WR_FLUSH_ERR";
       case WcStatus::LocProtErr: return "LOC_PROT_ERR";
+      case WcStatus::LocQpOpErr: return "LOC_QP_OP_ERR";
+      case WcStatus::LocLenErr: return "LOC_LEN_ERR";
     }
     return "?";
 }

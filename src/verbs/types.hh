@@ -56,6 +56,9 @@ enum class WcStatus : std::uint8_t
     RemAccessErr,    ///< IBV_WC_REM_ACCESS_ERR
     WrFlushErr,      ///< IBV_WC_WR_FLUSH_ERR: flushed after QP error
     LocProtErr,      ///< IBV_WC_LOC_PROT_ERR: bad local key or range
+    LocQpOpErr,      ///< IBV_WC_LOC_QP_OP_ERR: verb not in the transport,
+                     ///< or QP not yet connected
+    LocLenErr,       ///< IBV_WC_LOC_LEN_ERR: UD message over one MTU
 };
 
 const char* wrOpcodeName(WrOpcode op);
@@ -74,7 +77,7 @@ enum class AsyncEventType : std::uint8_t
     PathActive,   ///< path (mesh link) to peerLid recovered
     PathError,    ///< path (mesh link) to peerLid cut
     QpFatal,      ///< IBV_EVENT_QP_FATAL: a QP entered the Error state
-    QpRecovered,  ///< a QP completed the reset->init->RTR->RTS re-arm
+    QpRecovered,  ///< a QP completed the reset->init->RTS re-arm
 };
 
 const char* asyncEventName(AsyncEventType type);

@@ -271,7 +271,7 @@ TEST(ChaosFaults, CrcEvadingCorruptionNeverCrashes)
     cfg.corruptEvadeCrc = 1.0;
     ChaosWorkload w(cfg);
     const bool completed = w.run();
-    EXPECT_TRUE(completed || w.aqp.inError());
+    EXPECT_TRUE(completed || w.aqp.context().state == rnic::QpState::Error);
     EXPECT_GT(w.engine.injector().stats().corrupted, 0u);
 }
 
@@ -1656,7 +1656,7 @@ TEST(ChaosTopology, MeshSoakShardedIsJobInvariant)
 // machinery above it (DESIGN.md §13). Link failures become protocol-
 // visible async events instead of silent drops; QPs whose retries
 // exhaust while their path is down enter an explicit Error state and —
-// profile-gated — re-arm through reset -> init -> RTR -> RTS when the
+// profile-gated — re-arm through reset -> init -> RTS when the
 // path returns, or reroute around the cut when the mesh has a spare
 // link. The legacy silent-drop TopologyStage keeps its golden above.
 // ---------------------------------------------------------------------
@@ -1749,7 +1749,7 @@ TEST(ChaosPortEvents, FlapMidReadRecoversViaRearm)
     flipLink(cluster, a.lid(), b.lid(), /*up=*/false);
     cluster.advance(Time::ms(5));
 
-    EXPECT_TRUE(aqp.inError());
+    EXPECT_EQ(aqp.context().state, rnic::QpState::Error);
     EXPECT_EQ(aqp.context().state, rnic::QpState::Error);
     EXPECT_EQ(acq.totalCompletions(), 1u);  // flushed, exactly once
     EXPECT_EQ(acq.totalErrors(), 1u);
@@ -1768,7 +1768,7 @@ TEST(ChaosPortEvents, FlapMidReadRecoversViaRearm)
     flipLink(cluster, a.lid(), b.lid(), /*up=*/true);
     cluster.advance(Time::ms(5));
     EXPECT_EQ(aqp.context().state, rnic::QpState::Rts);
-    EXPECT_FALSE(aqp.inError());
+    EXPECT_NE(aqp.context().state, rnic::QpState::Error);
     EXPECT_EQ(a.rnic().stats().qpsRecovered, 1u);
     EXPECT_GT(a.rnic().stats().cmRearmsSent, 0u);
     EXPECT_GT(aqp.context().resetEpoch, 0u);
@@ -1820,7 +1820,7 @@ TEST(ChaosPortEvents, RecoveryFlagOffLeavesQpInError)
     aqp.postRead(src, amr.lkey(), dst, bmr.rkey(), 64, 1);
     flipLink(cluster, a.lid(), b.lid(), /*up=*/false);
     cluster.advance(Time::ms(5));
-    ASSERT_TRUE(aqp.inError());
+    ASSERT_EQ(aqp.context().state, rnic::QpState::Error);
 
     flipLink(cluster, a.lid(), b.lid(), /*up=*/true);
     cluster.advance(Time::ms(10));
@@ -1875,7 +1875,7 @@ TEST(ChaosPortEvents, SmRerouteBridgesRedundantMeshLink)
                                  cluster.now() + Time::sec(1)));
 
     // Completed while the direct link is still down.
-    EXPECT_FALSE(aqp.inError());
+    EXPECT_NE(aqp.context().state, rnic::QpState::Error);
     EXPECT_EQ(acq.totalSuccess(), 1u);
     EXPECT_EQ(read64(a, src), 0xabadcafeull);
     EXPECT_GE(a.rnic().stats().reroutes, 1u);

@@ -233,6 +233,222 @@ TEST(EdgeCases, QueuedWriteFromDeregisteredMrFailsWithLocalProtectionError)
     EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::WrFlushErr);
 }
 
+// A QP destroyed while an ODP fault it raised is still resolving: the
+// fault's callback must find no QP and do nothing, not run on the freed
+// engine. Nothing completes on the destroyed QP's CQ.
+TEST(EdgeCases, DestroyingRequesterDuringOdpSourceFaultIsSafe)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+
+    const auto remote = server.alloc(4096);
+    const auto local = client.alloc(4096);
+    auto& smr = server.registerMemory(remote, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(local, 4096,
+                                      verbs::AccessFlags::odp());
+    cqp.postWrite(local, cmr.lkey(), remote, smr.rkey(), 64, 1);
+    ASSERT_GT(client.driver().stats().faultsRaised, 0u);
+    client.rnic().destroyQp(cqp.qpn());
+
+    cluster.drain(Time::sec(10));
+    EXPECT_EQ(ccq.totalCompletions(), 0u);
+    EXPECT_EQ(server.rnic().stats().packetsReceived, 0u);
+}
+
+TEST(EdgeCases, DestroyingResponderDuringOdpTargetFaultIsSafe)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq);
+
+    const auto remote = server.alloc(4096);
+    const auto local = client.alloc(4096);
+    auto& smr = server.registerMemory(remote, 4096,
+                                      verbs::AccessFlags::odp());
+    auto& cmr = client.registerMemory(local, 4096,
+                                      verbs::AccessFlags::pinned());
+    cqp.postRead(local, cmr.lkey(), remote, smr.rkey(), 64, 1);
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return server.driver().stats().faultsRaised > 0; },
+        Time::sec(1)));
+    server.rnic().destroyQp(sqp.qpn());
+
+    // The client retries into the destroyed QP until its budget runs out.
+    cluster.drain(Time::sec(100));
+    EXPECT_EQ(scq.totalCompletions(), 0u);
+    const auto wcs = ccq.poll();
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::RetryExcErr);
+    EXPECT_GT(server.rnic().stats().packetsToUnknownQp, 0u);
+}
+
+namespace {
+
+struct VerbCase
+{
+    const char* name;
+    verbs::Transport transport;
+    verbs::WrOpcode op;
+    std::uint32_t length;
+    verbs::WcStatus status;
+};
+
+void
+PrintTo(const VerbCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class VerbOutsideTransport : public ::testing::TestWithParam<VerbCase>
+{};
+
+} // namespace
+
+// A verb the QP's transport does not carry, or a UD message larger than
+// one MTU, fails at post with LOC_QP_OP_ERR / LOC_LEN_ERR and moves the
+// QP to Error. Nothing reaches the wire and the remote buffer keeps its
+// bytes: a UC READ must not go out as a WRITE of the local bytes.
+TEST_P(VerbOutsideTransport, FailsAtPost)
+{
+    const VerbCase& c = GetParam();
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    verbs::QpConfig config;
+    config.transport = c.transport;
+    auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq, config);
+
+    const std::uint32_t mtu = client.rnic().profile().mtu;
+    const auto remote = server.alloc(2 * mtu);
+    const auto local = client.alloc(2 * mtu);
+    const std::vector<std::uint8_t> before(64, 0x11);
+    server.memory().write(remote, before);
+    client.memory().write(local, std::vector<std::uint8_t>(64, 0x5a));
+    auto& smr = server.registerMemory(remote, 2 * mtu,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(local, 2 * mtu,
+                                      verbs::AccessFlags::pinned());
+    sqp.postRecv(remote, smr.lkey(), 2 * mtu, 50);
+    switch (c.op) {
+      case verbs::WrOpcode::Read:
+        cqp.postRead(local, cmr.lkey(), remote, smr.rkey(), c.length, 1);
+        break;
+      case verbs::WrOpcode::Write:
+        cqp.postWrite(local, cmr.lkey(), remote, smr.rkey(), c.length, 1);
+        break;
+      case verbs::WrOpcode::FetchAdd:
+        cqp.postFetchAdd(local, cmr.lkey(), remote, smr.rkey(), 1, 1);
+        break;
+      default:
+        cqp.postSendUd({server.lid(), sqp.qpn()}, local, cmr.lkey(),
+                       c.length, 1);
+        break;
+    }
+
+    const auto wcs = ccq.poll();
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].wrId, 1u);
+    EXPECT_EQ(wcs[0].opcode, c.op);
+    EXPECT_EQ(wcs[0].status, c.status);
+    EXPECT_EQ(cqp.context().state, rnic::QpState::Error);
+    cluster.drain(Time::sec(1));
+    EXPECT_EQ(server.rnic().stats().packetsReceived, 0u);
+    EXPECT_EQ(server.memory().read(remote, 64), before);
+    EXPECT_EQ(scq.totalCompletions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgeCases, VerbOutsideTransport,
+    ::testing::Values(
+        VerbCase{"UcRead", verbs::Transport::Uc, verbs::WrOpcode::Read, 64,
+                 verbs::WcStatus::LocQpOpErr},
+        VerbCase{"UcFetchAdd", verbs::Transport::Uc,
+                 verbs::WrOpcode::FetchAdd, 8, verbs::WcStatus::LocQpOpErr},
+        VerbCase{"UdWrite", verbs::Transport::Ud, verbs::WrOpcode::Write, 64,
+                 verbs::WcStatus::LocQpOpErr},
+        VerbCase{"UdRead", verbs::Transport::Ud, verbs::WrOpcode::Read, 64,
+                 verbs::WcStatus::LocQpOpErr},
+        VerbCase{"UdSendOverOneMtu", verbs::Transport::Ud,
+                 verbs::WrOpcode::Send, 4096 + 1,
+                 verbs::WcStatus::LocLenErr}),
+    [](const ::testing::TestParamInfo<VerbCase>& info) {
+        return std::string(info.param.name);
+    });
+
+// A WR posted before the QP is connected fails at post with
+// LOC_QP_OP_ERR and moves the QP to Error; nothing reaches the wire.
+TEST(EdgeCases, PostBeforeConnectFailsWithLocalQpOperationError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 1, 5);
+    Node& node = cluster.node(0);
+    auto& cq = node.createCq();
+    auto qp = node.createQp(cq);
+    const auto buf = node.alloc(4096);
+    auto& mr = node.registerMemory(buf, 4096,
+                                   verbs::AccessFlags::pinned());
+    qp.postWrite(buf, mr.lkey(), buf, mr.rkey(), 64, 1);
+    const auto wcs = cq.poll();
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::LocQpOpErr);
+    EXPECT_EQ(qp.context().state, rnic::QpState::Error);
+    cluster.drain(Time::sec(10));
+    EXPECT_EQ(cluster.fabric().totalSent(), 0u);
+}
+
+// A RECV whose lkey does not cover its buffer fails at post with
+// LOC_PROT_ERR and moves the QP to Error, as a bad send-side lkey does.
+// A SEND arriving afterwards finds an Error responder and lands nowhere,
+// never through the missing region.
+TEST(EdgeCases, RecvWithBadLocalKeyFailsWithLocalProtectionError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+
+    const auto src = client.alloc(4096);
+    const auto dst = server.alloc(4096);
+    auto& cmr = client.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& smr = server.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    const struct
+    {
+        std::uint32_t lkey;
+        std::uint32_t length;
+    } cases[] = {{999, 64}, {smr.lkey(), 4096 + 64}};
+    std::uint64_t wr_id = 0;
+    for (const auto& c : cases) {
+        auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq);
+        ++wr_id;
+        sqp.postRecv(dst, c.lkey, c.length, wr_id);
+        const auto failed = scq.poll();
+        ASSERT_EQ(failed.size(), 1u) << wr_id;
+        EXPECT_EQ(failed[0].wrId, wr_id);
+        EXPECT_EQ(failed[0].opcode, verbs::WrOpcode::Recv);
+        EXPECT_EQ(failed[0].status, verbs::WcStatus::LocProtErr);
+        EXPECT_EQ(sqp.context().state, rnic::QpState::Error);
+
+        cqp.postSend(src, cmr.lkey(), 64, 100 + wr_id);
+        ASSERT_TRUE(cluster.runUntil(
+            [&] { return ccq.totalCompletions() == wr_id; },
+            cluster.now() + Time::sec(100)));
+        EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RetryExcErr);
+        EXPECT_EQ(scq.totalCompletions(), wr_id);
+    }
+}
+
 TEST(EdgeCases, EventQueueCompactionUnderMassCancel)
 {
     EventQueue q;
@@ -304,7 +520,7 @@ TEST(EdgeCases, ZeroCackDisablesTimeoutEntirely)
     qp.postRead(buf, mr.lkey(), 0x40000000, 1, 64, 1);
     cluster.drain(Time::sec(100));
     EXPECT_EQ(cq.totalCompletions(), 0u);
-    EXPECT_FALSE(qp.inError());
+    EXPECT_NE(qp.context().state, rnic::QpState::Error);
     EXPECT_EQ(qp.stats().timeouts, 0u);
 }
 

@@ -182,7 +182,7 @@ TEST(RcBasic, WrongLidTimesOutWithRetryExcErr)
 
     auto wcs = t.clientCq.poll();
     EXPECT_EQ(wcs[0].status, verbs::WcStatus::RetryExcErr);
-    EXPECT_TRUE(cqp.inError());
+    EXPECT_EQ(cqp.context().state, rnic::QpState::Error);
 
     // Abort time = (cretry + 1) * T_o; T_o = 2 * T_tr(max(14, 16)).
     const Time to = rnic::detectionTime(config.cack,
