@@ -642,7 +642,12 @@ InvariantMonitor::onCompletion(std::uint16_t lid,
         return;
     if (count == nullptr)
         count = &ledger.insert(wc.wrId, WrCount{});
-    ++(recv ? st->recvCompleted : st->sendCompleted);
+    // U3 counts the RECVs a datagram landed in, not error or flush
+    // completions.
+    if (!recv)
+        ++st->sendCompleted;
+    else if (wc.ok())
+        ++st->recvLanded;
     if (++count->completed > count->posted) {
         emit(shardOf(lid), recv ? "recv-exactly-once" : "send-exactly-once",
              fabric_.islandEvents(fabric_.islandOf(lid)).now(), lid,
@@ -702,17 +707,18 @@ InvariantMonitor::finalCheck()
             }
 
             // U3: datagrams delivered to a UD flow reconcile exactly as
-            // RECV completions plus counted drops — nothing vanishes
-            // silently. (Late-attach flows skip pre-attach completions,
-            // so the books cannot balance; they are excluded.)
+            // successful RECV completions plus counted drops — nothing
+            // vanishes silently. (Late-attach flows skip pre-attach
+            // completions, so the books cannot balance; they are
+            // excluded.)
             if (st.qp != nullptr && !st.lateAttach &&
                 st.qp->config.transport == verbs::Transport::Ud) {
                 const auto& qs = st.qp->stats;
-                if (qs.udDeliveredSends != st.recvCompleted + qs.udDrops) {
+                if (qs.udDeliveredSends != st.recvLanded + qs.udDrops) {
                     emit(shard, "ud-silent-drop", at, st.lid, st.qpn,
                          std::to_string(qs.udDeliveredSends) +
                              " datagrams delivered but " +
-                             std::to_string(st.recvCompleted) +
+                             std::to_string(st.recvLanded) +
                              " received + " + std::to_string(qs.udDrops) +
                              " counted drops");
                 }

@@ -48,11 +48,12 @@
  *                         retransmission (fire-and-forget; PSN reuse on a
  *                         UD flow additionally trips W1)
  *  U3 ud-silent-drop      finalCheck(): datagrams delivered to a UD flow
- *                         reconcile exactly as RECV completions plus the
- *                         responder's counted drops (QpStats::udDrops) —
- *                         nothing falls through silently. (Assumes the CQ
- *                         is not under chaos pressure: a lost completion
- *                         is exactly the kind of silent loss this flags.)
+ *                         reconcile exactly as successful RECV
+ *                         completions plus the responder's counted drops
+ *                         (QpStats::udDrops) — nothing falls through
+ *                         silently. (Assumes the CQ is not under chaos
+ *                         pressure: a lost completion is exactly the
+ *                         kind of silent loss this flags.)
  *  V1 ud-verb / uc-verb   request opcodes match the service type: UD
  *                         carries SENDs only, UC carries SEND/WRITE only
  *  V2 ud-one-way /        UD/UC flows never emit response-class packets
@@ -366,10 +367,11 @@ class InvariantMonitor
         std::uint32_t lastFreshAtomicPsn = 0;
         /** @} */
 
-        /** @{ C1/C2/F1 accounting; U3: RECV completions (post-attach). */
+        /** @{ C1/C2/F1 accounting; U3: successful RECV completions
+         * (post-attach). */
         std::uint64_t sendPosted = 0;
         std::uint64_t sendCompleted = 0;
-        std::uint64_t recvCompleted = 0;
+        std::uint64_t recvLanded = 0;
         rnic::FlatKeyMap<WrCount, std::uint64_t> sendWrs;
         rnic::FlatKeyMap<WrCount, std::uint64_t> recvWrs;
         /** @} */

@@ -19,7 +19,7 @@ Topology::Topology(std::size_t node_count, std::uint64_t seed)
         node_count < 2 ? 0 : node_count * (node_count - 1) / 2;
     links_.reserve(link_count);
     for (std::size_t i = 0; i < link_count; ++i)
-        links_.emplace_back(seeds.trialSeed(i, 0));
+        links_.emplace_back(FlapPlan{}, seeds.trialSeed(i, 0));
 }
 
 bool
@@ -45,15 +45,15 @@ Topology::linkIndex(std::uint16_t lid_a, std::uint16_t lid_b) const
 void
 Topology::setDefaultPlan(const FlapPlan& plan)
 {
-    for (Link& link : links_)
-        link.sched.setPlan(plan);
+    for (LinkSchedule& link : links_)
+        link.setPlan(plan);
 }
 
 void
 Topology::setLinkPlan(std::uint16_t lid_a, std::uint16_t lid_b,
                       const FlapPlan& plan)
 {
-    links_.at(linkIndex(lid_a, lid_b)).sched.setPlan(plan);
+    links_.at(linkIndex(lid_a, lid_b)).setPlan(plan);
 }
 
 bool
@@ -61,30 +61,20 @@ Topology::linkUp(std::uint16_t src, std::uint16_t dst, Time now)
 {
     if (!inMesh(src, dst))
         return true;
-    Link& link = links_[linkIndex(src, dst)];
+    LinkSchedule& link = links_[linkIndex(src, dst)];
 
     // The schedule anchors at virtual time zero and advances window by
     // window; each window draws exactly once from the link's RNG, so the
     // sequence is a pure function of the seed no matter when (or how
     // often) the link is queried.
-    const bool up = link.sched.upAt(now);
-    link.stats.flaps = link.sched.downTransitions();
-    return up;
-}
-
-FlapPlan
-Topology::linkPlan(std::uint16_t lid_a, std::uint16_t lid_b) const
-{
-    if (!inMesh(lid_a, lid_b))
-        return FlapPlan{};
-    return links_[linkIndex(lid_a, lid_b)].sched.plan();
+    return link.upAt(now);
 }
 
 bool
 Topology::linkEnabled(std::uint16_t lid_a, std::uint16_t lid_b) const
 {
     return inMesh(lid_a, lid_b) &&
-           links_[linkIndex(lid_a, lid_b)].sched.enabled();
+           links_[linkIndex(lid_a, lid_b)].enabled();
 }
 
 LinkSchedule
@@ -93,28 +83,15 @@ Topology::makeSchedule(std::uint16_t lid_a, std::uint16_t lid_b) const
     assert(inMesh(lid_a, lid_b));
     const std::size_t idx = linkIndex(lid_a, lid_b);
     const exp::SeedStream seeds("chaos.topology", seed_);
-    return LinkSchedule(links_[idx].sched.plan(), seeds.trialSeed(idx, 0));
-}
-
-void
-Topology::countDrop(std::uint16_t lid_a, std::uint16_t lid_b)
-{
-    if (inMesh(lid_a, lid_b))
-        ++links_[linkIndex(lid_a, lid_b)].stats.dropsWhileDown;
-}
-
-const Topology::LinkStats&
-Topology::linkStats(std::uint16_t lid_a, std::uint16_t lid_b) const
-{
-    return links_.at(linkIndex(lid_a, lid_b)).stats;
+    return LinkSchedule(links_[idx].plan(), seeds.trialSeed(idx, 0));
 }
 
 std::uint64_t
 Topology::totalFlaps() const
 {
     std::uint64_t total = 0;
-    for (const Link& link : links_)
-        total += link.stats.flaps;
+    for (const LinkSchedule& link : links_)
+        total += link.downTransitions();
     return total;
 }
 
@@ -127,7 +104,6 @@ TopologyStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
         [&](const net::FaultHook::Delivery& d) {
             if (topology_.linkUp(d.pkt.srcLid, d.pkt.dstLid, now))
                 return false;
-            topology_.countDrop(d.pkt.srcLid, d.pkt.dstLid);
             ++stats.flapDropped;
             ++stats.dropped;
             return true;

@@ -16,7 +16,7 @@
  *
  * TopologyStage adapts the schedule into the chaos::FaultInjector
  * pipeline: packets crossing a link during one of its down windows are
- * dropped (counted per link and in InjectorStats::flapDropped). The
+ * dropped (counted in InjectorStats::flapDropped). The
  * invariant oracle attaches with InvariantMonitor::watchAll(cluster) and
  * must stay clean while the mesh flaps.
  */
@@ -132,15 +132,6 @@ class LinkSchedule
 class Topology
 {
   public:
-    /** Per-link observability. */
-    struct LinkStats
-    {
-        /** Completed down windows entered so far. */
-        std::uint64_t flaps = 0;
-        /** Packets a TopologyStage dropped on this link while down. */
-        std::uint64_t dropsWhileDown = 0;
-    };
-
     /**
      * @param node_count nodes in the mesh (LIDs 1..node_count)
      * @param seed base of every link's private schedule RNG
@@ -165,17 +156,8 @@ class Topology
      */
     bool linkUp(std::uint16_t src, std::uint16_t dst, Time now);
 
-    /** Count a packet dropped on {a, b} (called by TopologyStage). */
-    void countDrop(std::uint16_t lid_a, std::uint16_t lid_b);
-
-    const LinkStats& linkStats(std::uint16_t lid_a,
-                               std::uint16_t lid_b) const;
-
     /** Completed down windows across every link. */
     std::uint64_t totalFlaps() const;
-
-    /** The flap plan of {lid_a, lid_b} (zeroed plan when disabled). */
-    FlapPlan linkPlan(std::uint16_t lid_a, std::uint16_t lid_b) const;
 
     /** Whether {lid_a, lid_b} is a mesh link with an enabled plan. */
     bool linkEnabled(std::uint16_t lid_a, std::uint16_t lid_b) const;
@@ -194,20 +176,12 @@ class Topology
     bool inMesh(std::uint16_t lid_a, std::uint16_t lid_b) const;
 
   private:
-    struct Link
-    {
-        explicit Link(std::uint64_t seed) : sched({}, seed) {}
-
-        LinkSchedule sched;
-        LinkStats stats;
-    };
-
     /** Index of the unordered link {a, b} in the triangular table. */
     std::size_t linkIndex(std::uint16_t lid_a, std::uint16_t lid_b) const;
 
     std::size_t nodes_;
     std::uint64_t seed_;
-    std::vector<Link> links_;
+    std::vector<LinkSchedule> links_;
 };
 
 /**

@@ -130,12 +130,6 @@ Sweep::range(double lo, double hi, double step)
     return out;
 }
 
-const Axis&
-Sweep::axisNamed(const std::string& name) const
-{
-    return axes_[axisIndex(name)];
-}
-
 std::size_t
 Sweep::axisIndex(const std::string& name) const
 {

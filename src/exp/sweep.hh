@@ -94,7 +94,6 @@ class Sweep
     static std::vector<double> range(double lo, double hi, double step);
 
     const std::vector<Axis>& axes() const { return axes_; }
-    const Axis& axisNamed(const std::string& name) const;
     std::size_t axisIndex(const std::string& name) const;
 
     /** Number of grid cells (product of axis sizes; 1 when empty). */

@@ -37,16 +37,6 @@ Metrics::get(const std::string& name) const
     throw std::logic_error("no metric named '" + name + "'");
 }
 
-bool
-Metrics::has(const std::string& name) const
-{
-    for (const auto& item : items_) {
-        if (item.first == name)
-            return true;
-    }
-    return false;
-}
-
 CellStats::CellStats(std::size_t index,
                      std::vector<std::pair<std::string, AxisValue>> axes)
     : index_(index), axes_(std::move(axes))

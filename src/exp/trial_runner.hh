@@ -50,7 +50,6 @@ class Metrics
     }
 
     double get(const std::string& name) const;
-    bool has(const std::string& name) const;
 
     const std::vector<std::pair<std::string, double>>&
     items() const

@@ -680,6 +680,10 @@ RcRequester::failWqe(std::uint32_t psn, verbs::WcStatus status)
                        head.psn == psn ? status : verbs::WcStatus::WrFlushErr,
                        head.length);
     }
+    // Posted RECVs flush too, in post order.
+    for (; !qp_.recvQueue.empty(); qp_.recvQueue.pop_front())
+        rnic_.complete(qp_, qp_.recvQueue.front().wrId,
+                       verbs::WrOpcode::Recv, verbs::WcStatus::WrFlushErr);
 
     qp_.state = QpState::Error;
     rnic_.noteQpError(qp_);

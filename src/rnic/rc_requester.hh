@@ -47,7 +47,7 @@ class RcRequester
 
     /**
      * Move the QP to error state: the head WR completes with @p status,
-     * every other outstanding WR with WrFlushErr.
+     * every other outstanding WR and every posted RECV with WrFlushErr.
      */
     void flushAll(verbs::WcStatus status);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "rnic/rc_requester.hh"
 #include "rnic/rnic.hh"
 #include "simcore/log.hh"
 #include "verbs/memory_region.hh"
@@ -27,7 +28,6 @@ RcResponder::resetForRecovery()
     parked_.reset();
     parkedPagesLeft_ = 0;
     seqNakSent_ = false;
-    sendSegsLanded_ = 0;
     atomicCache_ = {};
     atomicCacheOrder_.clear();
 }
@@ -119,9 +119,10 @@ void
 RcResponder::onUdRequest(const net::Packet& pkt)
 {
     // Datagram service: SENDs only, no ordering, no acks. A datagram
-    // with no posted RECV (or an ODP-cold landing buffer) is dropped —
-    // and every such drop is counted, so delivered datagrams always
-    // reconcile as RECV completions plus udDrops (invariant U3).
+    // with no posted RECV (or an ODP-cold or deregistered landing
+    // buffer) is dropped — and every such drop is counted, so delivered
+    // datagrams always reconcile as successful RECV completions plus
+    // udDrops (invariant U3).
     if (pkt.op != net::Opcode::Send)
         return;
     ++qp_.stats.udDeliveredSends;
@@ -138,7 +139,11 @@ RcResponder::landUnreliableSend(const net::Packet& pkt, bool datagram)
     if (pkt.length > rq.length)
         return false;
     verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
-    if (mr && mr->odp() && !mr->table().mappedRange(rq.addr, pkt.length)) {
+    if (mr == nullptr) {
+        failHeadRecv();
+        return false;
+    }
+    if (mr->odp() && !mr->table().mappedRange(rq.addr, pkt.length)) {
         rnic_.driver().raiseFault(
             mr->table(), mr->table().firstUnmapped(rq.addr, pkt.length));
         return false;
@@ -246,6 +251,15 @@ RcResponder::proactiveResolve()
         executeInSequence(pkt);
 }
 
+void
+RcResponder::failHeadRecv()
+{
+    rnic_.complete(qp_, qp_.recvQueue.front().wrId, verbs::WrOpcode::Recv,
+                   verbs::WcStatus::LocProtErr);
+    qp_.recvQueue.pop_front();
+    rnic_.qpRecord(qp_.qpn)->requester->flushAll(verbs::WcStatus::WrFlushErr);
+}
+
 bool
 RcResponder::execute(const net::Packet& pkt, bool duplicate)
 {
@@ -312,7 +326,11 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
             return false;
         }
         verbs::MemoryRegion* mr = rnic_.findMr(rq.lkey);
-        assert(mr);
+        if (mr == nullptr) {
+            sendAccessNak(pkt.psn);
+            failHeadRecv();
+            return false;
+        }
         if (mr->odp()) {
             net::Packet probe = pkt;
             probe.raddr = rq.addr;
@@ -325,11 +343,8 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
             static_cast<std::uint64_t>(pkt.segIndex) *
             rnic_.profile().mtu;
         rnic_.memory().write(rq.addr + off, pkt.payload);
-        if (pkt.segIndex + 1 < pkt.segCount) {
-            ++sendSegsLanded_;
+        if (pkt.segIndex + 1 < pkt.segCount)
             return true;  // more segments of this message to come
-        }
-        sendSegsLanded_ = 0;
         rnic_.complete(qp_, rq.wrId, verbs::WrOpcode::Recv,
                        verbs::WcStatus::Success, pkt.length);
         qp_.recvQueue.pop_front();

@@ -37,8 +37,8 @@ class RcResponder
     /**
      * Transport reset (Rnic::resetQp): discard responder-side state from
      * the old reset epoch — the parked proactive request, the
-     * one-NAK-per-occurrence latch, partial SEND reassembly and the
-     * atomic replay cache all refer to the pre-reset PSN stream.
+     * one-NAK-per-occurrence latch and the atomic replay cache all refer
+     * to the pre-reset PSN stream.
      */
     void resetForRecovery();
 
@@ -51,10 +51,17 @@ class RcResponder
 
     /**
      * Land a UC or UD SEND in the head RECV and complete it; false when
-     * it is dropped instead (no RECV, truncation, ODP-cold buffer). A
-     * @p datagram completion names its sender.
+     * it is dropped instead (no RECV, truncation, ODP-cold or
+     * deregistered buffer). A @p datagram completion names its sender.
      */
     bool landUnreliableSend(const net::Packet& pkt, bool datagram);
+
+    /**
+     * The head RECV's region was deregistered after the post: it
+     * completes with LocProtErr, then the QP moves to Error and every
+     * other WR flushes.
+     */
+    void failHeadRecv();
 
     /**
      * Execute the request at expectedPsn; when it runs, advance the
@@ -119,9 +126,6 @@ class RcResponder
 
     void sendAtomicResponse(std::uint32_t psn, std::uint64_t old_value,
                             bool replayed = false);
-
-    /** Segments of an in-progress multi-packet SEND already landed. */
-    std::uint32_t sendSegsLanded_ = 0;
 };
 
 } // namespace rnic

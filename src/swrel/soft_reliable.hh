@@ -133,9 +133,6 @@ class SoftReliableChannel
     void retryFired(std::uint64_t seq);
     void onReceiverCompletion(const verbs::WorkCompletion& wc);
     void onSenderCompletion(const verbs::WorkCompletion& wc);
-    void repostRecv(Node& node, verbs::QueuePair& qp,
-                    verbs::MemoryRegion& mr, std::uint64_t slot_base,
-                    std::uint64_t wr_id);
 
     Cluster& cluster_;
     Node& sender_;

@@ -17,13 +17,12 @@ MemoryRegion::MemoryRegion(std::uint32_t key, std::uint64_t addr,
 }
 
 bool
-MemoryRegion::contains(std::uint64_t addr, std::uint32_t len) const
+MemoryRegion::contains(std::uint64_t addr, std::uint64_t len) const
 {
     if (access_.wholeAddressSpace)
         return true;  // implicit ODP spans the whole address space
-    if (addr < addr_)
-        return false;
-    return addr + len <= addr_ + length_;
+    // Offsets, not end addresses: addr + len may wrap past 2^64.
+    return addr >= addr_ && len <= length_ && addr - addr_ <= length_ - len;
 }
 
 } // namespace verbs

@@ -77,7 +77,7 @@ class MemoryRegion
     bool odp() const { return access_.onDemand; }
 
     /** Whether [addr, addr+len) lies inside the region. */
-    bool contains(std::uint64_t addr, std::uint32_t len) const;
+    bool contains(std::uint64_t addr, std::uint64_t len) const;
 
     /** Whether this is an implicit-ODP whole-address-space region. */
     bool implicit() const { return access_.wholeAddressSpace; }

@@ -14,20 +14,31 @@ QueuePair::connect(std::uint16_t dst_lid, std::uint32_t dst_qpn)
 }
 
 void
-QueuePair::postRead(std::uint64_t laddr, std::uint32_t lkey,
-                    std::uint64_t raddr, std::uint32_t rkey,
-                    std::uint32_t length, std::uint64_t wr_id)
+QueuePair::post(WrOpcode op, std::uint64_t laddr, std::uint32_t lkey,
+                std::uint64_t raddr, std::uint32_t rkey,
+                std::uint32_t length, std::uint64_t wr_id,
+                std::uint64_t operand, std::uint64_t compare)
 {
     assert(length > 0);
     rnic::SendWqe wqe;
     wqe.wrId = wr_id;
-    wqe.op = WrOpcode::Read;
+    wqe.op = op;
     wqe.laddr = laddr;
     wqe.lkey = lkey;
     wqe.raddr = raddr;
     wqe.rkey = rkey;
     wqe.length = length;
+    wqe.atomicOperand = operand;
+    wqe.atomicCompare = compare;
     rnic_->postSend(*ctx_, wqe);
+}
+
+void
+QueuePair::postRead(std::uint64_t laddr, std::uint32_t lkey,
+                    std::uint64_t raddr, std::uint32_t rkey,
+                    std::uint32_t length, std::uint64_t wr_id)
+{
+    post(WrOpcode::Read, laddr, lkey, raddr, rkey, length, wr_id);
 }
 
 void
@@ -35,30 +46,14 @@ QueuePair::postWrite(std::uint64_t laddr, std::uint32_t lkey,
                      std::uint64_t raddr, std::uint32_t rkey,
                      std::uint32_t length, std::uint64_t wr_id)
 {
-    assert(length > 0);
-    rnic::SendWqe wqe;
-    wqe.wrId = wr_id;
-    wqe.op = WrOpcode::Write;
-    wqe.laddr = laddr;
-    wqe.lkey = lkey;
-    wqe.raddr = raddr;
-    wqe.rkey = rkey;
-    wqe.length = length;
-    rnic_->postSend(*ctx_, wqe);
+    post(WrOpcode::Write, laddr, lkey, raddr, rkey, length, wr_id);
 }
 
 void
 QueuePair::postSend(std::uint64_t laddr, std::uint32_t lkey,
                     std::uint32_t length, std::uint64_t wr_id)
 {
-    assert(length > 0);
-    rnic::SendWqe wqe;
-    wqe.wrId = wr_id;
-    wqe.op = WrOpcode::Send;
-    wqe.laddr = laddr;
-    wqe.lkey = lkey;
-    wqe.length = length;
-    rnic_->postSend(*ctx_, wqe);
+    post(WrOpcode::Send, laddr, lkey, 0, 0, length, wr_id);
 }
 
 void
@@ -66,17 +61,11 @@ QueuePair::postSendUd(const AddressHandle& ah, std::uint64_t laddr,
                       std::uint32_t lkey, std::uint32_t length,
                       std::uint64_t wr_id)
 {
-    assert(length > 0);
     assert(ctx_->config.transport == Transport::Ud);
-    rnic::SendWqe wqe;
-    wqe.wrId = wr_id;
-    wqe.op = WrOpcode::Send;
-    wqe.laddr = laddr;
-    wqe.lkey = lkey;
-    wqe.length = length;
     // Stash the address handle in the remote fields.
-    wqe.raddr = (static_cast<std::uint64_t>(ah.lid) << 32) | ah.qpn;
-    rnic_->postSend(*ctx_, wqe);
+    post(WrOpcode::Send, laddr, lkey,
+         (static_cast<std::uint64_t>(ah.lid) << 32) | ah.qpn, 0, length,
+         wr_id);
 }
 
 void
@@ -84,16 +73,7 @@ QueuePair::postFetchAdd(std::uint64_t laddr, std::uint32_t lkey,
                         std::uint64_t raddr, std::uint32_t rkey,
                         std::uint64_t add, std::uint64_t wr_id)
 {
-    rnic::SendWqe wqe;
-    wqe.wrId = wr_id;
-    wqe.op = WrOpcode::FetchAdd;
-    wqe.laddr = laddr;
-    wqe.lkey = lkey;
-    wqe.raddr = raddr;
-    wqe.rkey = rkey;
-    wqe.length = 8;
-    wqe.atomicOperand = add;
-    rnic_->postSend(*ctx_, wqe);
+    post(WrOpcode::FetchAdd, laddr, lkey, raddr, rkey, 8, wr_id, add);
 }
 
 void
@@ -102,17 +82,8 @@ QueuePair::postCompSwap(std::uint64_t laddr, std::uint32_t lkey,
                         std::uint64_t compare, std::uint64_t swap,
                         std::uint64_t wr_id)
 {
-    rnic::SendWqe wqe;
-    wqe.wrId = wr_id;
-    wqe.op = WrOpcode::CompSwap;
-    wqe.laddr = laddr;
-    wqe.lkey = lkey;
-    wqe.raddr = raddr;
-    wqe.rkey = rkey;
-    wqe.length = 8;
-    wqe.atomicOperand = swap;
-    wqe.atomicCompare = compare;
-    rnic_->postSend(*ctx_, wqe);
+    post(WrOpcode::CompSwap, laddr, lkey, raddr, rkey, 8, wr_id, swap,
+         compare);
 }
 
 void

@@ -92,6 +92,12 @@ class QueuePair
     rnic::QpContext& context() { return *ctx_; }
 
   private:
+    /** Fill one send WQE and hand it to the RNIC (every post verb). */
+    void post(WrOpcode op, std::uint64_t laddr, std::uint32_t lkey,
+              std::uint64_t raddr, std::uint32_t rkey, std::uint32_t length,
+              std::uint64_t wr_id, std::uint64_t operand = 0,
+              std::uint64_t compare = 0);
+
     rnic::Rnic* rnic_;
     rnic::QpContext* ctx_;
 };

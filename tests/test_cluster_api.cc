@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests of the Cluster/Node composition layer: time driving, node
- * management, the diagnostic report, and the CSV mirror of the table
- * printer.
+ * management and the diagnostic report.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <fstream>
 
 #include "cluster/cluster.hh"
-#include "pitfall/experiment.hh"
 #include "pitfall/microbench.hh"
 
 using namespace ibsim;
@@ -69,51 +67,4 @@ TEST(ClusterApi, HeterogeneousProfilesPerNode)
     Node& cx5 = cluster.addNode(rnic::DeviceProfile::connectX5());
     EXPECT_EQ(cluster.node(0).rnic().profile().minCack, 16);
     EXPECT_EQ(cx5.rnic().profile().minCack, 12);
-}
-
-TEST(TablePrinterCsv, MirrorsRowsWhenEnvSet)
-{
-    const char* path = "/tmp/ibsim_csv_test.csv";
-    std::remove(path);
-    ::setenv("IBSIM_CSV", path, 1);
-    {
-        pitfall::TablePrinter table({"a", "b"});
-        table.printHeader();
-        table.printRow({"1", "2"});
-        table.printRow({"3", "4"});
-    }
-    ::unsetenv("IBSIM_CSV");
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1,2");
-    std::getline(in, line);
-    EXPECT_EQ(line, "3,4");
-    std::remove(path);
-}
-
-TEST(TablePrinterCsvDeathTest, UnwritableEnvPathExits)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    ::setenv("IBSIM_CSV", "/nonexistent-dir/x.csv", 1);
-    EXPECT_EXIT({ pitfall::TablePrinter table({"a"}); },
-                ::testing::ExitedWithCode(2),
-                "IBSIM_CSV: cannot open '/nonexistent-dir/x.csv'");
-    ::unsetenv("IBSIM_CSV");
-}
-
-TEST(TablePrinterCsv, NoEnvNoFile)
-{
-    const char* path = "/tmp/ibsim_csv_test2.csv";
-    std::remove(path);
-    ::unsetenv("IBSIM_CSV");
-    pitfall::TablePrinter table({"x"});
-    table.printHeader();
-    table.printRow({"1"});
-    std::ifstream in(path);
-    EXPECT_FALSE(in.good());
 }

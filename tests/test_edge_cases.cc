@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/invariant_monitor.hh"
 #include "cluster/cluster.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/rng.hh"
@@ -47,6 +48,29 @@ TEST(EdgeCases, DeregisteredKeyFailsRemoteAccess)
     EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RemAccessErr);
 }
 
+// A remote range that runs past 2^64 is outside the region: its end
+// address must not wrap around to below the region's end.
+TEST(EdgeCases, RemoteRangeThatWrapsFailsWithRemoteAccessError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+
+    const auto src = server.alloc(4096);
+    const auto dst = client.alloc(4096);
+    auto& smr = server.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    cqp.postRead(dst, cmr.lkey(), ~std::uint64_t{0} - 7, smr.rkey(), 16, 1);
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 1; }, Time::sec(1)));
+    EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RemAccessErr);
+}
+
 // A local buffer the lkey does not cover completes the WR with
 // LOC_PROT_ERR at post time and moves the QP to Error, for every opcode
 // with a local buffer; it never reaches the transport engine.
@@ -78,6 +102,8 @@ TEST(EdgeCases, BadLocalKeyOrRangeFailsWithLocalProtectionError)
         {verbs::WrOpcode::Write, cmr.lkey(), dst + 4096 - 32},
         {verbs::WrOpcode::Send, 999, dst},
         {verbs::WrOpcode::Send, cmr.lkey(), dst + 4096 - 32},
+        // laddr + length wraps past 2^64.
+        {verbs::WrOpcode::Write, cmr.lkey(), ~std::uint64_t{0} - 7},
     };
     std::uint64_t wr_id = 0;
     for (const Case& c : cases) {
@@ -447,6 +473,119 @@ TEST(EdgeCases, RecvWithBadLocalKeyFailsWithLocalProtectionError)
         EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RetryExcErr);
         EXPECT_EQ(scq.totalCompletions(), wr_id);
     }
+}
+
+// A QP entering Error flushes its posted RECVs with WR_FLUSH_ERR, as it
+// flushes its send queue; none stays queued.
+TEST(EdgeCases, ErrorFlushesPostedRecvs)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+
+    const auto src = server.alloc(4096);
+    const auto dst = client.alloc(4096);
+    auto& smr = server.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    cqp.postRecv(dst, cmr.lkey(), 64, 77);
+    cqp.postRead(dst, 999, src, smr.rkey(), 64, 1);
+
+    const auto wcs = ccq.poll();
+    ASSERT_EQ(wcs.size(), 2u);
+    EXPECT_EQ(wcs[0].wrId, 77u);
+    EXPECT_EQ(wcs[0].opcode, verbs::WrOpcode::Recv);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::WrFlushErr);
+    EXPECT_EQ(wcs[1].wrId, 1u);
+    EXPECT_EQ(wcs[1].status, verbs::WcStatus::LocProtErr);
+    EXPECT_EQ(cqp.context().state, rnic::QpState::Error);
+    EXPECT_EQ(cqp.context().recvQueue.size(), 0u);
+}
+
+// A SEND whose RECV region was deregistered after the post is refused:
+// the responder NAKs it, that RECV completes with LOC_PROT_ERR, the RECVs
+// behind it flush and the requester sees REM_ACCESS_ERR. The buffer keeps
+// its bytes.
+TEST(EdgeCases, SendIntoDeregisteredRecvMrFailsWithLocalProtectionError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq);
+
+    const auto src = client.alloc(4096);
+    const auto dst = server.alloc(4096);
+    const std::vector<std::uint8_t> before(64, 0x11);
+    client.memory().write(src, std::vector<std::uint8_t>(64, 0x77));
+    server.memory().write(dst, before);
+    auto& cmr = client.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& smr = server.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    sqp.postRecv(dst, smr.lkey(), 64, 77);
+    sqp.postRecv(dst, smr.lkey(), 64, 78);
+    server.deregisterMemory(smr);
+    cqp.postSend(src, cmr.lkey(), 64, 1);
+
+    ASSERT_TRUE(cluster.runUntil(
+        [&] { return ccq.totalCompletions() == 1; }, Time::sec(1)));
+    EXPECT_EQ(ccq.poll()[0].status, verbs::WcStatus::RemAccessErr);
+    const auto wcs = scq.poll();
+    ASSERT_EQ(wcs.size(), 2u);
+    EXPECT_EQ(wcs[0].wrId, 77u);
+    EXPECT_EQ(wcs[0].opcode, verbs::WrOpcode::Recv);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::LocProtErr);
+    EXPECT_EQ(wcs[1].wrId, 78u);
+    EXPECT_EQ(wcs[1].status, verbs::WcStatus::WrFlushErr);
+    EXPECT_EQ(sqp.context().state, rnic::QpState::Error);
+    EXPECT_EQ(server.memory().read(dst, 64), before);
+}
+
+// A datagram whose RECV region was deregistered after the post lands
+// nowhere: the RECV completes with LOC_PROT_ERR, the QP moves to Error
+// and the buffer keeps its bytes. The oracle books the datagram as a
+// counted drop.
+TEST(EdgeCases, DatagramIntoDeregisteredRecvMrFailsWithLocalProtectionError)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    verbs::QpConfig config;
+    config.transport = verbs::Transport::Ud;
+    auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq, config);
+    chaos::InvariantMonitor monitor(cluster.fabric());
+    monitor.watch(server.rnic(), sqp.context());
+
+    const auto src = client.alloc(4096);
+    const auto dst = server.alloc(4096);
+    const std::vector<std::uint8_t> before(32, 0x11);
+    client.memory().write(src, std::vector<std::uint8_t>(32, 0x77));
+    server.memory().write(dst, before);
+    auto& cmr = client.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& smr = server.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    sqp.postRecv(dst, smr.lkey(), 64, 77);
+    server.deregisterMemory(smr);
+    cqp.postSendUd({server.lid(), sqp.qpn()}, src, cmr.lkey(), 32, 1);
+    cluster.drain(Time::sec(1));
+
+    const auto wcs = scq.poll();
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].wrId, 77u);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::LocProtErr);
+    EXPECT_EQ(sqp.context().state, rnic::QpState::Error);
+    EXPECT_EQ(server.memory().read(dst, 32), before);
+    monitor.finalCheck();
+    EXPECT_TRUE(monitor.clean()) << monitor.report();
 }
 
 TEST(EdgeCases, EventQueueCompactionUnderMassCancel)

@@ -2,7 +2,8 @@
  * @file
  * Tests of the ibsim::exp experiment harness: seed-stream disjointness,
  * the Sweep grid builder, the TrialRunner's bit-identical parallel
- * determinism (accumulators and JSON output), the registry glob matcher,
+ * determinism (accumulators and JSON output), the ResultSink CSV mirror,
+ * the registry glob matcher,
  * log:: thread safety, the MicroBenchmark run-once contract, and checked
  * number parsing of CLI flags and IBSIM_* axis overrides.
  */
@@ -252,6 +253,69 @@ TEST(TrialRunner, PropagatesTrialExceptions)
                 return exp::Metrics{}.set("ok", 1.0);
             }),
         std::runtime_error);
+}
+
+// ------------------------------------------------------------ CSV mirror
+
+namespace {
+
+/** Two cells (a = 1, 3) whose one trial sets b = a + 1. */
+exp::SweepResult
+twoRowResult()
+{
+    exp::Sweep sweep;
+    sweep.axis("a", {1.0, 3.0}, 0);
+    exp::TrialRunner::Options options;
+    options.jobs = 1;
+    options.seeds = exp::SeedStream("csv", 0);
+    return exp::TrialRunner(options).run(
+        sweep, 1, [](const exp::Cell& cell, std::uint64_t) {
+            return exp::Metrics{}.set("b", cell.num("a") + 1.0);
+        });
+}
+
+/** Render twoRowResult() through a quiet sink named "csv". */
+void
+renderTwoRows()
+{
+    exp::ResultSink::Options options;
+    options.benchName = "csv";
+    options.quiet = true;
+    exp::ResultSink sink(options);
+    sink.table("s", twoRowResult(), {exp::col("b", exp::Stat::Mean, 0, "b")});
+}
+
+} // namespace
+
+TEST(TablePrinterCsv, MirrorsRowsWhenEnvSet)
+{
+    const char* path = "/tmp/ibsim_csv_test.csv";
+    std::remove(path);
+    ::setenv("IBSIM_CSV", path, 1);
+    renderTwoRows();
+    ::unsetenv("IBSIM_CSV");
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "csv,s,a,b");
+    std::getline(in, line);
+    EXPECT_EQ(line, "csv,s,1,2");
+    std::getline(in, line);
+    EXPECT_EQ(line, "csv,s,3,4");
+    EXPECT_FALSE(std::getline(in, line));
+    std::remove(path);
+}
+
+TEST(TablePrinterCsv, NoEnvNoFile)
+{
+    const char* path = "/tmp/ibsim_csv_test2.csv";
+    std::remove(path);
+    ::unsetenv("IBSIM_CSV");
+    renderTwoRows();
+    std::ifstream in(path);
+    EXPECT_FALSE(in.good());
 }
 
 // ------------------------------------------------------------- registry

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <ostream>
 
 #include "chaos/fault_injector.hh"
 #include "cluster/cluster.hh"
@@ -25,6 +27,17 @@ struct FuzzParams
     bool clientOdp;
     bool serverOdp;
 };
+
+// Names each case by its fields (seed1_loss5pct_clientOdp), so the test
+// IDs do not depend on the struct's padding bytes.
+void
+PrintTo(const FuzzParams& p, std::ostream* os)
+{
+    static const char* const odp[] = {"pinned", "clientOdp", "serverOdp",
+                                      "bothOdp"};
+    *os << "seed" << p.seed << "_loss" << std::lround(p.lossRate * 100)
+        << "pct_" << odp[p.clientOdp + 2 * p.serverOdp];
+}
 
 class FuzzSweep : public ::testing::TestWithParam<FuzzParams>
 {};

@@ -99,6 +99,8 @@ TEST(MemoryRegionTest, ContainsChecksBounds)
     EXPECT_TRUE(mr.contains(base + 4000, 96));
     EXPECT_FALSE(mr.contains(base + 4000, 97));
     EXPECT_FALSE(mr.contains(base - 1, 10));
+    // addr + len wraps past 2^64 to below the region's end.
+    EXPECT_FALSE(mr.contains(~std::uint64_t{0} - 7, 16));
 }
 
 TEST(QpErrorSemantics, PostAfterErrorFlushesImmediately)

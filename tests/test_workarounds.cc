@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests of the Sec. IX-A workaround components: the dummy-communication
- * timer, the flood-rescue QP pool, and the experiment harness utilities.
+ * timer and the flood-rescue QP pool.
  */
 
 #include <gtest/gtest.h>
 
-#include "pitfall/experiment.hh"
 #include "pitfall/microbench.hh"
 #include "pitfall/workarounds.hh"
 
@@ -115,29 +114,4 @@ TEST(FloodRescue, RotatesThePoolAndDeliversData)
         [&] { return cq.totalSuccess() >= 4; }, Time::sec(1)));
     EXPECT_EQ(client.memory().read(dst, 64),
               std::vector<std::uint8_t>(64, 0x66));
-}
-
-TEST(ExperimentHelpers, RunTrialsSeedsDeterministically)
-{
-    std::vector<std::uint64_t> seeds;
-    auto acc = runTrials(5, [&](std::uint64_t seed) {
-        seeds.push_back(seed);
-        return static_cast<double>(seed);
-    }, /*seed_base=*/100);
-    EXPECT_EQ(seeds, (std::vector<std::uint64_t>{101, 102, 103, 104,
-                                                 105}));
-    EXPECT_DOUBLE_EQ(acc.mean(), 103.0);
-}
-
-TEST(ExperimentHelpers, ProbabilityPercent)
-{
-    const double p = probabilityPercent(
-        10, [](std::uint64_t seed) { return seed % 2 == 0; });
-    EXPECT_DOUBLE_EQ(p, 50.0);
-}
-
-TEST(ExperimentHelpers, TableFormatting)
-{
-    EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
-    EXPECT_EQ(TablePrinter::fmt(std::uint64_t{42}), "42");
 }
