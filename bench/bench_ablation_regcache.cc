@@ -91,16 +91,14 @@ runStrategy(std::size_t ops, std::uint64_t seed, AcquireMr&& acquire_mr,
 RunResult
 runRegisterPerOp(std::size_t ops, std::uint64_t seed)
 {
-    const regcache::RegCacheConfig cost_model;  // shared cost constants
     Time mgmt;
     return runStrategy(
         ops, seed,
         [&](Cluster& cluster, Node& client, std::uint64_t addr,
             std::uint64_t len) -> verbs::MemoryRegion& {
-            const Time cost = cost_model.registerBase +
-                              cost_model.registerPerPage +
-                              cost_model.deregisterBase +
-                              cost_model.deregisterPerPage;
+            const Time cost =
+                regcache::registerBase + regcache::registerPerPage +
+                regcache::deregisterBase + regcache::deregisterPerPage;
             mgmt += cost;
             cluster.advance(cost);
             auto& mr = client.registerMemory(
@@ -139,7 +137,6 @@ runPinDownCache(std::size_t ops, std::uint64_t seed)
 RunResult
 runPinnedAll(std::size_t ops, std::uint64_t seed)
 {
-    const regcache::RegCacheConfig cost_model;
     verbs::MemoryRegion* pool_mr = nullptr;
     Time mgmt;
     return runStrategy(
@@ -150,8 +147,8 @@ runPinnedAll(std::size_t ops, std::uint64_t seed)
             (void)len;
             if (!pool_mr) {
                 const Time cost =
-                    cost_model.registerBase +
-                    cost_model.registerPerPage *
+                    regcache::registerBase +
+                    regcache::registerPerPage *
                         static_cast<double>(poolPages);
                 mgmt += cost;
                 cluster.advance(cost);

@@ -72,9 +72,9 @@ registerTable1(exp::Registry& registry)
                          .set("to_floor_ms",
                               rnic::detectionTime(1, p).toMs())
                          .set("damming_quirk", p.dammingQuirk)
-                         .set("rnr_wait_mult", p.rnrWaitMultiplier)
+                         .set("rnr_wait_mult", rnic::rnrWaitMultiplier)
                          .set("rexmit_interval_us",
-                              p.clientRexmitInterval.toUs());
+                              rnic::clientRexmitInterval.toUs());
                  });
 
              for (const auto& p : systems) {
@@ -83,8 +83,8 @@ registerTable1(exp::Registry& registry)
                                p.systemName.c_str(), p.minCack,
                                rnic::detectionTime(1, p).str().c_str(),
                                p.dammingQuirk ? "yes" : "no",
-                               p.rnrWaitMultiplier,
-                               p.clientRexmitInterval.str().c_str());
+                               rnic::rnrWaitMultiplier,
+                               rnic::clientRexmitInterval.str().c_str());
                  sink.note(line);
              }
              sink.note("\nT_o floor = detection time at the vendor "

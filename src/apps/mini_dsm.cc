@@ -8,6 +8,13 @@
 namespace ibsim {
 namespace apps {
 
+namespace {
+
+/** Directory pages first-touched during init. */
+constexpr std::size_t firstTouchPages = 32;
+
+} // namespace
+
 DsmSystemParams
 DsmSystemParams::knl()
 {
@@ -96,7 +103,7 @@ MiniDsm::run(std::uint64_t seed) const
     //    flush). Synchronous means one outstanding op at a time, so these
     //    fault abundantly under ODP but cannot dam each other.
     const std::uint64_t done_before = worker_cq.totalSuccess();
-    for (std::size_t p = 0; p < config_.firstTouchPages; ++p) {
+    for (std::size_t p = 0; p < firstTouchPages; ++p) {
         const std::uint64_t dst = global + p * mem::pageSize;
         wqp.postWrite(mirror, worker_mr.lkey(), dst, home_mr.rkey(),
                       /*length=*/64, /*wr_id=*/1000 + p);

@@ -30,6 +30,7 @@
 
 #include "rnic/device_profile.hh"
 #include "simcore/time.hh"
+#include "ucxlite/ucx_lite.hh"
 #include "verbs/types.hh"
 
 namespace ibsim {
@@ -62,24 +63,11 @@ struct DsmConfig
     /** Memory passed to argo::init (paper: 10 MB). */
     std::uint64_t memoryBytes = 10ull << 20;
 
-    /** Directory pages first-touched during init. */
-    std::size_t firstTouchPages = 32;
-
     /** Enable ODP registration (UCX environment switch). */
     bool odp = false;
 
     /** QP attributes; UCX defaults: C_ack 18, min RNR NAK 0.96 ms. */
-    verbs::QpConfig qpConfig = ucxDefaults();
-
-    static verbs::QpConfig
-    ucxDefaults()
-    {
-        verbs::QpConfig config;
-        config.cack = 18;
-        config.cretry = 7;
-        config.minRnrNakDelay = Time::ms(0.96);
-        return config;
-    }
+    verbs::QpConfig qpConfig = ucxlite::UcxConfig::ucxDefaults();
 };
 
 /** Measurements of one init+finalize run. */

@@ -4,22 +4,12 @@
 
 #include "cluster/cluster.hh"
 #include "mem/address_space.hh"
+#include "ucxlite/ucx_lite.hh"
 
 namespace ibsim {
 namespace apps {
 
 namespace {
-
-/** UCX default transport attributes (paper Sec. VII). */
-verbs::QpConfig
-ucxDefaults()
-{
-    verbs::QpConfig config;
-    config.cack = 18;
-    config.cretry = 7;
-    config.minRnrNakDelay = Time::ms(0.96);
-    return config;
-}
 
 rnic::DeviceProfile
 knlProfile()
@@ -117,9 +107,10 @@ MiniShuffle::run(std::uint64_t seed) const
     // Connections are established once per job (Spark reuses them).
     std::vector<verbs::QueuePair> qps;
     qps.reserve(row_.qps);
+    const verbs::QpConfig ucx = ucxlite::UcxConfig::ucxDefaults();
     for (std::size_t q = 0; q < row_.qps; ++q) {
         auto [rqp, mqp] = cluster.connectRc(reducer, reducer_cq, mapper,
-                                            mapper_cq, ucxDefaults());
+                                            mapper_cq, ucx);
         qps.push_back(rqp);
     }
 

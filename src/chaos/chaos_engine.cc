@@ -27,34 +27,35 @@ ChaosEngine::buildStages(FaultInjector& injector, const ChaosConfig& config)
     // Canonical stage order: timing faults first (they keep the packet),
     // then duplication and corruption, then the drop classes, then
     // injection of new traffic. A fixed order keeps equal configs
-    // producing equal schedules.
+    // producing equal schedules. Every config-built stage matches all
+    // packets (only forged NAKs restrict themselves to requests).
     if (config.delayRate > 0.0) {
         injector.addStage(std::make_unique<DelayStage>(
-            config.filter, config.delayRate, config.delayMin,
+            PacketFilter{}, config.delayRate, config.delayMin,
             config.delayMax));
     }
     if (config.reorderRate > 0.0) {
         injector.addStage(std::make_unique<ReorderStage>(
-            config.filter, config.reorderRate, config.reorderMaxHold));
+            PacketFilter{}, config.reorderRate, config.reorderMaxHold));
     }
     if (config.dupRate > 0.0) {
         injector.addStage(std::make_unique<DuplicateStage>(
-            config.filter, config.dupRate, config.dupMaxDelay));
+            PacketFilter{}, config.dupRate));
     }
     if (config.corruptRate > 0.0) {
         injector.addStage(std::make_unique<CorruptStage>(
-            config.filter, config.corruptRate, config.corruptEvadeCrc));
+            PacketFilter{}, config.corruptRate, config.corruptEvadeCrc));
     }
     if (config.flapDown > Time()) {
         injector.addStage(std::make_unique<LinkFlapStage>(
-            config.filter, config.flapPeriod, config.flapDown));
+            PacketFilter{}, config.flapPeriod, config.flapDown));
     }
     if (config.dropRate > 0.0) {
-        injector.addStage(std::make_unique<DropStage>(config.filter,
-                                                      config.dropRate));
+        injector.addStage(
+            std::make_unique<DropStage>(PacketFilter{}, config.dropRate));
     }
     if (config.forgedNakRate > 0.0) {
-        PacketFilter requests = config.filter;
+        PacketFilter requests;
         requests.requestsOnly = true;
         injector.addStage(std::make_unique<ForgedNakStage>(
             requests, config.forgedNakRate, net::Opcode::Nak,

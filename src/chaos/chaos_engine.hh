@@ -45,12 +45,8 @@ struct ChaosConfig
 {
     std::uint64_t seed = 1;
 
-    /** Targeting applied to every stage (default: all packets). */
-    PacketFilter filter;
-
     double dropRate = 0.0;
     double dupRate = 0.0;
-    Time dupMaxDelay = Time::us(50);
     double reorderRate = 0.0;
     Time reorderMaxHold = Time::us(200);
     double corruptRate = 0.0;

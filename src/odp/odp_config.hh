@@ -18,6 +18,9 @@
 namespace ibsim {
 namespace odp {
 
+/** Cost of a prefetch advise per page (no interrupt needed). */
+inline constexpr Time prefetchLatencyPerPage = Time::us(15);
+
 /**
  * Driver-side speculative prefetch policy (DESIGN.md section 14): which
  * pages the driver pre-resolves alongside a demand fault.
@@ -43,8 +46,8 @@ enum class PrefetchPolicy : std::uint8_t
  * DESIGN.md section 14) with MMU-notifier two-phase invalidation:
  * invalidate_start flushes the RNIC translation immediately and opens a
  * quiesce window, invalidate_end releases the host frame after
- * invalidateLatency, and faults/prefetches that collide with a window
- * serialize behind it instead of racing.
+ * invalidateLatency (odp_driver.cc), and faults/prefetches that collide
+ * with a window serialize behind it instead of racing.
  */
 struct FaultTiming
 {
@@ -72,20 +75,6 @@ struct FaultTiming
      */
     Time faultLatencyMin = Time::us(250);
     Time faultLatencyMax = Time::us(1000);
-
-    /**
-     * Fault resolution slows under flood congestion: the effective
-     * latency is scaled by (1 + faultLoadFactor * stale waiters). The
-     * driver and RNIC fault machinery are shared resources; Fig. 11a's
-     * fault resolved only at ~1 ms with 128 QPs waiting.
-     */
-    double faultLoadFactor = 0.1;
-
-    /** Cost of invalidating one page (flush + kernel round trip). */
-    Time invalidateLatency = Time::us(30);
-
-    /** Cost of a prefetch advise per page (no interrupt needed). */
-    Time prefetchLatencyPerPage = Time::us(15);
 };
 
 /**
@@ -120,22 +109,11 @@ struct FloodQuirkConfig
     /** Dead time before the slow refresh path serves its first waiter. */
     Time slowUpdateBase = Time::ms(2.5);
 
-    /** Base service time per slow refresh. */
-    Time slowServiceBase = Time::us(100);
-
     /**
-     * Service time grows quadratically with the *active waiter*
-     * population on the whole RNIC (stale or still faulting): the factor
-     * is 1 + (loadFactor * waiters)^2, capped at maxServiceFactor. The
-     * driver shares its capacity with the flood's interrupt load, which
-     * is what stretches Fig. 11b into hundreds of milliseconds and
-     * Fig. 9a into seconds while keeping Fig. 11a's single-page drain in
-     * the milliseconds.
+     * Base service time per slow refresh; it grows with the active
+     * waiter population (loadFactor, page_status_board.cc).
      */
-    double loadFactor = 1.0 / 20.0;
-
-    /** Upper bound on the load multiplier (bounds one refresh's cost). */
-    double maxServiceFactor = 100.0;
+    Time slowServiceBase = Time::us(100);
 };
 
 } // namespace odp

@@ -13,6 +13,9 @@ namespace {
 
 log::Component traceOdp("odp");
 
+/** Cost of invalidating one page (flush + kernel round trip). */
+constexpr Time invalidateLatency = Time::us(30);
+
 } // namespace
 
 OdpDriver::OdpDriver(EventQueue& events, Rng& rng,
@@ -219,7 +222,7 @@ OdpDriver::invalidate(TranslationTable& table, std::uint64_t vaddr)
 void
 OdpDriver::invalidateOne(TranslationTable& table, std::uint64_t page_idx)
 {
-    const Time end_at = events_.now() + timing_.invalidateLatency;
+    const Time end_at = events_.now() + invalidateLatency;
 
     switch (table.state(page_idx)) {
       case PageState::NotPresent:
@@ -329,8 +332,8 @@ OdpDriver::prefetch(TranslationTable& table, std::uint64_t vaddr,
         if (table.state(p) == PageState::NotPresent)
             ++fresh;
     }
-    const Time cost = timing_.prefetchLatencyPerPage *
-                      static_cast<double>(fresh == 0 ? 1 : fresh);
+    const Time cost =
+        prefetchLatencyPerPage * static_cast<double>(fresh == 0 ? 1 : fresh);
     events_.scheduleAfter(cost, [this, &table, first, last] {
         prefetchSweep(table, first, last);
     });

@@ -151,7 +151,6 @@ class OdpDriver
 
     /** The queue this driver schedules its fault/invalidation work on. */
     EventQueue& events() { return events_; }
-    const FaultTiming& timing() const { return timing_; }
 
   private:
     /** Draw one fault-resolution latency (uniform x congestion x chaos). */

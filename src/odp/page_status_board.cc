@@ -11,6 +11,19 @@ namespace {
 
 log::Component traceFlood("flood");
 
+/**
+ * Service time grows quadratically with the *active waiter* population
+ * on the whole RNIC (stale or still faulting): the factor is
+ * 1 + (loadFactor * waiters)^2, capped at maxServiceFactor. The driver
+ * shares its capacity with the flood's interrupt load, which is what
+ * stretches Fig. 11b into hundreds of milliseconds and Fig. 9a into
+ * seconds while keeping Fig. 11a's single-page drain in the milliseconds.
+ */
+constexpr double loadFactor = 1.0 / 20.0;
+
+/** Upper bound on the load multiplier (bounds one refresh's cost). */
+constexpr double maxServiceFactor = 100.0;
+
 } // namespace
 
 PageStatusBoard::PageStatusBoard(EventQueue& events, Rng& rng,
@@ -141,9 +154,8 @@ PageStatusBoard::serviceFired()
         // population (stale or still faulting): the driver shares its
         // capacity with the flood's interrupt load.
         const double scaled =
-            config_.loadFactor * static_cast<double>(waiters_.size());
-        const double load =
-            std::min(config_.maxServiceFactor, 1.0 + scaled * scaled);
+            loadFactor * static_cast<double>(waiters_.size());
+        const double load = std::min(maxServiceFactor, 1.0 + scaled * scaled);
         scheduleService(config_.slowServiceBase * load);
     }
 }

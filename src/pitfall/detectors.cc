@@ -6,9 +6,15 @@
 namespace ibsim {
 namespace pitfall {
 
+namespace {
+
+/** Minimum silent gap to flag: the spec floor for c0 = 16. */
+constexpr Time minDammingGap = Time::ms(100);
+
+} // namespace
+
 std::vector<DammingEvent>
-detectDamming(const capture::PacketCapture& capture,
-              DammingDetectorConfig config)
+detectDamming(const capture::PacketCapture& capture)
 {
     // Track, per requester QP, the time of the last packet in either
     // direction; flag request retransmissions that end a long silence.
@@ -33,7 +39,7 @@ detectDamming(const capture::PacketCapture& capture,
         auto it = last_activity.find(requester_qpn);
         if (it != last_activity.end() && is_request && p.retransmission) {
             const Time gap = entry.when - it->second;
-            if (gap >= config.minGap) {
+            if (gap >= minDammingGap) {
                 DammingEvent e;
                 e.qpn = requester_qpn;
                 e.gapStart = it->second;

@@ -44,13 +44,6 @@ struct FloodEvent
     Time lastSeen;
 };
 
-/** Damming detector configuration. */
-struct DammingDetectorConfig
-{
-    /** Minimum silent gap to flag (default: spec floor for c0 = 16). */
-    Time minGap = Time::ms(100);
-};
-
 /** Flood detector configuration. */
 struct FloodDetectorConfig
 {
@@ -58,10 +51,12 @@ struct FloodDetectorConfig
     std::uint64_t minRetransmissions = 20;
 };
 
-/** Scan a capture for damming incidents. */
+/**
+ * Scan a capture for damming incidents: request retransmissions that end
+ * a silent gap of at least 100 ms (the spec floor for c0 = 16).
+ */
 std::vector<DammingEvent>
-detectDamming(const capture::PacketCapture& capture,
-              DammingDetectorConfig config = {});
+detectDamming(const capture::PacketCapture& capture);
 
 /** Scan a capture for flood incidents. */
 std::vector<FloodEvent>

@@ -77,6 +77,7 @@ struct MicroBenchConfig
         verbs::QpConfig config;
         config.cack = 18;
         config.cretry = 7;
+        // 1.28 ms, not UcxConfig::ucxDefaults()' 0.96: the fig9 golden.
         config.minRnrNakDelay = Time::ms(1.28);
         return config;
     }

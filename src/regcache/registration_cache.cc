@@ -41,9 +41,8 @@ RegistrationCache::acquire(std::uint64_t addr, std::uint64_t len)
     Entry entry;
     entry.base = addr - addr % mem::pageSize;
     entry.length = pagesOf(addr + len - entry.base) * mem::pageSize;
-    charge(config_.registerBase +
-           config_.registerPerPage *
-               static_cast<double>(pagesOf(entry.length)));
+    charge(registerBase +
+           registerPerPage * static_cast<double>(pagesOf(entry.length)));
     entry.mr = &node_.registerMemory(entry.base, entry.length,
                                      verbs::AccessFlags::pinned());
     ++stats_.registrations;
@@ -87,8 +86,7 @@ RegistrationCache::drainDeregBatch(bool force)
         node_.deregisterMemory(*e.mr);
         ++stats_.deregistrations;
     }
-    charge(config_.deregisterBase +
-           config_.deregisterPerPage * static_cast<double>(pages));
+    charge(deregisterBase + deregisterPerPage * static_cast<double>(pages));
     deregBatch_.clear();
 }
 

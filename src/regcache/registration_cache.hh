@@ -29,21 +29,21 @@
 namespace ibsim {
 namespace regcache {
 
-/** Cost model and policy of the cache. */
+/** @{ Registration cost: base syscall + per-page pinning. */
+inline constexpr Time registerBase = Time::us(30);
+inline constexpr Time registerPerPage = Time::us(1.5);
+/** @} */
+
+/** @{ Deregistration cost (unpinning is cheaper than pinning). */
+inline constexpr Time deregisterBase = Time::us(15);
+inline constexpr Time deregisterPerPage = Time::us(0.6);
+/** @} */
+
+/** Policy of the cache. */
 struct RegCacheConfig
 {
     /** Pinned-bytes budget; LRU eviction beyond it. 0 = unbounded. */
     std::uint64_t capacityBytes = 64ull << 20;
-
-    /** @{ Registration cost: base syscall + per-page pinning. */
-    Time registerBase = Time::us(30);
-    Time registerPerPage = Time::us(1.5);
-    /** @} */
-
-    /** @{ Deregistration cost (unpinning is cheaper than pinning). */
-    Time deregisterBase = Time::us(15);
-    Time deregisterPerPage = Time::us(0.6);
-    /** @} */
 
     /**
      * Evicted regions deregister lazily in batches of this size,

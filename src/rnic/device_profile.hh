@@ -2,11 +2,12 @@
  * @file
  * Modeled RNIC device profiles.
  *
- * Each profile captures the protocol-visible behaviours the paper measured
- * per device (Table I, Fig. 2, Secs. IV-VI): the vendor minimum of the
- * Local ACK Timeout, the RNR wait behaviour, the client-side ODP blind
- * retransmission interval, and which hardware quirks (packet damming /
- * status-update failure) the device exhibits.
+ * Each profile captures the protocol-visible facts that tell the paper's
+ * systems apart (Table I, Fig. 2, Sec. V): the vendor minimum of the
+ * Local ACK Timeout, whether packet damming occurs, and the link. The
+ * values the paper measured once and that hold on every device (the RNR
+ * wait, the client-side ODP blind retransmission interval, the path MTU)
+ * are the constants below.
  */
 
 #ifndef IBSIM_RNIC_DEVICE_PROFILE_HH
@@ -33,6 +34,23 @@ enum class Model : std::uint8_t
 
 const char* modelName(Model model);
 
+/** Path MTU in bytes; messages beyond it are segmented. */
+inline constexpr std::uint32_t pathMtu = 4096;
+
+/**
+ * The requester's actual RNR wait is this multiple of the delay value
+ * carried in the RNR NAK (measured ~4.5 ms against a programmed 1.28 ms
+ * minimum, Fig. 1).
+ */
+inline constexpr double rnrWaitMultiplier = 3.5;
+
+/**
+ * Client-side ODP blind retransmission interval: after discarding a
+ * faulting READ response the requester retransmits the request this
+ * often, regardless of fault resolution (~0.5 ms, Fig. 1).
+ */
+inline constexpr Time clientRexmitInterval = Time::us(500);
+
 /**
  * Behavioural profile of one RNIC / system pairing.
  */
@@ -48,9 +66,6 @@ struct DeviceProfile
     std::string firmwareVersion;
     /** @} */
 
-    /** Path MTU in bytes; messages beyond it are segmented. */
-    std::uint32_t mtu = 4096;
-
     /**
      * Vendor minimum of Local ACK Timeout (the c0 of Sec. II-C): requested
      * C_ack values below this clamp up. The paper estimates 12 for
@@ -59,56 +74,12 @@ struct DeviceProfile
     std::uint8_t minCack = 16;
 
     /**
-     * Timeout detection multiplier: T_o = factor * T_tr, within the
-     * spec's [1, 4] band. 2.0 matches the measured lower limits
-     * (~537 ms at c0 = 16, ~33 ms at c0 = 12).
-     */
-    double timeoutDetectionFactor = 2.0;
-
-    /**
-     * Detection lengthens under QP load (paper Sec. VI-C observed longer
-     * timeout intervals with many QPs): effective T_o is scaled by
-     * (1 + timeoutLoadFactor * (active QPs - 1)).
-     */
-    double timeoutLoadFactor = 0.004;
-
-    /**
-     * The requester's actual RNR wait is this multiple of the delay value
-     * carried in the RNR NAK (measured ~4.5 ms against a programmed
-     * 1.28 ms minimum, Fig. 1).
-     */
-    double rnrWaitMultiplier = 3.5;
-
-    /**
-     * Client-side ODP blind retransmission interval: after discarding a
-     * faulting READ response the requester retransmits the request this
-     * often, regardless of fault resolution (~0.5 ms, Fig. 1).
-     */
-    Time clientRexmitInterval = Time::us(500);
-
-    /**
-     * Under flood the blind retransmission backs off: the effective gap
-     * is clientRexmitInterval * (1 + rexmitLoadFactor * stale QPs). The
-     * paper saw READ retransmissions every several tens of milliseconds
-     * during SparkUCX floods (Sec. VII-B).
-     */
-    double rexmitLoadFactor = 0.1;
-
-    /**
      * Packet damming quirk (Sec. V): vendor feedback attributes it to a
      * ConnectX-4-specific page fault processing method; the paper also
      * observed it on the ConnectX-3 generation systems it could test and
      * never on ConnectX-6.
      */
     bool dammingQuirk = true;
-
-    /**
-     * How many requests one pending period can poison. The paper
-     * demonstrates up to three victims (Fig. 7, four operations); a small
-     * hardware fault-FIFO bound keeps a long posting stream from being
-     * black-holed wholesale, matching Fig. 9's lack of mass aborts.
-     */
-    std::uint32_t dammingCapacity = 16;
 
     /**
      * Depth of the responder's atomic replay cache (the IBA "atomic
@@ -138,19 +109,11 @@ struct DeviceProfile
     /**
      * SM-style reroute: when a path goes down but the subnet still has a
      * redundant link out of the port (PortEvent::redundantPath), re-
-     * resolve the LID route after smRerouteDelay instead of letting
-     * retries exhaust. Rerouted traffic passes the link-down gate and
-     * pays one extra hop of latency.
+     * resolve the LID route after smRerouteDelay (rnic.cc) instead of
+     * letting retries exhaust. Rerouted traffic passes the link-down gate
+     * and pays one extra hop of latency.
      */
     bool smReroute = false;
-
-    /** SM sweep delay before a reroute takes effect. */
-    Time smRerouteDelay = Time::ms(1);
-
-    /** @{ CM re-arm handshake retry policy. */
-    Time cmRetryInterval = Time::ms(1);
-    std::uint8_t cmRetryLimit = 7;
-    /** @} */
 
     /** @} */
 

@@ -114,10 +114,7 @@ struct QpStats
     std::uint64_t retransmissions = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t rnrNaksReceived = 0;
-    std::uint64_t rnrNaksSent = 0;
     std::uint64_t seqNaksReceived = 0;
-    std::uint64_t seqNaksSent = 0;
-    std::uint64_t responsesDiscardedRnrWait = 0;
     std::uint64_t responsesDiscardedFault = 0;
     std::uint64_t responsesDiscardedStale = 0;
     std::uint64_t dammedDrops = 0;
@@ -168,8 +165,7 @@ struct QpContext
     /** @{ Requester state. */
     Ring<SendWqe> outstanding;  ///< sent, not yet completed
     std::uint32_t nextPsn = 0;
-    std::uint32_t retryCount = 0;     ///< consecutive transport timeouts
-    std::uint32_t rnrCount = 0;       ///< RNR NAKs outstanding against budget
+    std::uint32_t retryCount = 0;  ///< consecutive transport timeouts
     EventHandle retransmitTimer;
     EventHandle rnrTimer;
 

@@ -12,8 +12,28 @@ namespace rnic {
 
 namespace {
 
-/** The IBA encoding where an RNR retry budget of 7 means "infinite". */
-constexpr std::uint8_t infiniteRnrRetry = 7;
+/**
+ * Detection lengthens under QP load (paper Sec. VI-C observed longer
+ * timeout intervals with many QPs): effective T_o is scaled by
+ * (1 + timeoutLoadFactor * (active QPs - 1)).
+ */
+constexpr double timeoutLoadFactor = 0.004;
+
+/**
+ * Under flood the blind retransmission backs off: the effective gap is
+ * clientRexmitInterval * (1 + rexmitLoadFactor * stale QPs). The paper
+ * saw READ retransmissions every several tens of milliseconds during
+ * SparkUCX floods (Sec. VII-B).
+ */
+constexpr double rexmitLoadFactor = 0.1;
+
+/**
+ * How many requests one pending period can poison. The paper
+ * demonstrates up to three victims (Fig. 7, four operations); a small
+ * hardware fault-FIFO bound keeps a long posting stream from being
+ * black-holed wholesale, matching Fig. 9's lack of mass aborts.
+ */
+constexpr std::uint32_t dammingCapacity = 16;
 
 log::Component traceRc("rc");
 
@@ -76,7 +96,7 @@ RcRequester::post(SendWqe wqe)
     }
 
     wqe.psn = qp_.nextPsn;
-    wqe.segments = segmentCount(wqe.length, rnic_.profile().mtu);
+    wqe.segments = segmentCount(wqe.length, pathMtu);
     qp_.nextPsn = (qp_.nextPsn + wqe.segments) & 0xffffff;
     wqe.postedAt = rnic_.events().now();
 
@@ -318,10 +338,8 @@ RcRequester::transmit(SendWqe& wqe)
         if (w.op == verbs::WrOpcode::Send ||
             w.op == verbs::WrOpcode::Write) {
             // This segment's chunk of the payload.
-            const std::uint32_t mtu = rnic_.profile().mtu;
-            const std::uint32_t off = seg * mtu;
-            const std::uint32_t chunk =
-                std::min(mtu, w.length - off);
+            const std::uint32_t off = seg * pathMtu;
+            const std::uint32_t chunk = std::min(pathMtu, w.length - off);
             pkt.payload = rnic_.memory().read(w.laddr + off, chunk);
         } else if (w.op == verbs::WrOpcode::Read) {
             // One request reserves the whole PSN range; only the first
@@ -348,7 +366,7 @@ RcRequester::armTimer()
         return;
     // Timeout detection lengthens under concurrent QP load (Sec. VI-C).
     const double load =
-        1.0 + rnic_.profile().timeoutLoadFactor *
+        1.0 + timeoutLoadFactor *
                   static_cast<double>(
                       rnic_.activeQpCount() > 0 ? rnic_.activeQpCount() - 1
                                                 : 0);
@@ -392,17 +410,11 @@ RcRequester::enterRnrWait(Time responder_min_delay)
     if (inRnrWait())
         return;
 
-    ++qp_.rnrCount;
-    if (qp_.config.rnrRetry != infiniteRnrRetry &&
-        qp_.rnrCount > qp_.config.rnrRetry) {
-        flushAll(verbs::WcStatus::RnrRetryExcErr);
-        return;
-    }
-
-    // The requester's actual wait is a device-specific multiple of the
+    // The RNR retry budget is 7, which the IBA encodes as infinite: an
+    // RNR wait never aborts. The actual wait is a multiple of the
     // advertised minimum (measured ~3.5x, Fig. 1).
-    const Time wait = rnic_.rng().jitter(
-        responder_min_delay * rnic_.profile().rnrWaitMultiplier, 0.08);
+    const Time wait =
+        rnic_.rng().jitter(responder_min_delay * rnrWaitMultiplier, 0.08);
     rnic_.events().cancel(qp_.retransmitTimer);
 
     // Each stuck request dams at most once: its first pending period.
@@ -410,7 +422,7 @@ RcRequester::enterRnrWait(Time responder_min_delay)
     if (!head.windowOpened) {
         head.windowOpened = true;
         qp_.dammingEpisode = true;
-        qp_.episodeDamsLeft = rnic_.profile().dammingCapacity;
+        qp_.episodeDamsLeft = dammingCapacity;
     }
 
     qp_.rnrTimer =
@@ -442,10 +454,10 @@ RcRequester::scheduleClientRexmit()
     // Back off under flood load (Sec. VII-B: retransmissions stretch to
     // tens of milliseconds when many QPs are stuck).
     const double load = std::min(
-        80.0, 1.0 + rnic_.profile().rexmitLoadFactor *
+        80.0, 1.0 + rexmitLoadFactor *
                         static_cast<double>(rnic_.board().staleCount()));
-    const Time interval = rnic_.rng().jitter(
-        rnic_.profile().clientRexmitInterval * load, 0.05);
+    const Time interval =
+        rnic_.rng().jitter(clientRexmitInterval * load, 0.05);
     qp_.clientRexmitTimer = rnic_.events().scheduleAfter(
         interval, [this] { clientRexmitFired(); });
 }
@@ -496,7 +508,7 @@ RcRequester::readDestinationReady(const SendWqe& wqe, verbs::MemoryRegion& mr)
         if (head.psn == wqe.psn && !head.windowOpened) {
             head.windowOpened = true;
             qp_.dammingEpisode = true;
-            qp_.episodeDamsLeft = rnic_.profile().dammingCapacity;
+            qp_.episodeDamsLeft = dammingCapacity;
         }
     }
     return ready;
@@ -510,7 +522,6 @@ RcRequester::onReadResponse(const net::Packet& pkt)
 
     if (inRnrWait()) {
         // Responses arriving during an RNR wait are discarded (Sec. IV-A).
-        ++qp_.stats.responsesDiscardedRnrWait;
         return;
     }
 
@@ -542,8 +553,7 @@ RcRequester::onReadResponse(const net::Packet& pkt)
 
     // Destination usable: land this segment; complete on the last one.
     const std::uint64_t off =
-        static_cast<std::uint64_t>(head.segmentsReceived) *
-        rnic_.profile().mtu;
+        static_cast<std::uint64_t>(head.segmentsReceived) * pathMtu;
     rnic_.memory().write(head.laddr + off, pkt.payload);
     if (++head.segmentsReceived < head.segments) {
         // Partial progress: each valid response packet restarts the
@@ -560,10 +570,8 @@ RcRequester::onAck(const net::Packet& pkt)
 {
     if (qp_.state == QpState::Error)
         return;
-    if (inRnrWait()) {
-        ++qp_.stats.responsesDiscardedRnrWait;
+    if (inRnrWait())
         return;
-    }
     // Complete contiguous head WRITE/SEND WQEs covered by this ACK. A READ
     // at the head blocks implicit completion: it needs its data.
     while (!qp_.outstanding.empty()) {
@@ -630,7 +638,6 @@ void
 RcRequester::progressMade()
 {
     qp_.retryCount = 0;
-    qp_.rnrCount = 0;
     if (qp_.outstanding.empty()) {
         rnic_.events().cancel(qp_.retransmitTimer);
         rnic_.events().cancel(qp_.clientRexmitTimer);

@@ -108,9 +108,8 @@ RcResponder::executeInSequence(const net::Packet& pkt)
         return;
     // A READ's reserved range covers all its response packets.
     const std::uint32_t segments =
-        pkt.op == net::Opcode::ReadRequest
-            ? segmentCount(pkt.length, rnic_.profile().mtu)
-            : 1;
+        pkt.op == net::Opcode::ReadRequest ? segmentCount(pkt.length, pathMtu)
+                                           : 1;
     qp_.expectedPsn = (qp_.expectedPsn + segments) & 0xffffff;
     seqNakSent_ = false;
 }
@@ -288,8 +287,7 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
             return false;
         assert(!duplicate && "duplicate writes are re-ACKed, not re-run");
         const std::uint64_t off =
-            static_cast<std::uint64_t>(pkt.segIndex) *
-            rnic_.profile().mtu;
+            static_cast<std::uint64_t>(pkt.segIndex) * pathMtu;
         rnic_.memory().write(pkt.raddr + off, pkt.payload);
         // One coalesced ACK when the message completes.
         if (pkt.segIndex + 1 == pkt.segCount)
@@ -340,8 +338,7 @@ RcResponder::execute(const net::Packet& pkt, bool duplicate)
         }
         assert(!duplicate && "duplicate sends are re-ACKed, not re-run");
         const std::uint64_t off =
-            static_cast<std::uint64_t>(pkt.segIndex) *
-            rnic_.profile().mtu;
+            static_cast<std::uint64_t>(pkt.segIndex) * pathMtu;
         rnic_.memory().write(rq.addr + off, pkt.payload);
         if (pkt.segIndex + 1 < pkt.segCount)
             return true;  // more segments of this message to come
@@ -401,11 +398,10 @@ RcResponder::sendReadResponse(const net::Packet& req, bool replayed)
 {
     // The response stream occupies the request's reserved PSN range: one
     // packet per MTU-sized chunk.
-    const std::uint32_t mtu = rnic_.profile().mtu;
-    const std::uint32_t segments = segmentCount(req.length, mtu);
+    const std::uint32_t segments = segmentCount(req.length, pathMtu);
     for (std::uint32_t seg = 0; seg < segments; ++seg) {
-        const std::uint32_t off = seg * mtu;
-        const std::uint32_t chunk = std::min(mtu, req.length - off);
+        const std::uint32_t off = seg * pathMtu;
+        const std::uint32_t chunk = std::min(pathMtu, req.length - off);
         net::Packet resp;
         resp.op = net::Opcode::ReadResponse;
         resp.psn = (req.psn + seg) & 0xffffff;
@@ -445,7 +441,6 @@ RcResponder::sendAck(std::uint32_t psn, bool replayed)
 void
 RcResponder::sendSeqNak()
 {
-    ++qp_.stats.seqNaksSent;
     net::Packet nak;
     nak.op = net::Opcode::Nak;
     nak.nak = net::NakCode::PsnSequenceError;
@@ -466,7 +461,6 @@ RcResponder::sendAccessNak(std::uint32_t psn)
 void
 RcResponder::sendRnrNak(std::uint32_t psn)
 {
-    ++qp_.stats.rnrNaksSent;
     net::Packet nak;
     nak.op = net::Opcode::RnrNak;
     nak.psn = psn;

@@ -13,6 +13,14 @@ namespace {
 
 log::Component traceRnic("rnic");
 
+/** SM sweep delay before a reroute takes effect. */
+constexpr Time smRerouteDelay = Time::ms(1);
+
+/** @{ CM re-arm handshake retry policy. */
+constexpr Time cmRetryInterval = Time::ms(1);
+constexpr std::uint8_t cmRetryLimit = 7;
+/** @} */
+
 } // namespace
 
 Rnic::Rnic(EventQueue& events, Rng& rng, net::Fabric& fabric,
@@ -155,7 +163,7 @@ Rnic::postSend(QpContext& qp, SendWqe wqe)
               (transport == verbs::Transport::Ud ||
                wqe.op != verbs::WrOpcode::Write)))
         refused = verbs::WcStatus::LocQpOpErr;
-    else if (transport == verbs::Transport::Ud && wqe.length > profile_.mtu)
+    else if (transport == verbs::Transport::Ud && wqe.length > pathMtu)
         refused = verbs::WcStatus::LocLenErr;
     if (qp.state != QpState::Error && refused != verbs::WcStatus::Success) {
         record->requester->failPost(wqe.wrId, wqe.op, refused);
@@ -169,8 +177,14 @@ Rnic::postRecv(QpContext& qp, RecvWqe wqe)
 {
     for (const auto& tap : recvPostTaps_)
         tap(qp, wqe);
-    // The landing buffer is checked at post, as postSend checks its
+    // An Error QP flushes the RECV, as postSend flushes a send. Otherwise
+    // the landing buffer is checked at post, as postSend checks its
     // local buffer: a SEND must never land through a bad lkey.
+    if (qp.state == QpState::Error) {
+        complete(qp, wqe.wrId, verbs::WrOpcode::Recv,
+                 verbs::WcStatus::WrFlushErr);
+        return;
+    }
     const verbs::MemoryRegion* mr = findMr(wqe.lkey);
     if (mr == nullptr || !mr->contains(wqe.addr, wqe.length)) {
         qpRecord(qp.qpn)->requester->failPost(
@@ -374,14 +388,13 @@ Rnic::portEvent(const net::PortEvent& ev)
                 // SM sweep: after smRerouteDelay, if the path is still
                 // down, re-resolve the LID route over the redundant link.
                 const std::uint32_t qpn = qp.qpn;
-                events_.scheduleAfter(
-                    profile_.smRerouteDelay, [this, qpn] {
-                        QpContext* q = findQp(qpn);
-                        if (q != nullptr && q->pathDown && !q->rerouted) {
-                            q->rerouted = true;
-                            ++stats_.reroutes;
-                        }
-                    });
+                events_.scheduleAfter(smRerouteDelay, [this, qpn] {
+                    QpContext* q = findQp(qpn);
+                    if (q != nullptr && q->pathDown && !q->rerouted) {
+                        q->rerouted = true;
+                        ++stats_.reroutes;
+                    }
+                });
             }
         } else {
             qp.pathDown = false;
@@ -458,7 +471,6 @@ Rnic::resetQp(QpRecord& record, std::uint16_t epoch, QpState state)
     qp.sendCursor = 0;
     qp.expectedPsn = 0;
     qp.retryCount = 0;
-    qp.rnrCount = 0;
     qp.dammingEpisode = false;
     qp.episodeDamsLeft = 0;
     qp.cmRetries = 0;
@@ -480,7 +492,7 @@ Rnic::armCmTimer(QpContext& qp)
 {
     events_.cancel(qp.cmTimer);
     const std::uint32_t qpn = qp.qpn;
-    qp.cmTimer = events_.scheduleAfter(profile_.cmRetryInterval,
+    qp.cmTimer = events_.scheduleAfter(cmRetryInterval,
                                        [this, qpn] { cmTimerFired(qpn); });
 }
 
@@ -493,7 +505,7 @@ Rnic::cmTimerFired(std::uint32_t qpn)
     QpContext& qp = *record->ctx;
     if (qp.state != QpState::Init)
         return;
-    if (++qp.cmRetries > profile_.cmRetryLimit) {
+    if (++qp.cmRetries > cmRetryLimit) {
         // Handshake failed (peer dead, or the path never came back):
         // back to Error, flushing anything queued during recovery.
         record->requester->flushAll(verbs::WcStatus::RetryExcErr);

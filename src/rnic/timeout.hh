@@ -6,7 +6,7 @@
  * interval T_tr = 4.096 us * 2^C_ack. C_ack = 0 disables the timeout.
  * Vendors clamp non-zero values from below by a device minimum c0, and the
  * spec only requires the detection time T_o to fall within
- * [T_tr, 4 * T_tr]; the modeled detection factor lives in DeviceProfile.
+ * [T_tr, 4 * T_tr]; the model detects at T_o = 2 * T_tr on every device.
  */
 
 #ifndef IBSIM_RNIC_TIMEOUT_HH
@@ -36,8 +36,8 @@ Time timeoutInterval(std::uint8_t cack);
 std::uint8_t effectiveCack(std::uint8_t cack, std::uint8_t min_cack);
 
 /**
- * Modeled detection time T_o for a QP on a device: the clamped T_tr times
- * the device's detection factor. Time::max() when disabled.
+ * Modeled detection time T_o for a QP on a device: twice the T_tr of the
+ * device-clamped exponent. Time::max() when disabled.
  */
 Time detectionTime(std::uint8_t cack, const DeviceProfile& profile);
 

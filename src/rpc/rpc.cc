@@ -10,6 +10,13 @@ namespace {
 
 constexpr std::uint32_t headerBytes = 8;
 
+/** Largest request/response payload of a client call. */
+constexpr std::uint32_t clientMaxPayloadBytes = 1000;
+constexpr std::uint64_t clientSlotBytes = headerBytes + clientMaxPayloadBytes;
+
+/** RECV slots a client keeps posted. */
+constexpr std::size_t clientRecvSlots = 64;
+
 std::uint64_t
 seqOf(const std::vector<std::uint8_t>& bytes)
 {
@@ -109,26 +116,24 @@ RpcServer::onArrival(const verbs::WorkCompletion& wc)
 
 RpcClient::RpcClient(Cluster& cluster, Node& node,
                      verbs::AddressHandle server, RpcClientConfig config)
-    : cluster_(cluster), node_(node), server_(server), config_(config),
-      slotBytes_(headerBytes + config.maxPayloadBytes)
+    : cluster_(cluster), node_(node), server_(server), config_(config)
 {
     cq_ = &node_.createCq();
     qp_ = node_.createQp(*cq_, udConfig());
     qp_.connect(0, 0);
 
-    recvBuf_ = node_.alloc(slotBytes_ * config_.recvSlots);
-    sendBuf_ = node_.alloc(slotBytes_ * config_.recvSlots);
-    node_.touch(recvBuf_, slotBytes_ * config_.recvSlots);
-    node_.touch(sendBuf_, slotBytes_ * config_.recvSlots);
-    recvMr_ = &node_.registerMemory(recvBuf_,
-                                    slotBytes_ * config_.recvSlots,
+    constexpr std::uint64_t ringBytes = clientSlotBytes * clientRecvSlots;
+    recvBuf_ = node_.alloc(ringBytes);
+    sendBuf_ = node_.alloc(ringBytes);
+    node_.touch(recvBuf_, ringBytes);
+    node_.touch(sendBuf_, ringBytes);
+    recvMr_ = &node_.registerMemory(recvBuf_, ringBytes,
                                     verbs::AccessFlags::pinned());
-    sendMr_ = &node_.registerMemory(sendBuf_,
-                                    slotBytes_ * config_.recvSlots,
+    sendMr_ = &node_.registerMemory(sendBuf_, ringBytes,
                                     verbs::AccessFlags::pinned());
-    for (std::size_t i = 0; i < config_.recvSlots; ++i) {
-        qp_.postRecv(recvBuf_ + i * slotBytes_, recvMr_->lkey(),
-                     static_cast<std::uint32_t>(slotBytes_), i);
+    for (std::size_t i = 0; i < clientRecvSlots; ++i) {
+        qp_.postRecv(recvBuf_ + i * clientSlotBytes, recvMr_->lkey(),
+                     static_cast<std::uint32_t>(clientSlotBytes), i);
     }
 
     cq_->setListener([this](const verbs::WorkCompletion& wc) {
@@ -140,7 +145,7 @@ RpcClient::RpcClient(Cluster& cluster, Node& node,
 std::uint64_t
 RpcClient::call(const std::vector<std::uint8_t>& payload)
 {
-    assert(payload.size() <= config_.maxPayloadBytes);
+    assert(payload.size() <= clientMaxPayloadBytes);
     const std::uint64_t id = nextCall_++;
     PendingCall pc;
     pc.payload = payload;
@@ -160,7 +165,7 @@ RpcClient::transmit(std::uint64_t id)
 
     const auto wire = frame(id, it->second.payload);
     const std::uint64_t out =
-        sendBuf_ + (sendSlot_++ % config_.recvSlots) * slotBytes_;
+        sendBuf_ + (sendSlot_++ % clientRecvSlots) * clientSlotBytes;
     node_.memory().write(out, wire);
     qp_.postSendUd(server_, out, sendMr_->lkey(),
                    static_cast<std::uint32_t>(wire.size()),
@@ -190,10 +195,10 @@ RpcClient::retryFired(std::uint64_t id)
 void
 RpcClient::onArrival(const verbs::WorkCompletion& wc)
 {
-    const std::uint64_t slot_addr = recvBuf_ + wc.wrId * slotBytes_;
+    const std::uint64_t slot_addr = recvBuf_ + wc.wrId * clientSlotBytes;
     const auto bytes = node_.memory().read(slot_addr, wc.byteLen);
     qp_.postRecv(slot_addr, recvMr_->lkey(),
-                 static_cast<std::uint32_t>(slotBytes_), wc.wrId);
+                 static_cast<std::uint32_t>(clientSlotBytes), wc.wrId);
     if (bytes.size() < headerBytes)
         return;
 

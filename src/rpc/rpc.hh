@@ -37,12 +37,6 @@ struct RpcClientConfig
 
     /** Attempts before a call is reported failed. */
     std::size_t maxRetries = 5;
-
-    /** Largest request/response payload. */
-    std::uint32_t maxPayloadBytes = 1000;
-
-    /** RECV slots kept posted. */
-    std::size_t recvSlots = 64;
 };
 
 /** Client statistics. */
@@ -138,7 +132,6 @@ class RpcClient
     Node& node_;
     verbs::AddressHandle server_;
     RpcClientConfig config_;
-    std::uint64_t slotBytes_;
     verbs::CompletionQueue* cq_ = nullptr;
     verbs::QueuePair qp_;
     std::uint64_t recvBuf_ = 0;

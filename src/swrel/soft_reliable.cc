@@ -16,6 +16,13 @@ log::Component traceSwrel("swrel");
 constexpr std::uint64_t slotBytes = 512;
 constexpr std::uint64_t headerBytes = 9;
 
+/** Largest payload per message. */
+constexpr std::uint32_t maxPayloadBytes = 480;
+static_assert(maxPayloadBytes + headerBytes <= slotBytes);
+
+/** RECV WQEs kept posted per endpoint. */
+constexpr std::size_t recvSlots = 64;
+
 std::vector<std::uint8_t>
 encode(std::uint8_t type, std::uint64_t seq,
        const std::vector<std::uint8_t>& payload)
@@ -37,8 +44,6 @@ SoftReliableChannel::SoftReliableChannel(Cluster& cluster, Node& sender,
     : cluster_(cluster), sender_(sender), receiver_(receiver),
       config_(config)
 {
-    assert(config_.maxPayloadBytes + headerBytes <= slotBytes);
-
     senderCq_ = &sender_.createCq();
     receiverCq_ = &receiver_.createCq();
 
@@ -56,8 +61,8 @@ SoftReliableChannel::SoftReliableChannel(Cluster& cluster, Node& sender,
     ackQpRemote_ = ack.second;
 
     sendBuf_ = sender_.alloc(slotBytes);
-    ackRecvBuf_ = sender_.alloc(slotBytes * config_.recvSlots);
-    recvBuf_ = receiver_.alloc(slotBytes * config_.recvSlots);
+    ackRecvBuf_ = sender_.alloc(slotBytes * recvSlots);
+    recvBuf_ = receiver_.alloc(slotBytes * recvSlots);
     ackSendBuf_ = receiver_.alloc(slotBytes);
 
     sender_.touch(sendBuf_, slotBytes);
@@ -66,15 +71,15 @@ SoftReliableChannel::SoftReliableChannel(Cluster& cluster, Node& sender,
     sendMr_ = &sender_.registerMemory(sendBuf_, slotBytes,
                                       verbs::AccessFlags::pinned());
     ackRecvMr_ = &sender_.registerMemory(
-        ackRecvBuf_, slotBytes * config_.recvSlots,
+        ackRecvBuf_, slotBytes * recvSlots,
         verbs::AccessFlags::pinned());
     recvMr_ = &receiver_.registerMemory(
-        recvBuf_, slotBytes * config_.recvSlots,
+        recvBuf_, slotBytes * recvSlots,
         verbs::AccessFlags::pinned());
     ackSendMr_ = &receiver_.registerMemory(ackSendBuf_, slotBytes,
                                            verbs::AccessFlags::pinned());
 
-    for (std::size_t slot = 0; slot < config_.recvSlots; ++slot) {
+    for (std::size_t slot = 0; slot < recvSlots; ++slot) {
         dataQpRemote_.postRecv(recvBuf_ + slot * slotBytes,
                                recvMr_->lkey(), slotBytes, slot);
         ackQpRemote_.postRecv(ackRecvBuf_ + slot * slotBytes,
@@ -93,7 +98,7 @@ SoftReliableChannel::SoftReliableChannel(Cluster& cluster, Node& sender,
 std::uint64_t
 SoftReliableChannel::send(const std::vector<std::uint8_t>& payload)
 {
-    assert(payload.size() <= config_.maxPayloadBytes);
+    assert(payload.size() <= maxPayloadBytes);
     const std::uint64_t seq = nextSeq_++;
     PendingMessage msg;
     msg.payload = payload;
@@ -187,7 +192,6 @@ SoftReliableChannel::onReceiverCompletion(const verbs::WorkCompletion& wc)
     ackQp_.postSend(ackSendBuf_, ackSendMr_->lkey(),
                     static_cast<std::uint32_t>(ack.size()),
                     /*wr_id=*/seq);
-    ++stats_.acksSent;
 }
 
 void

@@ -38,12 +38,6 @@ struct SoftChannelConfig
 
     /** Give up after this many retries (message reported failed). */
     std::size_t maxRetries = 20;
-
-    /** Largest payload per message. */
-    std::uint32_t maxPayloadBytes = 480;
-
-    /** RECV WQEs kept posted per endpoint. */
-    std::size_t recvSlots = 64;
 };
 
 /** Counters. */
@@ -51,7 +45,6 @@ struct SoftChannelStats
 {
     std::uint64_t sends = 0;
     std::uint64_t retransmissions = 0;
-    std::uint64_t acksSent = 0;
     std::uint64_t delivered = 0;
     std::uint64_t duplicatesDropped = 0;
     std::uint64_t failed = 0;

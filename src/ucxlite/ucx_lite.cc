@@ -11,6 +11,15 @@ namespace {
 /** Control wire header: type, tag, three 64-bit fields, length. */
 constexpr std::uint32_t headerBytes = 1 + 8 + 8 + 8 + 8 + 4;
 
+/** Payloads up to this size go eager; larger go rendezvous. */
+constexpr std::uint32_t eagerThreshold = 1024;
+
+/** Control slot size: header plus the largest eager payload. */
+constexpr std::uint64_t slotBytes = headerBytes + eagerThreshold;
+
+/** Control receive slots per endpoint. */
+constexpr std::size_t ctrlSlots = 64;
+
 /** wr_id namespaces on the shared CQ. */
 constexpr std::uint64_t ctrlWrBase = 1ull << 62;
 constexpr std::uint64_t readWrBase = 1ull << 63;
@@ -40,7 +49,7 @@ UcxEndpoint::tagSend(std::uint64_t tag, std::uint64_t addr,
     UcxWorker& w = *owner_;
     const std::uint64_t request = w.nextRequest_++;
 
-    if (len <= w.config_.eagerThreshold) {
+    if (len <= eagerThreshold) {
         // Eager: the payload rides the control SEND; the request
         // completes when the SEND does (buffer reusable).
         ++w.stats_.eagerSends;
@@ -121,11 +130,9 @@ UcxWorker::UcxWorker(Cluster& cluster, Node& node, UcxConfig config)
 
     // A ring of send slots: sends queued behind a paused QP must keep
     // their bytes until they actually leave the wire.
-    const std::uint64_t slot = slotBytes();
-    ctrlSendBuf_ = node_.alloc(slot * config_.ctrlSlots);
-    node_.touch(ctrlSendBuf_, slot * config_.ctrlSlots);
-    ctrlSendMr_ = &node_.registerMemory(ctrlSendBuf_,
-                                        slot * config_.ctrlSlots,
+    ctrlSendBuf_ = node_.alloc(slotBytes * ctrlSlots);
+    node_.touch(ctrlSendBuf_, slotBytes * ctrlSlots);
+    ctrlSendMr_ = &node_.registerMemory(ctrlSendBuf_, slotBytes * ctrlSlots,
                                         verbs::AccessFlags::pinned());
 
     if (!config_.useOdp) {
@@ -137,12 +144,6 @@ UcxWorker::UcxWorker(Cluster& cluster, Node& node, UcxConfig config)
 }
 
 UcxWorker::~UcxWorker() = default;
-
-std::uint64_t
-UcxWorker::slotBytes() const
-{
-    return headerBytes + config_.eagerThreshold;
-}
 
 UcxEndpoint&
 UcxWorker::connectTo(UcxWorker& peer)
@@ -192,20 +193,19 @@ UcxWorker::makeEndpoint(UcxWorker& peer)
 void
 UcxWorker::armInbound(verbs::QueuePair inbound)
 {
-    const std::uint64_t slot = slotBytes();
-    const std::uint64_t block = node_.alloc(slot * config_.ctrlSlots);
-    node_.touch(block, slot * config_.ctrlSlots);
-    auto& mr = node_.registerMemory(block, slot * config_.ctrlSlots,
+    const std::uint64_t block = node_.alloc(slotBytes * ctrlSlots);
+    node_.touch(block, slotBytes * ctrlSlots);
+    auto& mr = node_.registerMemory(block, slotBytes * ctrlSlots,
                                     verbs::AccessFlags::pinned());
-    for (std::size_t i = 0; i < config_.ctrlSlots; ++i) {
+    for (std::size_t i = 0; i < ctrlSlots; ++i) {
         const std::uint64_t wr_id = nextRecvSlot_++;
         RecvSlot rs;
         rs.qp = inbound;
-        rs.addr = block + i * slot;
+        rs.addr = block + i * slotBytes;
         rs.lkey = mr.lkey();
         recvSlots_[wr_id] = rs;
-        inbound.postRecv(rs.addr, rs.lkey, static_cast<std::uint32_t>(slot),
-                         wr_id);
+        inbound.postRecv(rs.addr, rs.lkey,
+                         static_cast<std::uint32_t>(slotBytes), wr_id);
     }
 }
 
@@ -238,8 +238,7 @@ UcxWorker::sendCtrl(UcxEndpoint& ep, std::uint8_t type, std::uint64_t tag,
         std::memcpy(wire.data() + headerBytes, payload, payload_len);
 
     const std::uint64_t slot_addr =
-        ctrlSendBuf_ +
-        (ctrlSendSeq_ % config_.ctrlSlots) * slotBytes();
+        ctrlSendBuf_ + (ctrlSendSeq_ % ctrlSlots) * slotBytes;
     node_.memory().write(slot_addr, wire);
     std::uint64_t wr_id = ctrlWrBase + ctrlSendSeq_++;
     if (type == msgEager) {
@@ -309,7 +308,7 @@ UcxWorker::onCtrlArrival(const verbs::WorkCompletion& wc)
     const auto bytes = node_.memory().read(slot.addr, wc.byteLen);
     // Repost immediately.
     slot.qp.postRecv(slot.addr, slot.lkey,
-                     static_cast<std::uint32_t>(slotBytes()), wc.wrId);
+                     static_cast<std::uint32_t>(slotBytes), wc.wrId);
 
     if (bytes.size() < headerBytes)
         return;

@@ -42,9 +42,6 @@ namespace ucxlite {
 /** Worker configuration. */
 struct UcxConfig
 {
-    /** Payloads up to this size go eager; larger go rendezvous. */
-    std::uint32_t eagerThreshold = 1024;
-
     /**
      * Register user buffers via implicit ODP (the UCX default the paper
      * calls out) instead of the pin-down registration cache.
@@ -53,9 +50,6 @@ struct UcxConfig
 
     /** Transport attributes (UCX defaults per paper Sec. VII). */
     verbs::QpConfig qpConfig = ucxDefaults();
-
-    /** Control receive slots per endpoint. */
-    std::size_t ctrlSlots = 64;
 
     static verbs::QpConfig
     ucxDefaults()
@@ -201,9 +195,6 @@ class UcxWorker
     static constexpr std::uint8_t msgRts = 2;
     static constexpr std::uint8_t msgFin = 3;
     /** @} */
-
-    /** Control slot size: header plus the largest eager payload. */
-    std::uint64_t slotBytes() const;
 
     /** Create a one-way endpoint toward @p peer. */
     UcxEndpoint& makeEndpoint(UcxWorker& peer);

@@ -140,13 +140,6 @@ struct QpConfig
     std::uint8_t cretry = 7;
 
     /**
-     * RNR retry budget; 7 means infinite per the IBA encoding, matching
-     * common practice and keeping RNR waits from aborting the paper's
-     * experiments.
-     */
-    std::uint8_t rnrRetry = 7;
-
-    /**
      * Minimal RNR NAK delay advertised by this QP as a *responder*: the
      * smallest period the remote sender must wait before retransmitting a
      * packet we RNR-NAKed.

@@ -273,6 +273,10 @@ TEST(ChaosFaults, CrcEvadingCorruptionNeverCrashes)
     const bool completed = w.run();
     EXPECT_TRUE(completed || w.aqp.context().state == rnic::QpState::Error);
     EXPECT_GT(w.engine.injector().stats().corrupted, 0u);
+    // Some flips leave a packet malformed; ingress must reject those.
+    EXPECT_GT(w.a.rnic().stats().malformedDrops +
+                  w.b.rnic().stats().malformedDrops,
+              0u);
 }
 
 TEST(ChaosFaults, LinkFlapWindowsAreSurvived)

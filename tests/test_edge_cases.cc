@@ -354,7 +354,7 @@ TEST_P(VerbOutsideTransport, FailsAtPost)
     config.transport = c.transport;
     auto [cqp, sqp] = cluster.connectRc(client, ccq, server, scq, config);
 
-    const std::uint32_t mtu = client.rnic().profile().mtu;
+    const std::uint32_t mtu = rnic::pathMtu;
     const auto remote = server.alloc(2 * mtu);
     const auto local = client.alloc(2 * mtu);
     const std::vector<std::uint8_t> before(64, 0x11);
@@ -503,6 +503,37 @@ TEST(EdgeCases, ErrorFlushesPostedRecvs)
     EXPECT_EQ(wcs[1].wrId, 1u);
     EXPECT_EQ(wcs[1].status, verbs::WcStatus::LocProtErr);
     EXPECT_EQ(cqp.context().state, rnic::QpState::Error);
+    EXPECT_EQ(cqp.context().recvQueue.size(), 0u);
+}
+
+// A RECV posted to a QP already in Error completes with WR_FLUSH_ERR at
+// once, as a send posted there does; it never waits in the RECV queue.
+TEST(EdgeCases, RecvPostedInErrorFlushes)
+{
+    Cluster cluster(rnic::DeviceProfile::connectX4(), 2, 61);
+    Node& client = cluster.node(0);
+    Node& server = cluster.node(1);
+    auto& ccq = client.createCq();
+    auto& scq = server.createCq();
+    auto cqp = cluster.connectRc(client, ccq, server, scq).first;
+
+    const auto src = server.alloc(4096);
+    const auto dst = client.alloc(4096);
+    auto& smr = server.registerMemory(src, 4096,
+                                      verbs::AccessFlags::pinned());
+    auto& cmr = client.registerMemory(dst, 4096,
+                                      verbs::AccessFlags::pinned());
+    cqp.postRead(dst, 999, src, smr.rkey(), 64, 1);
+    ASSERT_EQ(ccq.poll().size(), 1u);
+    ASSERT_EQ(cqp.context().state, rnic::QpState::Error);
+
+    cqp.postRecv(dst, cmr.lkey(), 64, 77);
+    cluster.advance(Time::sec(1));
+    const auto wcs = ccq.poll();
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].wrId, 77u);
+    EXPECT_EQ(wcs[0].opcode, verbs::WrOpcode::Recv);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::WrFlushErr);
     EXPECT_EQ(cqp.context().recvQueue.size(), 0u);
 }
 

@@ -348,7 +348,7 @@ TEST_F(DriverFixture, PrefetchMapsWithoutFaults)
     EXPECT_EQ(driver.stats().prefetchedPages, 3u);
     // 3 pages at prefetchLatencyPerPage each.
     EXPECT_NEAR(events.now().toUs(),
-                3 * timing.prefetchLatencyPerPage.toUs(), 1.0);
+                3 * prefetchLatencyPerPage.toUs(), 1.0);
 }
 
 namespace {

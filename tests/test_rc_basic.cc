@@ -162,6 +162,33 @@ TEST(RcBasic, SendWithoutRecvGetsRnrNakThenCompletes)
     EXPECT_TRUE(t.clientCq.poll()[0].ok());
 }
 
+// The RNR retry budget is infinite (the IBA's 7): a SEND that meets no
+// RECV for 40 ms, at least 8 RNR waits of ~4.5 ms, still completes.
+TEST(RcBasic, RnrWaitsNeverAbortTheSend)
+{
+    TwoNodes t;
+    auto [cqp, sqp] = t.cluster.connectRc(t.client, t.clientCq, t.server,
+                                          t.serverCq);
+
+    const std::uint64_t src = t.client.alloc(4096);
+    const std::uint64_t dst = t.server.alloc(4096);
+    auto& cmr = t.client.registerMemory(src, 4096,
+                                        verbs::AccessFlags::pinned());
+    auto& smr = t.server.registerMemory(dst, 4096,
+                                        verbs::AccessFlags::pinned());
+
+    cqp.postSend(src, cmr.lkey(), 32, 1);
+    t.cluster.advance(Time::ms(40));
+    EXPECT_EQ(t.clientCq.totalCompletions(), 0u);
+    sqp.postRecv(dst, smr.lkey(), 4096, 2);
+
+    ASSERT_TRUE(t.cluster.runUntil(
+        [&] { return t.clientCq.totalCompletions() == 1; },
+        Time::sec(2)));
+    EXPECT_GE(cqp.stats().rnrNaksReceived, 8u);
+    EXPECT_EQ(t.clientCq.poll()[0].status, verbs::WcStatus::Success);
+}
+
 TEST(RcBasic, WrongLidTimesOutWithRetryExcErr)
 {
     TwoNodes t;
